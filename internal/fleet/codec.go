@@ -22,7 +22,8 @@ import (
 // crash cut off), checkpoints must decode completely or not at all (a half
 // checkpoint is not a consistent state).
 const (
-	journalMagic    = "sgwal1\n"
+	journalMagic    = "sgwal2\n" // binary batch records (journal.go)
+	journalMagicV1  = "sgwal1\n" // JSON records: read-only, for recovery across upgrades
 	checkpointMagic = "sgckpt1\n"
 
 	// maxRecordLen bounds a single record so a corrupted length prefix
@@ -45,56 +46,41 @@ func appendRecord(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readMagic consumes and verifies the file's magic line.
-func readMagic(r *bytes.Reader, want string) error {
-	got := make([]byte, len(want))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return fmt.Errorf("fleet: short magic: %w", err)
+// nextRecord splits one framed record off the front of data. It returns
+// io.EOF at a clean end of data and errCorrupt (wrapped) for a torn or
+// damaged frame. The payload aliases data; nothing is copied.
+func nextRecord(data []byte) (payload, rest []byte, err error) {
+	if len(data) == 0 {
+		return nil, nil, io.EOF
 	}
-	if string(got) != want {
-		return fmt.Errorf("fleet: bad magic %q, want %q", got, want)
+	if len(data) < 8 {
+		return nil, nil, fmt.Errorf("%w: torn header", errCorrupt)
 	}
-	return nil
-}
-
-// readRecord reads one framed record. It returns io.EOF at a clean end of
-// file and errCorrupt (wrapped) for a torn or damaged frame.
-func readRecord(r *bytes.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: torn header", errCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := binary.LittleEndian.Uint32(data[0:4])
 	if n > maxRecordLen {
-		return nil, fmt.Errorf("%w: record length %d exceeds bound", errCorrupt, n)
+		return nil, nil, fmt.Errorf("%w: record length %d exceeds bound", errCorrupt, n)
 	}
-	if int64(n) > int64(r.Len()) {
-		return nil, fmt.Errorf("%w: torn payload (%d of %d bytes)", errCorrupt, r.Len(), n)
+	if int64(n) > int64(len(data)-8) {
+		return nil, nil, fmt.Errorf("%w: torn payload (%d of %d bytes)", errCorrupt, len(data)-8, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: torn payload", errCorrupt)
+	payload = data[8 : 8+n]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, nil, fmt.Errorf("%w: checksum mismatch", errCorrupt)
 	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", errCorrupt)
-	}
-	return payload, nil
+	return payload, data[8+n:], nil
 }
 
 // readAllRecords verifies the magic and reads records until the clean end of
 // file or the first damaged frame. It returns the intact prefix and whether
 // the file ended cleanly (tail == nil) or in damage (tail != nil, the error
-// describing it).
+// describing it). Records alias data.
 func readAllRecords(data []byte, magic string) (records [][]byte, tail error) {
-	r := bytes.NewReader(data)
-	if err := readMagic(r, magic); err != nil {
-		return nil, err
+	if !bytes.HasPrefix(data, []byte(magic)) {
+		return nil, fmt.Errorf("fleet: bad magic, want %q", magic)
 	}
+	data = data[len(magic):]
 	for {
-		rec, err := readRecord(r)
+		rec, rest, err := nextRecord(data)
 		if err == io.EOF {
 			return records, nil
 		}
@@ -102,5 +88,6 @@ func readAllRecords(data []byte, magic string) (records [][]byte, tail error) {
 			return records, err
 		}
 		records = append(records, rec)
+		data = rest
 	}
 }

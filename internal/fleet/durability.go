@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -21,7 +20,9 @@ import (
 // The contract: every reading Submit acknowledged is journaled before it is
 // enqueued, and a checkpoint at sequence S captures exactly the state of
 // sequences ≤ S — so recovery (newest valid checkpoint + journal-tail
-// replay) rebuilds the state a crash interrupted, byte for byte.
+// replay) rebuilds the state a process crash interrupted, byte for byte.
+// Only checkpoints are fsynced: a power loss can lose acknowledged readings
+// journaled since the newest checkpoint.
 //
 // Disk faults degrade that contract instead of failing ingest: a journal
 // write error flips the shard into a non-durable degraded state (readings
@@ -65,17 +66,18 @@ type Durability struct {
 }
 
 // durableShard is one shard's journal handle. nextSeq and the writer are
-// shared between Submit (producer goroutines) and the worker (rotation at
-// checkpoints), serialised by mu; the worker never blocks while holding it,
-// and Submit's queue send happens outside it with a slot already reserved,
-// so neither side can deadlock the other.
+// shared between the submit path (producer goroutines) and the worker
+// (rotation at checkpoints), serialised by mu; the worker never blocks while
+// holding it, and submitters reserve their queue slots before committing, so
+// no queue send inside commit can block and neither side can deadlock the
+// other.
 //
-// Appends group-commit: each committer stages its framed record into the
-// pending batch under mu, and the first arriver becomes the batch leader —
-// it drops the lock, writes every staged frame in one syscall, and wakes the
-// followers. N concurrently-submitted readings therefore share one write
-// instead of paying one syscall each; a lone committer degenerates to the
-// old one-write-per-entry behaviour.
+// Appends group-commit: each committer stages its run's sealed record into
+// the pending batch under mu, and the first arriver becomes the batch leader
+// — it drops the lock, writes every staged record in one syscall, enqueues
+// the staged runs in sequence order, and wakes the followers. A submitter
+// hands over a whole shard run per record, so even a lone committer pays one
+// write per batch, not per reading.
 // When the disk fails, the durableShard becomes a circuit breaker: a write
 // error flips it open (degraded — commits assign sequences but skip the
 // write, so ingest keeps serving from memory), and after an exponentially
@@ -92,9 +94,15 @@ type durableShard struct {
 	journal       *journalWriter
 	nextSeq       uint64
 
-	pending  *journalBatch // frames staged for the next flush (nil when none)
+	pending  *journalBatch // records staged for the next flush (nil when none)
 	spare    []byte        // recycled batch buffer
-	flushing bool          // a leader is writing outside the lock
+	flushing bool          // a leader is writing or enqueueing outside the lock
+
+	// enqueue hands a committed run to the shard queue, sequences first,
+	// first+1, …; the caller holds a queue slot per reading, so it never
+	// blocks. It runs under mu or by the flushing leader, which keeps the
+	// queue in sequence order.
+	enqueue func(first uint64, run []ingest.Reading)
 
 	// Breaker state (guarded by mu). probeAt is when the next half-open
 	// probe may run; backoff doubles per failed probe.
@@ -110,9 +118,6 @@ type durableShard struct {
 	wantCkpt                bool // set on breaker close; worker checkpoints ASAP
 	log                     *slog.Logger
 	degradeEdge             *obs.Counter // fleet_journal_degraded_total transitions
-	// clock attributes leader write-syscall time to the journal_append stage
-	// (nil with metrics off).
-	clock *obs.StageClock
 }
 
 // journalState is a point-in-time view of the breaker for Status/Health.
@@ -194,98 +199,112 @@ func (ds *durableShard) takeWantCkpt() bool {
 	return want
 }
 
-// journalBatch is one group-committed set of frames. done closes when the
-// batch is on disk (or failed); err is valid after done. n counts the staged
-// records so a failed batch's readings can be accounted non-durable.
+// journalBatch is one group-committed set of records. done closes when the
+// batch is on disk (or failed) and its runs are enqueued; err is valid after
+// done. n counts the staged readings, not records, so a failed batch is
+// accounted non-durable reading by reading.
 type journalBatch struct {
 	buf  []byte
 	n    int
+	runs []stagedRun
 	done chan struct{}
 	err  error
 }
 
-// commit sequences, frames, and stages one reading, returning its journal
-// sequence and whether it made it to disk. It blocks until the batch
-// containing the record has been written (or skipped). Frames are staged in
-// sequence order because marshalling happens under mu — only the write
-// syscall itself is batched and lock-free.
+// stagedRun is one committed run awaiting its batch's write.
+type stagedRun struct {
+	first uint64
+	rs    []ingest.Reading
+}
+
+// commit sequences one shard run, journals it as a single record, and
+// enqueues it, returning the run's first sequence and whether it made it to
+// disk. rec is the run's record as built by beginRecord and the frame
+// encoder, head still unsealed; run holds the frame's readings in row order,
+// each with a queue slot reserved by the caller. Under mu commit only
+// assigns the contiguous range [nextSeq+1, nextSeq+len(run)] and stages the
+// sealed record; the batch leader writes outside the lock. It blocks until
+// the run is enqueued, and rec and run stay the caller's to reuse once it
+// returns.
 //
-// A write failure does NOT reject the reading: the shard degrades (breaker
-// opens), the reading is accepted non-durable, and later commits skip the
-// write entirely until a half-open probe reopens a fresh segment. The only
-// error commit returns is a marshalling failure — a malformed reading, which
-// is a rejection, not a disk fault.
-func (ds *durableShard) commit(e journalEntry) (seq uint64, durable bool, err error) {
+// A write failure does NOT reject the run: the shard degrades (breaker
+// opens), the readings are accepted non-durable, and later commits skip the
+// write entirely until a half-open probe reopens a fresh segment.
+func (ds *durableShard) commit(rec []byte, run []ingest.Reading) (first uint64, durable bool) {
+	n := uint64(len(run))
 	ds.mu.Lock()
 	ds.probe() // half-open retry when due; no-op while healthy
-	ds.nextSeq++
-	e.Seq = ds.nextSeq
-	payload, err := json.Marshal(e)
-	if err != nil {
-		// The sequence was never staged; roll it back so the journal
-		// stays gap-free (mu has been held throughout).
-		ds.nextSeq--
-		ds.mu.Unlock()
-		return 0, false, err
-	}
+	first = ds.nextSeq + 1
+	ds.nextSeq += n
 	if ds.degraded {
-		// Breaker open: accept from memory, count the durability gap.
-		ds.nonDurable++
-		seq := e.Seq
+		// Breaker open: accept from memory, count the durability gap. No
+		// leader is flushing while the breaker is open, so enqueueing
+		// under mu keeps the queue in sequence order.
+		ds.nonDurable += n
+		ds.enqueue(first, run)
 		ds.mu.Unlock()
-		return seq, false, nil
+		return first, false
 	}
+	sealRecord(rec, first)
 	if ds.pending == nil {
 		ds.pending = &journalBatch{buf: ds.spare, done: make(chan struct{})}
 		ds.spare = nil
 	}
 	b := ds.pending
-	b.buf = appendRecord(b.buf, payload)
-	b.n++
-	if !ds.flushing {
-		// Leader: write batches until none are staged. Followers that
-		// arrive while the write syscall is in flight stage the next
-		// batch; the loop picks it up.
-		ds.flushing = true
-		for ds.pending != nil {
-			batch := ds.pending
-			ds.pending = nil
-			if ds.degraded {
-				// A failed write tripped the breaker while this batch
-				// was being staged; don't hammer the broken device.
-				batch.err = ds.lastErr
-				ds.nonDurable += uint64(batch.n)
-			} else {
-				w := ds.journal
-				ds.mu.Unlock()
-				var wStart time.Time
-				if ds.clock != nil {
-					wStart = time.Now()
-				}
-				werr := w.write(batch.buf)
-				if ds.clock != nil {
-					ds.clock.Observe(time.Since(wStart), uint64(batch.n))
-				}
-				ds.mu.Lock()
-				batch.err = werr
-				if werr != nil {
-					ds.trip(werr)
-					ds.nonDurable += uint64(batch.n)
-				}
-			}
-			if cap(batch.buf) > cap(ds.spare) {
-				ds.spare = batch.buf[:0]
-			}
-			close(batch.done)
-		}
-		ds.flushing = false
-		ds.idle.Broadcast()
-		ds.mu.Unlock()
-	} else {
+	b.buf = append(b.buf, rec...)
+	b.n += len(run)
+	b.runs = append(b.runs, stagedRun{first: first, rs: run})
+	if ds.flushing {
 		ds.mu.Unlock()
 		<-b.done
+		return first, b.err == nil
 	}
-	return e.Seq, b.err == nil, nil
+	// Leader: write batches until none are staged. Followers that arrive
+	// while the write syscall is in flight stage the next batch; the loop
+	// picks it up.
+	ds.flushing = true
+	for ds.pending != nil {
+		batch := ds.pending
+		ds.pending = nil
+		if ds.degraded {
+			// A failed write tripped the breaker while this batch was
+			// being staged; don't hammer the broken device.
+			batch.err = ds.lastErr
+			ds.nonDurable += uint64(batch.n)
+			ds.enqueueBatch(batch)
+		} else {
+			w := ds.journal
+			ds.mu.Unlock()
+			werr := w.write(batch.buf)
+			// Outside mu but still the only flusher, and the breaker
+			// cannot open before this leader relocks: no other run can
+			// be enqueued in between.
+			ds.enqueueBatch(batch)
+			ds.mu.Lock()
+			batch.err = werr
+			if werr != nil {
+				ds.trip(werr)
+				ds.nonDurable += uint64(batch.n)
+			}
+		}
+		if cap(batch.buf) > cap(ds.spare) {
+			ds.spare = batch.buf[:0]
+		}
+		close(batch.done)
+	}
+	ds.flushing = false
+	ds.idle.Broadcast()
+	ds.mu.Unlock()
+	return first, b.err == nil
+}
+
+// enqueueBatch enqueues a flushed batch's runs in sequence order and drops
+// the batch's references to them.
+func (ds *durableShard) enqueueBatch(b *journalBatch) {
+	for _, r := range b.runs {
+		ds.enqueue(r.first, r.rs)
+	}
+	b.runs = nil
 }
 
 // rotate swaps in a fresh journal segment based at nextSeq, waiting out any
@@ -347,7 +366,7 @@ func (s *shard) initDurability() error {
 		breakerMax:  cfg.BreakerMax,
 		log:         s.pool.cfg.Logger,
 		degradeEdge: s.pool.degradeEdges,
-		clock:       s.pool.clkJournal,
+		enqueue:     s.enqueueRun,
 	}
 	s.dur.idle = sync.NewCond(&s.dur.mu)
 	s.cleanTemporaries(dir)
@@ -440,24 +459,33 @@ func (s *shard) recoverState() error {
 		return fmt.Errorf("fleet: shard %d journal gap: no segment covers checkpoint seq %d", s.id, base)
 	}
 	maxSeq, replayed := base, 0
-replay:
 	for i := max(floor, 0); i < len(segs); i++ {
-		entries, err := readJournal(fsys, segs[i].path, s.id, n)
+		data, err := fsys.ReadFile(segs[i].path)
 		if err != nil {
 			return err
 		}
-		for _, e := range entries {
-			if e.Seq <= base {
-				continue
+		gap := false
+		err = decodeSegment(data, s.id, n, func(seq uint64, r ingest.Reading) bool {
+			// A checkpoint can land inside a record: skip exactly the
+			// readings it covers.
+			if seq <= base {
+				return true
 			}
-			if e.Seq != maxSeq+1 {
-				break replay
+			if seq != maxSeq+1 {
+				gap = true
+				return false
 			}
-			maxSeq = e.Seq
-			s.applied = e.Seq
-			r := e.reading()
+			maxSeq = seq
+			s.applied = seq
 			s.handle(s.deployment(r.Deployment), r)
 			replayed++
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("fleet: journal %s: %w", segs[i].path, err)
+		}
+		if gap {
+			break
 		}
 	}
 	s.dur.nextSeq = maxSeq

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"sensorguard/internal/gdi"
 	"sensorguard/internal/ingest"
 	"sensorguard/internal/obs"
+	"sensorguard/internal/sensor"
+	"sensorguard/internal/vecmat"
 )
 
 // durableConfig is the pool configuration every recovery test shares; the
@@ -443,54 +446,113 @@ func TestStatusStates(t *testing.T) {
 	}
 }
 
-// TestJournalRoundTrip exercises the segment codec directly: entries written
-// are read back exactly, and shard-identity mismatches are refused.
+// journaled is one reading as a journal segment hands it back.
+type journaled struct {
+	seq uint64
+	r   ingest.Reading
+}
+
+// readSegment decodes a segment file completely.
+func readSegment(path string, shard, shards int) ([]journaled, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var out []journaled
+	err = decodeSegment(data, shard, shards, func(seq uint64, r ingest.Reading) bool {
+		out = append(out, journaled{seq, r})
+		return true
+	})
+	return out, err
+}
+
+// appendJournalRecord builds the record the submit path stages for a run
+// starting at sequence first.
+func appendJournalRecord(tb testing.TB, buf []byte, first uint64, rs []ingest.Reading) []byte {
+	tb.Helper()
+	var enc ingest.FrameEncoder
+	rec, err := enc.AppendFrame(beginRecord(nil), rs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sealRecord(rec, first)
+	return append(buf, rec...)
+}
+
+// sameReading compares every field a journal must carry, values bit for bit.
+func sameReading(a, b ingest.Reading) bool {
+	if a.Deployment != b.Deployment || a.Seq != b.Seq || a.Sensor != b.Sensor ||
+		a.Time != b.Time || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Values {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestJournalRoundTrip exercises the segment codec directly: batch records
+// written are read back bit for bit with their sequences, shard-identity
+// mismatches are refused, and a torn final record is lost whole.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := openJournal(chaos.OS, dir, 1, 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantEntries []journalEntry
-	for i := 1; i <= 10; i++ {
-		e := journalEntry{
-			Seq:        100 + uint64(i),
-			Deployment: fmt.Sprintf("dep-%d", i%3),
-			WireSeq:    uint64(i),
-			Sensor:     i % 4,
-			TimeNS:     int64(i) * int64(time.Minute),
-			Values:     []float64{float64(i), 0.5},
+	var want []journaled
+	var buf []byte
+	next := uint64(101)
+	for rec := 0; rec < 3; rec++ {
+		var run []ingest.Reading
+		for i := 0; i < 2+rec; i++ { // ragged runs: 2, 3, 4 readings
+			k := len(want) + i + 1
+			run = append(run, ingest.Reading{
+				Deployment: fmt.Sprintf("dep-%d", k%3),
+				Seq:        uint64(k),
+				Reading: sensor.Reading{
+					Sensor: k % 4,
+					Time:   time.Duration(k)*time.Minute + 7, // not a whole second
+					Values: vecmat.Vector{float64(k) / 3, math.Nextafter(0.5, 1), -0.0},
+				},
+			})
 		}
-		if err := w.append(e); err != nil {
-			t.Fatal(err)
+		buf = appendJournalRecord(t, buf, next, run)
+		for i, r := range run {
+			want = append(want, journaled{next + uint64(i), r})
 		}
-		wantEntries = append(wantEntries, e)
+		next += uint64(len(run))
+	}
+	if err := w.write(buf); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
 	path := journalPath(dir, 100)
-	got, err := readJournal(chaos.OS, path, 1, 4)
+	got, err := readSegment(path, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(wantEntries) {
-		t.Fatalf("read %d entries, want %d", len(got), len(wantEntries))
+	if len(got) != len(want) {
+		t.Fatalf("read %d readings, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Seq != wantEntries[i].Seq || got[i].Deployment != wantEntries[i].Deployment ||
-			got[i].TimeNS != wantEntries[i].TimeNS {
-			t.Fatalf("entry %d mismatch: %+v != %+v", i, got[i], wantEntries[i])
+		if got[i].seq != want[i].seq || !sameReading(got[i].r, want[i].r) {
+			t.Fatalf("reading %d mismatch: %+v != %+v", i, got[i], want[i])
 		}
 	}
-	if _, err := readJournal(chaos.OS, path, 0, 4); err == nil {
+	if _, err := readSegment(path, 0, 4); err == nil {
 		t.Error("journal for shard 1 accepted by shard 0")
 	}
-	if _, err := readJournal(chaos.OS, path, 1, 8); err == nil {
+	if _, err := readSegment(path, 1, 8); err == nil {
 		t.Error("journal for 4-shard layout accepted by 8-shard pool")
 	}
 
-	// A torn tail (partial final record) must cost exactly the final record.
+	// A torn tail (partial final record) must cost exactly the final
+	// record — all four of its readings, never a prefix of them.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -498,12 +560,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = readJournal(chaos.OS, path, 1, 4)
+	got, err = readSegment(path, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(wantEntries)-1 {
-		t.Fatalf("torn tail: read %d entries, want %d", len(got), len(wantEntries)-1)
+	if len(got) != len(want)-4 {
+		t.Fatalf("torn tail: read %d readings, want %d", len(got), len(want)-4)
 	}
 }
 

@@ -14,6 +14,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -254,6 +255,10 @@ type Pool struct {
 	sloOnce sync.Once
 
 	audit *core.DecisionLog
+
+	// scratch pools the journaled submit path's per-call buffers
+	// (*durableScratch).
+	scratch sync.Pool
 }
 
 // New builds and starts the pool; callers must Drain it when done. With
@@ -265,6 +270,9 @@ func New(cfg Config) (*Pool, error) {
 		return nil, errors.New("fleet: lateness must be non-negative")
 	}
 	p := &Pool{cfg: cfg, drained: make(chan struct{})}
+	p.scratch.New = func() any {
+		return &durableScratch{byShard: make([][]ingest.Reading, cfg.Shards)}
+	}
 	if reg := cfg.Metrics; reg != nil {
 		p.readings = reg.Counter("fleet_readings_total", "readings accepted into shard queues")
 		p.panics = reg.Counter("fleet_panics_total", "shard worker panics recovered by the supervisor")
@@ -328,12 +336,22 @@ func shardIndex(deployment string, n int) int {
 // after Drain, ingest.ErrDropped when the DropNewest policy sheds the
 // reading, and otherwise blocks until the shard accepts it. With durability
 // on, the reading is journaled before it is enqueued — once Submit returns
-// nil, a crash cannot lose the reading.
+// nil, a crash cannot lose the reading — and a reading the journal could not
+// replay intact is refused with ErrInvalidReading. An empty deployment key
+// names DefaultDeployment, as it does on the wire.
 func (p *Pool) Submit(r ingest.Reading) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return ErrClosed
+	}
+	if p.cfg.Durability.Dir != "" {
+		one := [1]ingest.Reading{r}
+		_, dropped, err := p.submitDurable(one[:])
+		if err == nil && dropped > 0 {
+			err = ingest.ErrDropped
+		}
+		return err
 	}
 	return p.submitLocked(r)
 }
@@ -342,9 +360,13 @@ func (p *Pool) Submit(r ingest.Reading) error {
 // acquisition — the staged path the parallel binary decoder feeds whole
 // frames through (it makes Pool an ingest.BatchConsumer). Readings route to
 // their shards exactly as Submit would: accepted counts enqueued readings,
-// dropped those shed by the overflow policy. A terminal error (shutdown, a
-// malformed journal entry) stops the batch where it stands; the counts cover
-// the prefix processed before it.
+// dropped those shed by the overflow policy. A terminal error (shutdown, or
+// with durability on an invalid reading) stops the batch where it stands;
+// the counts cover the prefix processed before it.
+//
+// With durability on, the batch is split by shard, keeping arrival order
+// within each shard, and each shard's run is journaled as one record in one
+// write (see submitDurable).
 func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err error) {
 	if len(rs) == 0 {
 		return 0, 0, nil
@@ -353,6 +375,9 @@ func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err erro
 	defer p.mu.RUnlock()
 	if p.closed {
 		return 0, 0, ErrClosed
+	}
+	if p.cfg.Durability.Dir != "" {
+		return p.submitDurable(rs)
 	}
 	for _, r := range rs {
 		switch err := p.submitLocked(r); {
@@ -367,13 +392,13 @@ func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err erro
 	return accepted, dropped, nil
 }
 
-// submitLocked routes one reading to its shard; the caller holds p.mu.RLock
-// and has checked p.closed.
+// submitLocked routes one reading to its shard on the non-durable path; the
+// caller holds p.mu.RLock and has checked p.closed.
 func (p *Pool) submitLocked(r ingest.Reading) error {
-	s := p.shards[shardIndex(r.Deployment, len(p.shards))]
-	if s.dur != nil {
-		return p.submitDurable(s, r)
+	if r.Deployment == "" {
+		r.Deployment = ingest.DefaultDeployment
 	}
+	s := p.shards[shardIndex(r.Deployment, len(p.shards))]
 	q := queued{r: r}
 	// The enqueue timestamp feeds the queue-wait histogram and the
 	// ingest.queue_wait span; skip the clock read when neither is on.
@@ -394,55 +419,165 @@ func (p *Pool) submitLocked(r ingest.Reading) error {
 	return nil
 }
 
-// submitDurable is the journaled admission path. It goes through a slot
-// semaphore sized like the queue: a held slot guarantees the queue send
-// cannot block, so the journal commit (which must happen between sequencing
-// and enqueueing) never sits inside a blocking send. Concurrent submitters
-// group-commit: their journal frames share one write syscall (see
-// durableShard.commit).
-func (p *Pool) submitDurable(s *shard, r ingest.Reading) error {
-	if p.cfg.Policy == DropNewest {
-		select {
-		case s.slots <- struct{}{}:
-		default:
-			s.m.dropped.Inc()
-			return ingest.ErrDropped
+// ErrInvalidReading reports a reading the durable admission path refused
+// before journaling it: one the journal's frame codec could not replay
+// intact (non-finite or missing values, a negative time, too many values, an
+// oversize deployment key). The wrapped error names the reading and the
+// fault.
+var ErrInvalidReading = errors.New("fleet: invalid reading")
+
+// durableScratch is one durable submit call's reusable buffers: the batch
+// split by shard, the frame encoder, and the record being built.
+type durableScratch struct {
+	byShard [][]ingest.Reading
+	enc     ingest.FrameEncoder
+	rec     []byte
+}
+
+// submitDurable is the journaled admission path. It validates the batch up
+// front — a reading the journal could not replay ends the batch there, so
+// the journal never holds a gap or a record that replay would stop at —
+// then splits the valid prefix by shard and admits each shard's readings in
+// runs (submitRuns). The caller holds p.mu.RLock and has checked p.closed.
+func (p *Pool) submitDurable(rs []ingest.Reading) (accepted, dropped int, err error) {
+	valid := len(rs)
+	for i := range rs {
+		if verr := ingest.CheckFrameReading(rs[i]); verr != nil {
+			valid = i
+			err = fmt.Errorf("%w %d of %d (deployment %q, sensor %d): %w",
+				ErrInvalidReading, i, len(rs), rs[i].Deployment, rs[i].Sensor, verr)
+			break
 		}
-	} else {
-		s.slots <- struct{}{}
 	}
-	jsp := p.cfg.Tracer.StartSpan("journal.append", r.Trace)
-	var jStart time.Time
-	if p.journalAppend != nil {
-		jStart = time.Now()
+	sc := p.scratch.Get().(*durableScratch)
+	for _, r := range rs[:valid] {
+		if r.Deployment == "" {
+			r.Deployment = ingest.DefaultDeployment
+		}
+		i := shardIndex(r.Deployment, len(p.shards))
+		sc.byShard[i] = append(sc.byShard[i], r)
 	}
-	seq, durable, err := s.dur.commit(journalEntry{
-		Deployment: r.Deployment,
-		WireSeq:    r.Seq,
-		Sensor:     r.Sensor,
-		TimeNS:     int64(r.Time),
-		Values:     r.Values,
-	})
-	if p.journalAppend != nil {
-		p.journalAppend.Observe(time.Since(jStart).Seconds())
+	for i, run := range sc.byShard {
+		if len(run) == 0 {
+			continue
+		}
+		a, d := p.submitRuns(p.shards[i], sc, run)
+		accepted += a
+		dropped += d
+		clear(run) // drop the readings' references before pooling
+		sc.byShard[i] = run[:0]
 	}
-	jsp.SetInt("seq", int64(seq))
-	jsp.End()
+	p.scratch.Put(sc)
+	return accepted, dropped, err
+}
+
+// submitRuns admits one shard's readings, in order, as runs of at most
+// QueueLen readings (and at most one frame's worth of bytes). Each run first
+// reserves a queue slot per reading, so the queue sends that follow can
+// never block: under Block it waits for every slot, one reserver per shard at
+// a time so that two partial reservations cannot starve each other; under
+// DropNewest readings that find no free slot are shed and counted, and never
+// journaled. The run is then encoded as one frame outside any lock and
+// committed as one journal record.
+func (p *Pool) submitRuns(s *shard, sc *durableScratch, rs []ingest.Reading) (accepted, dropped int) {
+	for len(rs) > 0 {
+		n, budget := 0, 0
+		for n < len(rs) && n < p.cfg.QueueLen {
+			// A generous bound on the reading's share of the frame:
+			// its values, its key in the intern table, and the varint
+			// columns plus the frame's own header fields.
+			budget += 8*len(rs[n].Values) + len(rs[n].Deployment) + 8*binary.MaxVarintLen64
+			if n > 0 && budget > ingest.MaxFramePayload {
+				break
+			}
+			n++
+		}
+		run := rs[:n]
+		rs = rs[n:]
+		if p.cfg.Policy == DropNewest {
+			kept := run[:0]
+			for _, r := range run {
+				select {
+				case s.slots <- struct{}{}:
+					kept = append(kept, r)
+				default:
+					dropped++
+					s.m.dropped.Inc()
+				}
+			}
+			run = kept
+		} else {
+			s.reserve.Lock()
+			for range run {
+				s.slots <- struct{}{}
+			}
+			s.reserve.Unlock()
+		}
+		if len(run) > 0 {
+			p.commitRun(s, sc, run)
+			accepted += len(run)
+		}
+	}
+	return accepted, dropped
+}
+
+// commitRun encodes one reserved run and commits it through the shard's
+// journal. The encode, the commit and the write it waits on are all charged
+// to the journal_append stage and the journal-append latency histogram, once
+// per run with its reading count; the journal.append span joins the trace of
+// the run's first sampled reading.
+func (p *Pool) commitRun(s *shard, sc *durableScratch, run []ingest.Reading) {
+	var start time.Time
+	timed := p.journalAppend != nil || p.clkJournal != nil
+	if timed {
+		start = time.Now()
+	}
+	var sp *obs.Span
+	traced := 0
+	for i := range run {
+		if run[i].Trace.Recording() {
+			sp = p.cfg.Tracer.StartSpan("journal.append", run[i].Trace)
+			sp.SetInt("readings", int64(len(run)))
+			traced = i
+			break
+		}
+	}
+	rec, err := sc.enc.AppendFrame(beginRecord(sc.rec[:0]), run)
 	if err != nil {
-		// Only a malformed reading errors; disk faults degrade instead.
-		<-s.slots
-		return fmt.Errorf("fleet: journal: %w", err)
+		// submitDurable validated every reading and submitRuns bounded
+		// the frame size, so the encoder cannot refuse the run.
+		panic(fmt.Sprintf("fleet: journal encode of a validated run: %v", err))
 	}
+	sc.rec = rec
+	first, durable := s.dur.commit(rec, run)
+	if timed {
+		d := time.Since(start)
+		p.journalAppend.Observe(d.Seconds())
+		p.clkJournal.Observe(d, uint64(len(run)))
+	}
+	sp.SetInt("seq", int64(first)+int64(traced))
+	sp.End()
 	if !durable {
-		s.m.nondurable.Inc()
+		s.m.nondurable.Add(uint64(len(run)))
 	}
-	q := queued{seq: seq, r: r}
-	if p.queueWait != nil || r.Trace.Recording() {
-		q.enq = time.Now()
+}
+
+// enqueueRun hands a committed run to the worker queue, reading i carrying
+// journal sequence first+i. Every reading holds a reserved slot, so no send
+// blocks.
+func (s *shard) enqueueRun(first uint64, run []ingest.Reading) {
+	var enq time.Time
+	if s.pool.queueWait != nil {
+		enq = time.Now()
 	}
-	s.queue <- q // cannot block: a slot is held
-	p.readings.Inc()
-	return nil
+	for i, r := range run {
+		q := queued{seq: first + uint64(i), r: r, enq: enq}
+		if r.Trace.Recording() && enq.IsZero() {
+			q.enq = time.Now()
+		}
+		s.queue <- q
+	}
+	s.pool.readings.Add(uint64(len(run)))
 }
 
 // Drain stops intake, lets every shard work off its queue, flushes every
@@ -780,6 +915,9 @@ func (p *Pool) Deployments() []string {
 }
 
 func (p *Pool) lookup(deployment string) (*deployment, error) {
+	if deployment == "" {
+		deployment = ingest.DefaultDeployment
+	}
 	s := p.shards[shardIndex(deployment, len(p.shards))]
 	s.mu.RLock()
 	d := s.deployments[deployment]
@@ -824,8 +962,13 @@ type shard struct {
 	id    int
 	pool  *Pool
 	queue chan queued
-	slots chan struct{} // admission semaphore; see submitDurable
-	m     shardMetrics
+	slots chan struct{} // admission semaphore; see submitRuns
+	// reserve lets one Block-policy submitter at a time reserve a run's
+	// slots (see submitRuns). It is held across blocking slot sends on
+	// purpose: the holder waits only on the worker freeing slots, and
+	// neither the worker nor any slot holder ever takes it.
+	reserve sync.Mutex
+	m       shardMetrics
 
 	// batch and batchPos are the in-progress drain: workBatch processes
 	// batch[batchPos:]. They live on the shard (not the stack) so a

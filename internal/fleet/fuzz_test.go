@@ -2,9 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"testing"
 	"time"
+
+	"sensorguard/internal/ingest"
+	"sensorguard/internal/sensor"
+	"sensorguard/internal/vecmat"
 )
 
 // fuzzSeedCheckpoint builds one well-formed checkpoint so the fuzzer starts
@@ -77,17 +82,43 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-// FuzzJournalRecords drives the shared record framing with arbitrary bytes:
-// the reader must never panic and must hand back only records whose CRC
-// verified, then stop.
+// fuzzSeedSegments builds well-formed journal segments for shard 0 of 1: a
+// binary segment holding two batch records, and a legacy JSON segment.
+func fuzzSeedSegments(tb testing.TB) (v2, v1 []byte) {
+	tb.Helper()
+	hdr := binary.AppendUvarint(nil, 0) // shard
+	hdr = binary.AppendUvarint(hdr, 1)  // shards
+	hdr = binary.AppendUvarint(hdr, 0)  // base
+	v2 = appendRecord([]byte(journalMagic), hdr)
+	run := []ingest.Reading{
+		{Deployment: "d", Seq: 1, Reading: sensor.Reading{Sensor: 0, Time: 60, Values: vecmat.Vector{1, 2}}},
+		{Deployment: "e", Seq: 1, Reading: sensor.Reading{Sensor: 3, Time: 61, Values: vecmat.Vector{3, 4}}},
+	}
+	v2 = appendJournalRecord(tb, v2, 1, run)
+	v2 = appendJournalRecord(tb, v2, 3, run[:1])
+
+	v1 = []byte(journalMagicV1)
+	h, _ := json.Marshal(journalHeaderV1{Version: 1, Shard: 0, Shards: 1, Base: 0})
+	v1 = appendRecord(v1, h)
+	for seq := uint64(1); seq <= 2; seq++ {
+		e, _ := json.Marshal(journalEntryV1{Seq: seq, Deployment: "d", Sensor: 0, TimeNS: 60, Values: []float64{1}})
+		v1 = appendRecord(v1, e)
+	}
+	return v2, v1
+}
+
+// FuzzJournalRecords drives the journal with arbitrary bytes at two layers.
+// The shared record framing must never panic and must hand back only
+// records whose CRC verified, then stop. The segment decoder above it must
+// never panic and must deliver only valid readings with contiguous
+// sequences, whatever the bytes — whether it reads them as a binary segment,
+// a legacy JSON one, or neither.
 func FuzzJournalRecords(f *testing.F) {
-	good := []byte(journalMagic)
-	hdr, _ := json.Marshal(journalHeader{Version: 1, Shard: 0, Shards: 1, Base: 0})
-	good = append(good, appendRecord(nil, hdr)...)
-	entry, _ := json.Marshal(journalEntry{Seq: 1, Deployment: "d", Sensor: 0, TimeNS: 60, Values: []float64{1}})
-	good = append(good, appendRecord(nil, entry)...)
-	f.Add(good)
-	f.Add(good[:len(good)-3]) // torn tail
+	v2, v1 := fuzzSeedSegments(f)
+	f.Add(v2)
+	f.Add(v2[:len(v2)-3]) // torn batch record
+	f.Add(v1)
+	f.Add(v1[:len(v1)-3])
 	f.Add([]byte(journalMagic))
 	f.Add([]byte{})
 
@@ -111,5 +142,19 @@ func FuzzJournalRecords(f *testing.F) {
 			}
 		}
 		_ = tail
+
+		var last uint64
+		n := 0
+		_ = decodeSegment(data, 0, 1, func(seq uint64, r ingest.Reading) bool {
+			if n > 0 && seq != last+1 {
+				t.Fatalf("reading %d has seq %d after %d", n, seq, last)
+			}
+			if err := ingest.CheckFrameReading(r); err != nil {
+				t.Fatalf("reading %d (seq %d) delivered invalid: %v", n, seq, err)
+			}
+			last = seq
+			n++
+			return true
+		})
 	})
 }

@@ -93,6 +93,12 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type FrameEncoder struct {
 	readings []Reading
 	buf      []byte
+
+	// Scratch reused across frames: the deployment intern table and each
+	// staged reading's index into it.
+	deps   []string
+	depIdx map[string]int
+	rowDep []int
 }
 
 // Add stages one reading. Readings keep their order on the wire.
@@ -108,108 +114,139 @@ func (e *FrameEncoder) Reset() { e.readings = e.readings[:0] }
 // payload, CRC trailer). The returned slice is owned by the encoder and is
 // valid until the next Frame or Reset.
 func (e *FrameEncoder) Frame() ([]byte, error) {
-	rs := e.readings
+	p, err := e.AppendFrame(e.buf[:0], e.readings)
+	if err != nil {
+		return nil, err
+	}
+	e.buf = p
+	return p, nil
+}
+
+// AppendFrame appends one complete frame holding rs to dst and returns the
+// extended slice: Frame without staging the readings, for callers that
+// already hold them in a slice and own the destination buffer. On error dst
+// is returned unextended.
+func (e *FrameEncoder) AppendFrame(dst []byte, rs []Reading) ([]byte, error) {
 	if len(rs) == 0 {
-		return nil, errors.New("ingest: empty frame")
+		return dst, errors.New("ingest: empty frame")
 	}
 	// Intern deployments and decide uniform vs ragged dims in one pass.
-	depIdx := make(map[string]int, 4)
-	var deps []string
+	if e.depIdx == nil {
+		e.depIdx = make(map[string]int, 4)
+	}
+	clear(e.depIdx)
+	deps := e.deps[:0]
+	rowDep := e.rowDep[:0]
 	dim := len(rs[0].Values)
-	for _, r := range rs {
+	for i := range rs {
+		r := &rs[i]
 		if len(r.Values) == 0 {
-			return nil, errors.New("ingest: reading needs at least one value")
+			return dst, errors.New("ingest: reading needs at least one value")
 		}
 		if len(r.Values) != dim {
 			dim = 0 // ragged
 		}
-		if _, ok := depIdx[r.Deployment]; !ok {
-			depIdx[r.Deployment] = len(deps)
+		idx, ok := e.depIdx[r.Deployment]
+		if !ok {
+			if len(r.Deployment) > maxDeploymentLen {
+				return dst, fmt.Errorf("ingest: deployment key %d bytes long (max %d)", len(r.Deployment), maxDeploymentLen)
+			}
+			idx = len(deps)
+			e.depIdx[r.Deployment] = idx
 			deps = append(deps, r.Deployment)
 		}
+		rowDep = append(rowDep, idx)
 	}
+	e.deps, e.rowDep = deps, rowDep
 
-	p := e.buf[:0]
-	if cap(p) < frameHeaderLen {
-		p = make([]byte, 0, 64*1024)
-	}
-	p = append(p, make([]byte, frameHeaderLen)...) // header placeholder
-
-	var tmp [binary.MaxVarintLen64]byte
-	uv := func(dst []byte, v uint64) []byte {
-		n := binary.PutUvarint(tmp[:], v)
-		return append(dst, tmp[:n]...)
-	}
-
-	p = uv(p, uint64(len(deps)))
+	start := len(dst)
+	p := append(dst, make([]byte, frameHeaderLen)...) // header placeholder
+	p = binary.AppendUvarint(p, uint64(len(deps)))
 	for _, d := range deps {
-		if len(d) > maxDeploymentLen {
-			return nil, fmt.Errorf("ingest: deployment key %d bytes long (max %d)", len(d), maxDeploymentLen)
-		}
-		p = uv(p, uint64(len(d)))
+		p = binary.AppendUvarint(p, uint64(len(d)))
 		p = append(p, d...)
 	}
-	p = uv(p, uint64(len(rs)))
-	p = uv(p, uint64(dim))
+	p = binary.AppendUvarint(p, uint64(len(rs)))
+	p = binary.AppendUvarint(p, uint64(dim))
 	if dim == 0 {
-		for _, r := range rs {
-			p = uv(p, uint64(len(r.Values)))
+		for i := range rs {
+			p = binary.AppendUvarint(p, uint64(len(rs[i].Values)))
 		}
 	}
-	for _, r := range rs {
-		p = uv(p, uint64(depIdx[r.Deployment]))
+	for _, d := range rowDep {
+		p = binary.AppendUvarint(p, uint64(d))
 	}
-	for _, r := range rs {
-		p = uv(p, zigzag(int64(r.Sensor)))
+	for i := range rs {
+		p = binary.AppendUvarint(p, zigzag(int64(rs[i].Sensor)))
 	}
 	var prevSeq uint64
-	for _, r := range rs {
-		p = uv(p, zigzag(int64(r.Seq-prevSeq))) // modular delta: exact for all uint64
-		prevSeq = r.Seq
+	for i := range rs {
+		p = binary.AppendUvarint(p, zigzag(int64(rs[i].Seq-prevSeq))) // modular delta: exact for all uint64
+		prevSeq = rs[i].Seq
 	}
 	var prevNS int64
-	for _, r := range rs {
-		ns := int64(r.Time)
-		p = uv(p, zigzag(ns-prevNS))
+	for i := range rs {
+		ns := int64(rs[i].Time)
+		p = binary.AppendUvarint(p, zigzag(ns-prevNS))
 		prevNS = ns
 	}
 	if dim > 0 {
 		// Column-major: attribute a of every reading, then attribute a+1.
 		for a := 0; a < dim; a++ {
-			for _, r := range rs {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Values[a]))
+			for i := range rs {
+				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(rs[i].Values[a]))
 			}
 		}
 	} else {
-		for _, r := range rs {
-			for _, v := range r.Values {
+		for i := range rs {
+			for _, v := range rs[i].Values {
 				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 			}
 		}
 	}
 
-	payload := p[frameHeaderLen:]
+	payload := p[start+frameHeaderLen:]
 	if len(payload) > MaxFramePayload {
-		return nil, fmt.Errorf("ingest: frame payload %d bytes (max %d)", len(payload), MaxFramePayload)
+		return dst, fmt.Errorf("ingest: frame payload %d bytes (max %d)", len(payload), MaxFramePayload)
 	}
-	p[0] = FrameMagic
-	p[1] = FrameVersion
-	binary.LittleEndian.PutUint32(p[2:6], uint32(len(payload)))
-	p = binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(payload))
-	e.buf = p
-	return p, nil
+	p[start] = FrameMagic
+	p[start+1] = FrameVersion
+	binary.LittleEndian.PutUint32(p[start+2:start+6], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(payload)), nil
+}
+
+// CheckFrameReading reports why DecodeFrame would refuse r after it went
+// through a frame, or nil when r round-trips intact: the semantic checks
+// DecodeFrame applies (non-negative time, at least one value, every value
+// finite) plus the structural bounds on attribute count and deployment key
+// length. An empty deployment key is accepted, but note that it decodes as
+// DefaultDeployment.
+func CheckFrameReading(r Reading) error {
+	if r.Time < 0 {
+		return fmt.Errorf("ingest: time %v is negative", r.Time)
+	}
+	if len(r.Values) == 0 {
+		return errors.New("ingest: reading needs at least one value")
+	}
+	if len(r.Values) > maxFrameDim {
+		return fmt.Errorf("ingest: %d values (max %d)", len(r.Values), maxFrameDim)
+	}
+	for i, v := range r.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("ingest: value %d is not finite", i)
+		}
+	}
+	if len(r.Deployment) > maxDeploymentLen {
+		return fmt.Errorf("ingest: deployment key %d bytes long (max %d)", len(r.Deployment), maxDeploymentLen)
+	}
+	return nil
 }
 
 // EncodeFrame renders readings as one binary frame. For repeated batches,
 // reuse a FrameEncoder instead.
 func EncodeFrame(rs []Reading) ([]byte, error) {
 	var e FrameEncoder
-	e.readings = rs
-	frame, err := e.Frame()
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), frame...), nil
+	return e.AppendFrame(nil, rs)
 }
 
 // DecodeFrame parses one complete frame (header through CRC trailer) into
@@ -404,7 +441,7 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 	rejected := 0
 	kept := readings[:0]
 	for _, rd := range readings {
-		if !validReading(rd) {
+		if CheckFrameReading(rd) != nil {
 			rejected++
 			continue
 		}
@@ -413,21 +450,8 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 	return kept, rejected, nil
 }
 
-// validReading applies the semantic checks shared with the NDJSON codec.
-func validReading(r Reading) bool {
-	if r.Time < 0 {
-		return false
-	}
-	for _, v := range r.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return len(r.Values) > 0
-}
-
 // readingEqual reports semantic equality of two readings (used by the fuzz
-// round-trip; NaN-free by construction since validReading already ran).
+// round-trip; NaN-free by construction since CheckFrameReading already ran).
 func readingEqual(a, b Reading) bool {
 	if a.Deployment != b.Deployment || a.Seq != b.Seq || a.Sensor != b.Sensor || a.Time != b.Time {
 		return false

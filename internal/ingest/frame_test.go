@@ -107,6 +107,63 @@ func TestFrameEncoderReuse(t *testing.T) {
 	}
 }
 
+// TestAppendFrame pins AppendFrame to Frame's bytes, with the destination's
+// existing contents kept, across encoder reuse with different intern tables.
+func TestAppendFrame(t *testing.T) {
+	var staged, appender FrameEncoder
+	for round, rs := range [][]Reading{frameReadings(), frameReadings()[2:], frameReadings()[:1]} {
+		for _, r := range rs {
+			staged.Add(r)
+		}
+		want, err := staged.Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged.Reset()
+		prefix := []byte("head")
+		got, err := appender.AppendFrame(prefix, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("round %d: AppendFrame differs from Frame", round)
+		}
+	}
+	if got, err := appender.AppendFrame([]byte("x"), nil); err == nil || string(got) != "x" {
+		t.Fatalf("empty run: %q, %v; want the destination back and an error", got, err)
+	}
+}
+
+// TestCheckFrameReading: every reading CheckFrameReading passes survives a
+// frame round trip, and every one it refuses would not.
+func TestCheckFrameReading(t *testing.T) {
+	ok := frameReadings()[0]
+	if err := CheckFrameReading(ok); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]Reading{
+		"nan":           {Deployment: "d", Reading: sensor.Reading{Values: vecmat.Vector{math.NaN()}}},
+		"inf":           {Deployment: "d", Reading: sensor.Reading{Values: vecmat.Vector{1, math.Inf(1)}}},
+		"no-values":     {Deployment: "d"},
+		"negative-time": {Deployment: "d", Reading: sensor.Reading{Time: -1, Values: vecmat.Vector{1}}},
+		"too-many":      {Deployment: "d", Reading: sensor.Reading{Values: make(vecmat.Vector, maxFrameDim+1)}},
+		"oversize-key":  {Deployment: strings.Repeat("k", maxDeploymentLen+1), Reading: sensor.Reading{Values: vecmat.Vector{1}}},
+	}
+	for name, r := range bad {
+		if CheckFrameReading(r) == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		frame, err := EncodeFrame([]Reading{ok, r})
+		if err != nil {
+			continue // the encoder refuses it outright
+		}
+		got, rejected, err := DecodeFrame(frame)
+		if err == nil && rejected == 0 && len(got) == 2 {
+			t.Errorf("%s: survived a frame round trip", name)
+		}
+	}
+}
+
 func TestDecodeFrameRejectsInvalidReadings(t *testing.T) {
 	// NaN values and negative times are semantic faults: skipped and
 	// counted, not fatal — the frame's healthy readings survive.

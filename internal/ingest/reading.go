@@ -60,9 +60,11 @@ type wireReading struct {
 }
 
 // DecodeLine parses one NDJSON line into a Reading, validating that the
-// timestamp is finite, non-negative, and representable, and that every
-// attribute value is finite (NaN/Inf would silently poison the detector's
-// running means).
+// timestamp is finite, non-negative, and representable, and that the reading
+// passes CheckFrameReading — the binary codec's bounds, so both codecs accept
+// the same readings: every attribute value finite (NaN/Inf would silently
+// poison the detector's running means), 1 to 4096 values, a deployment key
+// of at most 4096 bytes.
 func DecodeLine(line []byte) (Reading, error) {
 	var w wireReading
 	if err := json.Unmarshal(line, &w); err != nil {
@@ -71,19 +73,11 @@ func DecodeLine(line []byte) (Reading, error) {
 	if math.IsNaN(w.TimeS) || math.IsInf(w.TimeS, 0) || w.TimeS < 0 || w.TimeS > maxSeconds {
 		return Reading{}, fmt.Errorf("ingest: time_s %v outside [0, %g]", w.TimeS, maxSeconds)
 	}
-	if len(w.Values) == 0 {
-		return Reading{}, errors.New("ingest: reading needs at least one value")
-	}
-	for i, v := range w.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Reading{}, fmt.Errorf("ingest: value %d is not finite", i)
-		}
-	}
 	dep := w.Deployment
 	if dep == "" {
 		dep = DefaultDeployment
 	}
-	return Reading{
+	r := Reading{
 		Deployment: dep,
 		Seq:        w.Seq,
 		Reading: sensor.Reading{
@@ -91,7 +85,11 @@ func DecodeLine(line []byte) (Reading, error) {
 			Time:   time.Duration(w.TimeS * float64(time.Second)),
 			Values: vecmat.Vector(w.Values),
 		},
-	}, nil
+	}
+	if err := CheckFrameReading(r); err != nil {
+		return Reading{}, err
+	}
+	return r, nil
 }
 
 // EncodeLine renders a Reading as one NDJSON line (no trailing newline).

@@ -49,6 +49,9 @@ func TestDecodeLineRejects(t *testing.T) {
 		"no values":      `{"sensor":1,"time_s":5,"values":[]}`,
 		"missing values": `{"sensor":1,"time_s":5}`,
 		"inf value":      `{"sensor":1,"time_s":5,"values":[1e999]}`,
+		// The binary codec's bounds apply to NDJSON too.
+		"too many values": `{"sensor":1,"time_s":5,"values":[` + strings.Repeat("1,", maxFrameDim) + `1]}`,
+		"oversize key":    `{"deployment":"` + strings.Repeat("k", maxDeploymentLen+1) + `","sensor":1,"time_s":5,"values":[1]}`,
 	} {
 		if _, err := DecodeLine([]byte(line)); err == nil {
 			t.Errorf("%s: accepted %s", name, line)

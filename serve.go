@@ -108,6 +108,10 @@ var (
 	// ErrBootstrapping reports a deployment still buffering its bootstrap
 	// horizon.
 	ErrBootstrapping = fleet.ErrBootstrapping
+	// ErrInvalidReading reports a reading a durable fleet refused before
+	// journaling it (non-finite or missing values, negative time, over 4096
+	// values, a deployment key over 4096 bytes).
+	ErrInvalidReading = fleet.ErrInvalidReading
 )
 
 // NewFleet builds and starts a sharded collector pool; Drain it when done.
