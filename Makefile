@@ -1,8 +1,7 @@
 GO ?= go
-BENCHSTAT ?= $(GO) run golang.org/x/perf/cmd/benchstat@latest
 TRAJECTORY ?= bench/trajectory.json
 
-.PHONY: build test race lint bench bench-smoke bench-record bench-compare scenarios scenarios-smoke chaos
+.PHONY: build test race lint bench-smoke bench-record scenarios scenarios-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -25,13 +24,6 @@ lint:
 		echo "$$bad"; \
 		exit 1; \
 	fi
-
-# bench refreshes the committed trajectory files. Run on a quiet machine;
-# bench/seed_*.txt stay frozen at the numbers measured before the hot-path
-# pass.
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkStep$$|BenchmarkStepWithTrackedSensor' -count 3 ./internal/core > bench/after_core.txt
-	$(GO) test -run xxx -bench IngestThroughput -count 3 -benchtime 2s ./internal/fleet > bench/after_fleet.txt
 
 # bench-smoke is the CI step: a short fixed sgbench workload that proves the
 # harness runs and the bare detector step is still zero-alloc, and leaves
@@ -71,9 +63,3 @@ chaos:
 		-run 'TestChaosEndToEnd|TestSentinelTornCheckpointRecovery|TestJournalFaultDegradesThenRecovers|TestDegradedCrashConvergence|TestCheckpointFailureCoolsDownAndSurfaces|TestTCPAcceptRetriesTransientErrors' \
 		./cmd/sentinel ./internal/fleet ./internal/ingest
 	$(GO) test -race -count=1 ./internal/chaos
-
-# bench-compare diffs the committed seed and after trajectories with
-# benchstat (fetches benchstat on first use; needs network).
-bench-compare:
-	$(BENCHSTAT) bench/seed_core.txt bench/after_core.txt
-	$(BENCHSTAT) bench/seed_fleet.txt bench/after_fleet.txt

@@ -18,8 +18,9 @@
 // serves the pipeline counters and per-stage latency histograms in
 // Prometheus text format, /metrics.json and /debug/vars the same as JSON,
 // /healthz a liveness probe, and /debug/pprof the standard profiles. With
-// -events every window is also emitted as one NDJSON object (see
-// docs/OBSERVABILITY.md for the schema).
+// -events every window's decision record is also written as one NDJSON
+// object — the schema -audit-log and /debug/decisions use (see
+// docs/OBSERVABILITY.md).
 //
 // With -listen sentinel becomes a streaming server: live NDJSON readings
 // arrive over HTTP POST /ingest and/or a line-delimited TCP socket (-tcp),
@@ -58,7 +59,7 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 	dot := fs.Bool("dot", false, "print the correct Markov model in Graphviz dot form")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/vars, and /debug/pprof on this address while processing")
-	eventsPath := fs.String("events", "", "stream one NDJSON event per window to this file (\"-\" = stderr)")
+	eventsPath := fs.String("events", "", "stream one NDJSON decision record per window to this file (\"-\" = stderr)")
 	hold := fs.Duration("hold", 0, "keep serving -metrics-addr this long after the report (0 = exit immediately)")
 	listen := fs.String("listen", "", "serve mode: accept live NDJSON readings over HTTP on this address (POST /ingest, GET /report/{deployment}, /metrics)")
 	tcpAddr := fs.String("tcp", "", "serve mode: also accept line-delimited NDJSON readings on this TCP address")
@@ -132,10 +133,10 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 		return fmt.Errorf("-hold needs -metrics-addr")
 	}
 
-	observer := &sensorguard.Observer{}
-	var events *sensorguard.LogSink
+	var metrics *sensorguard.MetricsRegistry
+	var events *sensorguard.DecisionLog
 	if *metricsAddr != "" {
-		observer.Metrics = sensorguard.NewMetricsRegistry()
+		metrics = sensorguard.NewMetricsRegistry()
 	}
 	if *eventsPath != "" {
 		w := errOut
@@ -147,11 +148,10 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 			defer f.Close()
 			w = f
 		}
-		events = sensorguard.NewLogSink(w)
-		observer.Sink = events
+		events = sensorguard.NewDecisionLog(w)
 	}
-	if observer.Metrics != nil {
-		srv, err := sensorguard.ServeMetrics(*metricsAddr, observer.Metrics)
+	if metrics != nil {
+		srv, err := sensorguard.ServeMetrics(*metricsAddr, metrics)
 		if err != nil {
 			return err
 		}
@@ -193,7 +193,10 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 
 	cfg := sensorguard.DefaultConfig(seeds)
 	cfg.Window = *window
-	cfg.Observer = observer
+	cfg.Metrics = metrics
+	if events != nil {
+		cfg.Decisions = events
+	}
 	det, err := sensorguard.NewDetector(cfg)
 	if err != nil {
 		return err

@@ -222,7 +222,13 @@ func runServe(o serveOptions, stdin io.Reader, out, errOut io.Writer) error {
 	}
 
 	pool.Drain()
-	return printFleetReports(pool, o.asJSON, out, log)
+	if err := printFleetReports(pool, o.asJSON, out, log); err != nil {
+		return err
+	}
+	if err := pool.AuditErr(); err != nil {
+		return fmt.Errorf("audit log: %w", err)
+	}
+	return nil
 }
 
 // printFleetReports renders every deployment's diagnosis after a drain. In

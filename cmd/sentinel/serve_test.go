@@ -102,3 +102,25 @@ func TestServeErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestServeAuditLogFailureFailsRun checks that a serve run whose audit log
+// cannot be written exits with the write error after the drain, instead of
+// dropping every decision record silently.
+func TestServeAuditLogFailureFailsRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	stream := traceNDJSON(t, writeTestTrace(t), "gdi")
+	var out, errOut bytes.Buffer
+	err := run([]string{"-listen", "127.0.0.1:0", "-audit-log", "/dev/full", "-"},
+		bytes.NewReader(stream), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "audit log") {
+		t.Fatalf("run = %v, want the audit-log write error", err)
+	}
+	if !strings.Contains(out.String(), "overall diagnosis") {
+		t.Errorf("report not printed before the error:\n%s", out.String())
+	}
+	if n := strings.Count(errOut.String(), "audit log write failed"); n != 1 {
+		t.Errorf("failure logged %d times, want once:\n%s", n, errOut.String())
+	}
+}

@@ -58,7 +58,6 @@ type options struct {
 	out         string
 	record      string // trajectory file to append a summary entry to
 	commit      string // commit id recorded with -record; default git HEAD
-	benchfmt    string // Go benchfmt output path (- for stdout)
 	convert     string // existing report to summarize instead of benching
 	profileDir  string // capture profiles of the largest-shard replay here
 	maxprocs    int    // GOMAXPROCS override; 0 leaves the runtime default
@@ -122,22 +121,21 @@ func run(args []string, out, errOut io.Writer) error {
 	fs.StringVar(&o.out, "out", "BENCH_hotpath.json", "report path (- for stdout)")
 	fs.StringVar(&o.record, "record", "", "append a summary entry to this trajectory file (see bench/trajectory.json)")
 	fs.StringVar(&o.commit, "commit", "", "commit id stamped on the -record entry (default: git rev-parse HEAD)")
-	fs.StringVar(&o.benchfmt, "benchfmt", "", "also emit the report as Go benchmark lines for benchstat (- for stdout)")
-	fs.StringVar(&o.convert, "convert", "", "summarize an existing report instead of benchmarking (use with -record/-benchfmt)")
+	fs.StringVar(&o.convert, "convert", "", "summarize an existing report into a -record entry instead of benchmarking")
 	fs.StringVar(&o.profileDir, "profile-dir", "", "capture CPU/heap/goroutine profiles of the largest-shard replay into this ring directory")
 	fs.IntVar(&o.maxprocs, "maxprocs", 0, "override GOMAXPROCS for the run (recorded as the report's cpus; 0 = runtime default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if o.convert != "" {
-		if o.record == "" && o.benchfmt == "" {
-			return fmt.Errorf("-convert needs -record and/or -benchfmt")
+		if o.record == "" {
+			return fmt.Errorf("-convert needs -record")
 		}
 		rep, err := loadReport(o.convert)
 		if err != nil {
 			return err
 		}
-		return emitSummaries(rep, o, out)
+		return emitSummaries(rep, o)
 	}
 	if o.days <= 0 || o.deployments <= 0 || o.passes <= 0 {
 		return fmt.Errorf("-days, -deployments, and -passes must be positive")
@@ -244,36 +242,20 @@ func run(args []string, out, errOut io.Writer) error {
 	if err := writeReport(rep, o.out, out); err != nil {
 		return err
 	}
-	return emitSummaries(rep, o, out)
+	return emitSummaries(rep, o)
 }
 
-// emitSummaries handles the -record and -benchfmt outputs for a report,
-// whether freshly benched or loaded via -convert.
-func emitSummaries(rep report, o options, stdout io.Writer) error {
-	if o.record != "" {
-		e, err := trajectoryEntryFrom(rep, resolveCommit(o.commit), time.Now())
-		if err != nil {
-			return err
-		}
-		if err := appendTrajectory(o.record, e); err != nil {
-			return err
-		}
+// emitSummaries handles the -record output for a report, whether freshly
+// benched or loaded via -convert.
+func emitSummaries(rep report, o options) error {
+	if o.record == "" {
+		return nil
 	}
-	if o.benchfmt != "" {
-		w := stdout
-		if o.benchfmt != "-" {
-			f, err := os.Create(o.benchfmt)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := writeBenchfmt(rep, w); err != nil {
-			return err
-		}
+	e, err := trajectoryEntryFrom(rep, resolveCommit(o.commit), time.Now())
+	if err != nil {
+		return err
 	}
-	return nil
+	return appendTrajectory(o.record, e)
 }
 
 // encodeTrace renders the trace once as NDJSON lines, deployment keys
@@ -370,8 +352,9 @@ func measureDecode(lines [][]byte, decoded []ingest.Reading) (decodeStat, error)
 // replayFleet benchmarks one shard count in two runs over a fresh pool
 // each. The throughput run is uninstrumented — the same workload shape as
 // the fleet ingest benchmark, so its readings/sec is directly comparable to
-// bench/seed_fleet.txt. The latency run (a quarter of the passes) installs a
-// detector observer to capture the per-window step histogram; stage
+// BenchmarkIngestThroughput. The latency run (a quarter of the passes)
+// installs a detector metrics registry to capture the per-window step
+// histogram; stage
 // instrumentation costs real time per window, which is why it stays out of
 // the throughput run.
 func replayFleet(decoded []ingest.Reading, shards, passes int, span time.Duration, seed int64) (fleetRun, error) {
@@ -398,7 +381,7 @@ func replayFleet(decoded []ingest.Reading, shards, passes int, span time.Duratio
 		NewDetector: func(seeds []vecmat.Vector) (*core.Detector, error) {
 			ccfg := core.DefaultConfig(seeds)
 			ccfg.Window = time.Hour
-			ccfg.Observer = &obs.Observer{Metrics: reg}
+			ccfg.Metrics = reg
 			return core.NewDetector(ccfg)
 		},
 	})

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -12,8 +11,7 @@ import (
 
 // This file is the perf-trajectory side of sgbench: every `make bench-record`
 // appends one summarized entry per run to bench/trajectory.json, so the
-// repo's committed history carries the throughput curve PR by PR, and the
-// report can be re-emitted in Go benchfmt for benchstat comparisons.
+// repo's committed history carries the throughput curve PR by PR.
 
 // trajectorySchemaVersion stamps the file so later PRs can migrate it.
 const trajectorySchemaVersion = 1
@@ -55,12 +53,12 @@ func trajectoryEntryFrom(rep report, commit string, now time.Time) (trajectoryEn
 		}
 	}
 	return trajectoryEntry{
-		RecordedAt:      now.UTC().Format(time.RFC3339),
-		Commit:          commit,
-		GOOS:            rep.GOOS,
-		GOARCH:          rep.GOARCH,
-		CPUs:            rep.CPUs,
-		Shards:          best.Shards,
+		RecordedAt:            now.UTC().Format(time.RFC3339),
+		Commit:                commit,
+		GOOS:                  rep.GOOS,
+		GOARCH:                rep.GOARCH,
+		CPUs:                  rep.CPUs,
+		Shards:                best.Shards,
 		ReadingsPerSec:        best.ReadingsPerSec,
 		DecodeNsPerLine:       rep.Decode.NsPerLine,
 		DecodeBinaryNsPerLine: rep.DecodeBin.NsPerLine,
@@ -111,44 +109,6 @@ func resolveCommit(override string) string {
 		return sha
 	}
 	return "unknown"
-}
-
-// writeBenchfmt re-emits a report as Go benchmark output so benchstat can
-// diff two sgbench runs (or a run against the committed BENCH_hotpath.json).
-// Iteration counts carry the sample sizes; values are the measured means.
-func writeBenchfmt(rep report, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "goos: %s\ngoarch: %s\npkg: sensorguard/cmd/sgbench\ncpu: %d\n",
-		rep.GOOS, rep.GOARCH, rep.CPUs); err != nil {
-		return err
-	}
-	if rep.Decode.Lines > 0 {
-		if _, err := fmt.Fprintf(w, "BenchmarkIngestDecode\t%d\t%.2f ns/op\n",
-			rep.Decode.Lines, rep.Decode.NsPerLine); err != nil {
-			return err
-		}
-	}
-	if rep.DecodeBin.Lines > 0 {
-		if _, err := fmt.Fprintf(w, "BenchmarkIngestDecodeBinary\t%d\t%.2f ns/op\n",
-			rep.DecodeBin.Lines, rep.DecodeBin.NsPerLine); err != nil {
-			return err
-		}
-	}
-	for _, fr := range rep.Fleet {
-		if fr.Readings == 0 || fr.ReadingsPerSec <= 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "BenchmarkFleetIngest/shards=%d\t%d\t%.2f ns/op\n",
-			fr.Shards, fr.Readings, 1e9/fr.ReadingsPerSec); err != nil {
-			return err
-		}
-	}
-	if rep.BareStep.NsPerOp > 0 {
-		if _, err := fmt.Fprintf(w, "BenchmarkDetectorStep\t%d\t%.2f ns/op\t%.0f allocs/op\n",
-			2000, rep.BareStep.NsPerOp, rep.BareStep.AllocsPerOp); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // loadReport reads a previously written sgbench report (for -convert).

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -90,30 +88,8 @@ func TestTrajectoryEntryFromEmptyReport(t *testing.T) {
 	}
 }
 
-// TestWriteBenchfmt checks the benchstat-consumable re-emission: one line per
-// measurement, fleet ns/op inverted from readings/sec.
-func TestWriteBenchfmt(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeBenchfmt(sampleReport(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"goos: linux\n",
-		"BenchmarkIngestDecode\t2880\t512.50 ns/op\n",
-		"BenchmarkFleetIngest/shards=1\t28800\t34722.22 ns/op\n",
-		"BenchmarkFleetIngest/shards=4\t28800\t17361.11 ns/op\n",
-		"BenchmarkDetectorStep\t2000\t1800.00 ns/op\t0 allocs/op\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("benchfmt output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestRunConvert exercises the -convert path end to end: a saved report is
-// summarized into both a trajectory entry and benchfmt lines without
-// re-running any benchmark.
+// summarized into a trajectory entry without re-running any benchmark.
 func TestRunConvert(t *testing.T) {
 	dir := t.TempDir()
 	repPath := filepath.Join(dir, "report.json")
@@ -125,13 +101,11 @@ func TestRunConvert(t *testing.T) {
 		t.Fatal(err)
 	}
 	trajPath := filepath.Join(dir, "trajectory.json")
-	benchPath := filepath.Join(dir, "bench.txt")
 
 	err = run([]string{
 		"-convert", repPath,
 		"-record", trajPath,
 		"-commit", "cafef00d",
-		"-benchfmt", benchPath,
 	}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatalf("run -convert: %v", err)
@@ -148,15 +122,7 @@ func TestRunConvert(t *testing.T) {
 	if len(tj.Entries) != 1 || tj.Entries[0].Commit != "cafef00d" {
 		t.Errorf("trajectory entries = %+v, want one entry at commit cafef00d", tj.Entries)
 	}
-	bdata, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(bdata), "BenchmarkFleetIngest/shards=4") {
-		t.Errorf("benchfmt file missing fleet line:\n%s", bdata)
-	}
-
 	if err := run([]string{"-convert", repPath}, io.Discard, io.Discard); err == nil {
-		t.Error("run accepted -convert without -record or -benchfmt")
+		t.Error("run accepted -convert without -record")
 	}
 }

@@ -41,13 +41,12 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkStepInstrumented is BenchmarkStep with a full observer attached
-// (metrics registry + NopSink event stream). Comparing against
-// BenchmarkStep measures the observability overhead, which must stay within
-// noise of the uninstrumented baseline.
+// BenchmarkStepInstrumented is BenchmarkStep with a metrics registry
+// attached. Comparing against BenchmarkStep measures the metrics overhead,
+// which must stay within noise of the uninstrumented baseline.
 func BenchmarkStepInstrumented(b *testing.B) {
 	cfg := DefaultConfig(keyStates())
-	cfg.Observer = &obs.Observer{Metrics: obs.NewRegistry(), Sink: obs.NopSink{}}
+	cfg.Metrics = obs.NewRegistry()
 	d, err := NewDetector(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -173,6 +172,33 @@ func BenchmarkStepWithDecisions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	wins := benchWindows(10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := wins[i%4]
+		w.Index = i
+		if _, err := d.Step(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStepServing is BenchmarkStep with the hooks the serving fleet
+// attaches to every deployment by default: a 256-record decision ring, a
+// health tracker, an idle tracer, and the detector_step stage clock.
+// Comparing against BenchmarkStep prices serving-mode observability as one
+// number.
+func BenchmarkStepServing(b *testing.B) {
+	cfg := DefaultConfig(keyStates())
+	cfg.Decisions = NewDecisionRing(256)
+	cfg.Tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 16})
+	d, err := NewDetector(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.SetHealthTracker(obs.NewHealthTracker(obs.HealthConfig{}))
+	d.SetStepClock(obs.NewStageSet(obs.NewRegistry(), "detector_step").Clock("detector_step"))
 	wins := benchWindows(10)
 	b.ReportAllocs()
 	b.ResetTimer()

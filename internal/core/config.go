@@ -71,17 +71,17 @@ type Config struct {
 	QuarantineCoordinated float64
 	// Classify holds the structural-analysis thresholds.
 	Classify classify.Config
-	// Observer, when non-nil, receives per-window metrics and structured
-	// events from the detector (see internal/obs): counters/gauges/stage
-	// latency histograms in Observer.Metrics and one obs.Event per window
-	// on Observer.Sink. A nil Observer adds no overhead to Step.
-	Observer *obs.Observer
+	// Metrics, when non-nil, receives the detector's per-window counters,
+	// gauges, and stage-latency histograms (see internal/obs). Nil adds no
+	// overhead to Step.
+	Metrics *obs.Registry
 	// Tracer, when non-nil, records a "detector.step" span with per-stage
 	// children for every window carrying a sampled span context (see
 	// network.Window.Trace). A nil tracer adds only a nil check to Step.
 	Tracer *obs.Tracer
 	// Decisions, when non-nil, receives one DecisionRecord per window —
-	// the full provenance of the verdict. Nil adds no overhead.
+	// the window's stats plus the full provenance of the verdict. Nil
+	// skips building the provenance entirely.
 	Decisions DecisionSink
 }
 

@@ -1,61 +1,109 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
 	"sensorguard/internal/classify"
 	"sensorguard/internal/network"
+	"sensorguard/internal/obs"
 	"sensorguard/internal/track"
 	"sensorguard/internal/vecmat"
 )
 
-// A DecisionRecord is the per-window provenance of the detector: every
-// quantity the paper's methodology derives on the way to a verdict, captured
-// the moment Step computes it. Where a Report answers "what is wrong", the
-// decision record answers "why the detector thinks so" — the observable and
-// correct states of Eqs. (2)–(4), each sensor's nearest state l_j, the
-// cluster majorities, the raw and filtered alarms, the track symbols
-// (including ⊥ for agreement), and the §3.4 structural evidence read off
-// B^CO this window.
+// A DecisionRecord is the detector's one per-window record: every quantity
+// the paper's methodology derives on the way to a verdict, captured the
+// moment Step computes it. It has two parts. The embedded obs.WindowStats is
+// the cheap scalar part every Step fills (window, o_i/c_i, raw and filtered
+// alarm counts, track symbols and ⊥, churn, stage latencies); metrics, the
+// health tracker, and stage spans read it without a record being built.
+// The provenance part — state attributes, each sensor's nearest state l_j
+// and alarms, and the §3.4 structural evidence read off B^CO this window —
+// is built only for a DecisionSink. Where a Report answers "what is wrong",
+// the record answers "why the detector thinks so".
+//
+// What the per-sensor rows already hold is derived, not stored: the
+// cluster sizes (Clusters) and the tracks opened and closed this window
+// (TracksOpened, TracksClosed). The JSON encoding includes them under
+// "clusters", "tracks_opened", and "tracks_closed".
 type DecisionRecord struct {
 	// Deployment is stamped by the serving layer (empty for a bare
 	// detector).
 	Deployment string `json:"deployment,omitempty"`
-	// Window is the window ordinal i.
-	Window int `json:"window"`
+	// WindowStats is the scalar part; on a skipped window (Skipped) only
+	// it, Deployment, and TraceID are set.
+	obs.WindowStats
 	// TraceID links the record to its trace when the window carried a
 	// sampled span context.
 	TraceID string `json:"trace_id,omitempty"`
-	// Skipped records a window dropped for lacking a sensor quorum; all
-	// later fields are zero.
-	Skipped bool `json:"skipped,omitempty"`
-	// Observable and Correct are o_i (Eq. 2) and c_i (Eq. 4).
-	Observable int `json:"observable"`
-	Correct    int `json:"correct"`
-	// ObservableAttrs and CorrectAttrs are the attribute vectors of those
-	// model states (absent if the state has since merged away).
+	// ObservableAttrs and CorrectAttrs are the attribute vectors of the
+	// o_i and c_i model states (absent if the state has since merged
+	// away).
 	ObservableAttrs vecmat.Vector `json:"observable_attrs,omitempty"`
 	CorrectAttrs    vecmat.Vector `json:"correct_attrs,omitempty"`
-	// Clusters are the per-state sensor counts behind the Eq. (4)
-	// majority, ascending by state ID.
-	Clusters []ClusterSize `json:"clusters,omitempty"`
 	// Sensors are the per-sensor outcomes, ascending by sensor ID.
 	Sensors []SensorDecision `json:"sensors,omitempty"`
-	// RawAlarms and FilteredAlarms count this window's alarms before and
-	// after the k-of-n filter.
-	RawAlarms      int `json:"raw_alarms"`
-	FilteredAlarms int `json:"filtered_alarms"`
 	// Quarantined lists the sensors excluded from the observable estimate
 	// this window.
 	Quarantined []int `json:"quarantined,omitempty"`
 	// Evidence is the structural classification read off B^CO after this
 	// window (nil while the model has no active states yet).
 	Evidence *DecisionEvidence `json:"evidence,omitempty"`
+}
+
+// Clusters returns the per-state sensor counts behind the Eq. (4) majority,
+// ascending by state ID, derived from the per-sensor rows.
+func (r *DecisionRecord) Clusters() []ClusterSize {
+	var out []ClusterSize
+	for _, s := range r.Sensors {
+		i, found := slices.BinarySearchFunc(out, s.Nearest, func(c ClusterSize, state int) int {
+			return cmp.Compare(c.State, state)
+		})
+		if found {
+			out[i].Size++
+		} else {
+			out = slices.Insert(out, i, ClusterSize{State: s.Nearest, Size: 1})
+		}
+	}
+	return out
+}
+
+// TracksOpened returns the sensors whose error/attack track opened this
+// window, ascending.
+func (r *DecisionRecord) TracksOpened() []int {
+	return r.sensorsWhere(func(s SensorDecision) bool { return s.TrackOpened })
+}
+
+// TracksClosed returns the sensors whose error/attack track closed this
+// window, ascending.
+func (r *DecisionRecord) TracksClosed() []int {
+	return r.sensorsWhere(func(s SensorDecision) bool { return s.TrackClosed })
+}
+
+func (r *DecisionRecord) sensorsWhere(pred func(SensorDecision) bool) []int {
+	var out []int
+	for _, s := range r.Sensors {
+		if pred(s) {
+			out = append(out, s.Sensor)
+		}
+	}
+	return out
+}
+
+// MarshalJSON encodes the record with its derived fields.
+func (r DecisionRecord) MarshalJSON() ([]byte, error) {
+	type fields DecisionRecord // the stored fields, without this method
+	return json.Marshal(struct {
+		fields
+		Clusters     []ClusterSize `json:"clusters,omitempty"`
+		TracksOpened []int         `json:"tracks_opened,omitempty"`
+		TracksClosed []int         `json:"tracks_closed,omitempty"`
+	}{fields(r), r.Clusters(), r.TracksOpened(), r.TracksClosed()})
 }
 
 // ClusterSize counts the sensors whose window observation mapped onto one
@@ -75,8 +123,12 @@ type SensorDecision struct {
 	// RawAlarm is l_j ≠ c_i; FilteredAlarm is the k-of-n filter output.
 	RawAlarm      bool `json:"raw_alarm"`
 	FilteredAlarm bool `json:"filtered_alarm"`
-	// TrackOpen reports an open error/attack track after this window.
-	TrackOpen bool `json:"track_open"`
+	// TrackOpen reports an open error/attack track after this window;
+	// TrackOpened and TrackClosed report that the track opened or closed
+	// in this window.
+	TrackOpen   bool `json:"track_open"`
+	TrackOpened bool `json:"track_opened,omitempty"`
+	TrackClosed bool `json:"track_closed,omitempty"`
 	// Symbol is the symbol recorded on the sensor's track this window:
 	// "⊥" when the sensor agreed with the majority, the observed state ID
 	// otherwise, empty when nothing was recorded (no open track).
@@ -215,17 +267,16 @@ func (l *DecisionLog) Err() error {
 	return l.err
 }
 
-// decide assembles the window's decision record after step has run.
+// decide assembles the window's decision record after step has run: the
+// window's stats plus the provenance part.
 func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
-	rec := DecisionRecord{Window: res.Index}
+	rec := DecisionRecord{WindowStats: d.win}
 	if w.Trace.Recording() {
 		rec.TraceID = w.Trace.Trace.String()
 	}
 	if res.Skipped {
-		rec.Skipped = true
 		return rec
 	}
-	rec.Observable, rec.Correct = res.Observable, res.Correct
 
 	attrs := d.StateAttributes()
 	if a, ok := attrs[res.Observable]; ok {
@@ -235,21 +286,19 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 		rec.CorrectAttrs = a.Clone()
 	}
 
-	clusters := make(map[int]int)
-	ids := make([]int, 0, len(res.Sensors))
-	for id := range res.Sensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	// The scratch IDs are this window's sensors, already ascending.
+	sc := &d.scratch
+	rec.Sensors = make([]SensorDecision, len(sc.ids))
+	for i, id := range sc.ids {
 		st := res.Sensors[id]
-		clusters[st.Mapped]++
 		sd := SensorDecision{
 			Sensor:        id,
 			Nearest:       st.Mapped,
 			RawAlarm:      st.Raw,
 			FilteredAlarm: st.Filtered,
 			TrackOpen:     st.TrackOpen,
+			TrackOpened:   slices.Contains(sc.opened, id),
+			TrackClosed:   slices.Contains(sc.closed, id),
 		}
 		if st.Recorded {
 			if st.Symbol == track.Bottom {
@@ -258,21 +307,7 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 				sd.Symbol = strconv.Itoa(st.Symbol)
 			}
 		}
-		if st.Raw {
-			rec.RawAlarms++
-		}
-		if st.Filtered {
-			rec.FilteredAlarms++
-		}
-		rec.Sensors = append(rec.Sensors, sd)
-	}
-	states := make([]int, 0, len(clusters))
-	for s := range clusters {
-		states = append(states, s)
-	}
-	sort.Ints(states)
-	for _, s := range states {
-		rec.Clusters = append(rec.Clusters, ClusterSize{State: s, Size: clusters[s]})
+		rec.Sensors[i] = sd
 	}
 	if len(d.quarantined) > 0 {
 		rec.Quarantined = d.Quarantined()

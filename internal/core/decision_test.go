@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,7 +16,7 @@ import (
 func TestDecisionRingEvictsOldest(t *testing.T) {
 	r := NewDecisionRing(3)
 	for i := 0; i < 5; i++ {
-		r.Record(DecisionRecord{Window: i})
+		r.Record(DecisionRecord{WindowStats: obs.WindowStats{Window: i}})
 	}
 	recs := r.Records()
 	if len(recs) != 3 || r.Len() != 3 {
@@ -33,8 +35,8 @@ func TestDecisionRingEvictsOldest(t *testing.T) {
 func TestDecisionLogWritesNDJSON(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewDecisionLog(&buf)
-	l.Record(DecisionRecord{Deployment: "gdi", Window: 1})
-	l.Record(DecisionRecord{Deployment: "gdi", Window: 2})
+	l.Record(DecisionRecord{Deployment: "gdi", WindowStats: obs.WindowStats{Window: 1}})
+	l.Record(DecisionRecord{Deployment: "gdi", WindowStats: obs.WindowStats{Window: 2}})
 	if err := l.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +52,67 @@ func TestDecisionLogWritesNDJSON(t *testing.T) {
 		if rec.Window != i+1 || rec.Deployment != "gdi" {
 			t.Errorf("line %d decoded to %+v", i, rec)
 		}
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestDecisionLogStickyError checks a failed write is kept and every later
+// record is dropped rather than retried.
+func TestDecisionLogStickyError(t *testing.T) {
+	l := NewDecisionLog(failWriter{})
+	l.Record(DecisionRecord{})
+	l.Record(DecisionRecord{})
+	if l.Err() == nil {
+		t.Error("write error not surfaced")
+	}
+}
+
+// TestDecisionRecordJSONDerivedFields checks the encoding carries the fields
+// derived from the per-sensor rows, and that they survive a decode.
+func TestDecisionRecordJSONDerivedFields(t *testing.T) {
+	rec := DecisionRecord{
+		WindowStats: obs.WindowStats{Window: 4, Readings: 36, Reporting: 3, RawAlarms: 1},
+		Sensors: []SensorDecision{
+			{Sensor: 1, Nearest: 7},
+			{Sensor: 2, Nearest: 3, RawAlarm: true, TrackOpen: true, TrackOpened: true},
+			{Sensor: 5, Nearest: 7, TrackClosed: true},
+		},
+	}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Window       int           `json:"window"`
+		Readings     int           `json:"readings"`
+		Reporting    int           `json:"reporting"`
+		Clusters     []ClusterSize `json:"clusters"`
+		TracksOpened []int         `json:"tracks_opened"`
+		TracksClosed []int         `json:"tracks_closed"`
+		Sensors      []any         `json:"sensors"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	wantClusters := []ClusterSize{{State: 3, Size: 1}, {State: 7, Size: 2}}
+	if doc.Window != 4 || doc.Readings != 36 || doc.Reporting != 3 || len(doc.Sensors) != 3 {
+		t.Errorf("scalar keys decoded to %+v\n%s", doc, data)
+	}
+	if !slices.Equal(doc.Clusters, wantClusters) {
+		t.Errorf("clusters = %v, want %v", doc.Clusters, wantClusters)
+	}
+	if !slices.Equal(doc.TracksOpened, []int{2}) || !slices.Equal(doc.TracksClosed, []int{5}) {
+		t.Errorf("tracks opened %v closed %v, want [2] and [5]", doc.TracksOpened, doc.TracksClosed)
+	}
+	var back DecisionRecord
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back.Clusters(), wantClusters) || !slices.Equal(back.TracksOpened(), []int{2}) {
+		t.Errorf("decoded record derives clusters %v, opened %v", back.Clusters(), back.TracksOpened())
 	}
 }
 
@@ -102,7 +165,7 @@ func TestStepEmitsDecisionRecords(t *testing.T) {
 			t.Errorf("sensor slot %d holds ID %d", i, sd.Sensor)
 		}
 	}
-	for _, cs := range last.Clusters {
+	for _, cs := range last.Clusters() {
 		total += cs.Size
 	}
 	if total != 6 {

@@ -45,19 +45,25 @@ type Detector struct {
 	// path.
 	tracer    *obs.Tracer
 	decisions DecisionSink
-	// health receives one cheap HealthSample per window (see health.go);
-	// nil when drift telemetry is off. driftBase is the post-bootstrap
-	// M_C/M_O reference the polled shift metrics compare against.
+	// health folds each window's stats (see health.go); nil when drift
+	// telemetry is off. driftBase is the post-bootstrap M_C/M_O reference
+	// the polled shift metrics compare against.
 	health    *obs.HealthTracker
 	driftBase *driftBaseline
-	// hc accumulates the window's health counts inside the per-sensor
-	// loop (which already has every value in registers), so observeHealth
-	// never re-walks the sensors map on the hot path.
-	hc healthCounts
-	// epoch anchors stage timing: boundaries take monotonic marks via
-	// time.Since(epoch), which skips the wall-clock read of time.Now and
-	// roughly halves the per-mark cost on the instrumented hot path.
-	epoch time.Time
+	// clock is the serving layer's detector-step stage clock, fed one unit
+	// per window from the same marks as the stage latencies; nil when off.
+	clock *obs.StageClock
+
+	// win is the current window's stats, filled in place by step: the one
+	// per-window record every hook reads (decision records embed a copy).
+	win obs.WindowStats
+	// Stage timing takes cumulative monotonic marks via time.Since(epoch),
+	// which skips the wall-clock read of time.Now and roughly halves the
+	// per-mark cost. timed is set per window when any hook reads time;
+	// start and last are the window's first and most recent marks.
+	epoch       time.Time
+	timed       bool
+	start, last int64
 
 	// profiles accumulate, per tracked sensor and hidden state, the
 	// per-attribute statistics of the sensor's own readings while it was
@@ -78,16 +84,18 @@ type Detector struct {
 // returned StepResult borrows the sensors map, which is why Step's result is
 // only valid until the next call (see StepResult).
 type stepScratch struct {
-	slot    map[int]int       // sensor ID → accumulation slot
-	ids     []int             // sensor IDs, sorted ascending after grouping
-	sums    []vecmat.Vector   // per-slot sum, then mean, of the window's readings
-	counts  []int             // per-slot reading count
-	points  []vecmat.Vector   // per-sensor means in ids order (aliases sums rows)
-	values  []vecmat.Vector   // non-quarantined raw readings for Eq. (2)
-	mapped  []int             // Eq. (3) assignment output
-	overall vecmat.Vector     // Eq. (2) network mean
-	states  map[int]int       // majority vote tally
+	slot    map[int]int        // sensor ID → accumulation slot
+	ids     []int              // sensor IDs, sorted ascending after grouping
+	sums    []vecmat.Vector    // per-slot sum, then mean, of the window's readings
+	counts  []int              // per-slot reading count
+	points  []vecmat.Vector    // per-sensor means in ids order (aliases sums rows)
+	values  []vecmat.Vector    // non-quarantined raw readings for Eq. (2)
+	mapped  []int              // Eq. (3) assignment output
+	overall vecmat.Vector      // Eq. (2) network mean
+	states  map[int]int        // majority vote tally
 	sensors map[int]SensorStep // StepResult.Sensors backing store
+	opened  []int              // sensors whose track opened this window, ascending
+	closed  []int              // sensors whose track closed this window, ascending
 }
 
 // SensorStep is the per-sensor outcome of one window.
@@ -193,7 +201,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 		quarantined: make(map[int]bool),
 		seen:        make(map[int]bool),
 		profiles:    make(map[int]map[int][]runstats.Running),
-		inst:        newInstruments(cfg.Observer),
+		inst:        newInstruments(cfg.Metrics),
 		tracer:      cfg.Tracer,
 		decisions:   cfg.Decisions,
 		epoch:       time.Now(),
@@ -209,110 +217,115 @@ func (d *Detector) SetTracer(t *obs.Tracer) { d.tracer = t }
 // post-construction for the same reason as SetTracer.
 func (d *Detector) SetDecisionSink(s DecisionSink) { d.decisions = s }
 
-// Step folds in one observation window.
+// SetStepClock installs (or removes) the stage clock that receives each
+// window's wall time, from the first stage mark through decision delivery,
+// as one unit — the serving layer's detector_step stage.
+func (d *Detector) SetStepClock(c *obs.StageClock) { d.clock = c }
+
+// Step folds in one observation window. step fills the window's stats in
+// place; every attached hook then reads them.
 func (d *Detector) Step(w network.Window) (StepResult, error) {
 	traced := d.tracer != nil && w.Trace.Recording()
-	if d.inst == nil && !traced && d.decisions == nil {
-		res, err := d.step(w, nil)
-		if err == nil && d.health != nil {
-			d.observeHealth(res)
-		}
-		return res, err
+	d.timed = d.inst != nil || traced || d.decisions != nil || d.clock != nil
+	if d.timed {
+		d.start = int64(time.Since(d.epoch))
+		d.last = d.start
 	}
-	ev := obs.Event{Window: w.Index, Readings: len(w.Readings)}
-	res, err := d.step(w, &ev)
+	res, err := d.step(w)
 	if err != nil {
 		return res, err
 	}
-	lat := &ev.Latency
-	lat.TotalNS = lat.DeriveNS + lat.ClassifyNS + lat.MapNS + lat.AlarmNS + lat.HMMNS
+	st := &d.win
+	st.ModelStates = int32(d.states.Len())
+	st.OpenTracks = int32(d.tracks.OpenCount())
+	st.Latency.TotalNS = d.last - d.start
 	if d.inst != nil {
-		d.inst.finish(d, res, &ev)
+		d.inst.observe(d, st)
 	}
 	if traced {
-		d.emitSpans(w, &ev)
+		d.emitSpans(w.Trace)
 	}
 	if d.decisions != nil {
 		d.decisions.Record(d.decide(w, res))
 	}
 	if d.health != nil {
-		d.observeHealth(res)
+		d.health.ObserveWindow(*st)
+	}
+	if d.clock != nil {
+		d.clock.Observe(time.Since(d.epoch)-time.Duration(d.start), 1)
 	}
 	return res, nil
 }
 
-// emitSpans registers the window's stage spans post hoc: the boundaries were
-// already measured as cumulative marks in step, so the spans are
-// reconstructed backwards from now using the recorded stage latencies —
-// the hot path never takes extra timestamps for tracing.
-func (d *Detector) emitSpans(w network.Window, ev *obs.Event) {
-	end := time.Now()
-	start := end.Add(-time.Duration(ev.Latency.TotalNS))
-	root := d.tracer.StartSpanAt("detector.step", w.Trace, start)
-	root.SetInt("window", int64(ev.Window))
-	if ev.Skipped {
+// lap closes one pipeline stage: the time since the previous mark goes into
+// *stage. A no-op on untimed windows.
+func (d *Detector) lap(stage *int64) {
+	if !d.timed {
+		return
+	}
+	now := int64(time.Since(d.epoch))
+	*stage = now - d.last
+	d.last = now
+}
+
+// emitSpans registers the window's stage spans from the step's own marks:
+// the spans tile [start, last], so tracing takes no timestamps of its own.
+func (d *Detector) emitSpans(ctx obs.SpanContext) {
+	st := &d.win
+	start := d.epoch.Add(time.Duration(d.start))
+	root := d.tracer.StartSpanAt("detector.step", ctx, start)
+	root.SetInt("window", int64(st.Window))
+	if st.Skipped {
 		root.SetAttr("skipped", "true")
 	} else {
-		root.SetInt("observable", int64(ev.Observable))
-		root.SetInt("correct", int64(ev.Correct))
-		root.SetInt("raw_alarms", int64(ev.RawAlarms))
-		root.SetInt("filtered_alarms", int64(ev.FilteredAlarms))
+		root.SetInt("observable", int64(st.Observable))
+		root.SetInt("correct", int64(st.Correct))
+		root.SetInt("raw_alarms", int64(st.RawAlarms))
+		root.SetInt("filtered_alarms", int64(st.FilteredAlarms))
 	}
-	ctx := root.Context()
+	child := root.Context()
 	cursor := start
-	for _, st := range []struct {
+	for _, stage := range []struct {
 		name string
 		ns   int64
 	}{
-		{"detector.derive", ev.Latency.DeriveNS},
-		{"detector.classify", ev.Latency.ClassifyNS},
-		{"detector.map", ev.Latency.MapNS},
-		{"detector.alarm", ev.Latency.AlarmNS},
-		{"detector.hmm", ev.Latency.HMMNS},
+		{"detector.derive", st.Latency.DeriveNS},
+		{"detector.classify", st.Latency.ClassifyNS},
+		{"detector.map", st.Latency.MapNS},
+		{"detector.alarm", st.Latency.AlarmNS},
+		{"detector.hmm", st.Latency.HMMNS},
 	} {
-		sp := d.tracer.StartSpanAt(st.name, ctx, cursor)
-		cursor = cursor.Add(time.Duration(st.ns))
+		sp := d.tracer.StartSpanAt(stage.name, child, cursor)
+		cursor = cursor.Add(time.Duration(stage.ns))
 		sp.EndAt(cursor)
 	}
-	root.EndAt(end)
+	root.EndAt(cursor)
 }
 
-// step is the uninstrumented pipeline body. ev is nil when no observer is
-// configured; when set, step records per-stage latencies and per-window
-// counts into it.
-func (d *Detector) step(w network.Window, ev *obs.Event) (StepResult, error) {
+// step is the pipeline body. It fills d.win — the one place the window's
+// counts are taken — and, on timed windows, its stage latencies.
+func (d *Detector) step(w network.Window) (StepResult, error) {
 	sc := &d.scratch
 	if sc.sensors == nil {
 		sc.sensors = make(map[int]SensorStep)
 	} else {
 		clear(sc.sensors)
 	}
+	sc.opened, sc.closed = sc.opened[:0], sc.closed[:0]
 	res := StepResult{Index: w.Index, Sensors: sc.sensors}
+	st := &d.win
+	*st = obs.WindowStats{Window: w.Index, Readings: int32(len(w.Readings))}
 
 	// Per-sensor window means are the observations p_j of Eq. (2)-(4).
-	// Stage timing takes cumulative monotonic marks against d.epoch
-	// (time.Since skips the wall-clock read and is ~2x cheaper than
-	// time.Now), so the instrumented path stays within noise of the bare
-	// pipeline.
-	var mark int64
-	if ev != nil {
-		mark = time.Since(d.epoch).Nanoseconds()
-	}
 	ids, points, err := d.sensorMeans(w.Readings)
 	if err != nil {
 		return res, err
 	}
-	if ev != nil {
-		cum := time.Since(d.epoch).Nanoseconds()
-		ev.Latency.DeriveNS = cum - mark
-		ev.Sensors = len(ids)
-		mark = cum
-	}
+	d.lap(&st.Latency.DeriveNS)
+	st.Reporting = int32(len(ids))
 	if len(ids) < d.cfg.MinSensors {
 		res.Skipped = true
-		if ev != nil {
-			ev.Skipped = true
-		}
+		st.Skipped = true
 		d.skipped++
 		return res, nil
 	}
@@ -320,11 +333,7 @@ func (d *Detector) step(w network.Window, ev *obs.Event) (StepResult, error) {
 		d.seen[id] = true
 	}
 	d.refreshQuarantine(w.Index)
-	if ev != nil {
-		cum := time.Since(d.epoch).Nanoseconds()
-		ev.Latency.ClassifyNS = cum - mark
-		mark = cum
-	}
+	d.lap(&st.Latency.ClassifyNS)
 
 	// Eq. (2) averages over *all* observations in the window, not over
 	// per-sensor means: a sensor's influence on the observable state is
@@ -371,64 +380,42 @@ func (d *Detector) step(w network.Window, ev *obs.Event) (StepResult, error) {
 	}
 
 	res.Observable, res.Correct = observable, correct
-	if ev != nil {
-		cum := time.Since(d.epoch).Nanoseconds()
-		ev.Latency.MapNS = cum - mark
-		ev.Observable, ev.Correct = observable, correct
-		mark = cum
-	}
+	st.Observable, st.Correct = observable, correct
+	d.lap(&st.Latency.MapNS)
 
 	// Alarm generation, filtering, and track management per sensor.
-	trackHealth := d.health != nil
-	if trackHealth {
-		d.hc = healthCounts{}
-	}
 	for i, id := range ids {
 		raw := mapped[i] != correct
 		filtered := d.filter.Observe(id, raw)
 		d.stats.Record(id, raw, filtered)
+		if raw {
+			st.RawAlarms++
+		}
+		if filtered {
+			st.FilteredAlarms++
+		}
 
 		tr, symbol, recorded := d.tracks.Observe(w.Index, id, filtered, mapped[i], correct)
-		if trackHealth {
-			if raw {
-				d.hc.raw++
-			}
-			if filtered {
-				d.hc.filtered++
-			}
-			if recorded {
-				d.hc.symbols++
-				if symbol == track.Bottom {
-					d.hc.bottoms++
-				}
-			}
-		}
-		if ev != nil {
-			if raw {
-				ev.RawAlarms++
-			}
-			if filtered {
-				ev.FilteredAlarms++
-			}
-			if tr != nil {
-				if tr.Closed == w.Index {
-					ev.TracksClosed = append(ev.TracksClosed, id)
-				} else if tr.Opened == w.Index {
-					ev.TracksOpened = append(ev.TracksOpened, id)
-				}
+		if tr != nil {
+			if tr.Closed == w.Index {
+				sc.closed = append(sc.closed, id)
+			} else if tr.Opened == w.Index {
+				sc.opened = append(sc.opened, id)
 			}
 		}
 		step := SensorStep{
-			Mapped:   mapped[i],
-			Raw:      raw,
-			Filtered: filtered,
-			Symbol:   symbol,
-			Recorded: recorded,
-		}
-		if _, open := d.tracks.Active(id); open {
-			step.TrackOpen = true
+			Mapped:    mapped[i],
+			Raw:       raw,
+			Filtered:  filtered,
+			TrackOpen: tr != nil && tr.Active(),
+			Symbol:    symbol,
+			Recorded:  recorded,
 		}
 		if recorded {
+			st.TrackSymbols++
+			if symbol == track.Bottom {
+				st.TrackBottoms++
+			}
 			est, err := d.ce(id)
 			if err != nil {
 				return res, err
@@ -440,11 +427,7 @@ func (d *Detector) step(w network.Window, ev *obs.Event) (StepResult, error) {
 		}
 		res.Sensors[id] = step
 	}
-	if ev != nil {
-		cum := time.Since(d.epoch).Nanoseconds()
-		ev.Latency.AlarmNS = cum - mark
-		mark = cum
-	}
+	d.lap(&st.Latency.AlarmNS)
 
 	// Environment models.
 	d.mco.Observe(correct, observable)
@@ -458,17 +441,18 @@ func (d *Detector) step(w network.Window, ev *obs.Event) (StepResult, error) {
 		return res, err
 	}
 	for _, ev := range events {
-		if ev.Kind != cluster.EventMerge {
-			continue
-		}
-		if err := d.applyMerge(ev.Into, ev.From); err != nil {
-			return res, err
+		switch ev.Kind {
+		case cluster.EventSpawn:
+			st.StateSpawns++
+		case cluster.EventMerge:
+			st.StateMerges++
+			if err := d.applyMerge(ev.Into, ev.From); err != nil {
+				return res, err
+			}
 		}
 	}
 	res.Events = events
-	if ev != nil {
-		ev.Latency.HMMNS = time.Since(d.epoch).Nanoseconds() - mark
-	}
+	d.lap(&st.Latency.HMMNS)
 	d.steps++
 	return res, nil
 }

@@ -3,14 +3,13 @@ package core
 import (
 	"time"
 
-	"sensorguard/internal/cluster"
 	"sensorguard/internal/markov"
 	"sensorguard/internal/obs"
 )
 
 // This file feeds the detector's own evidence into the obs.HealthTracker
 // drift telemetry. Two cost tiers, matching the tracker's split: every Step
-// folds a cheap HealthSample (counts the step already produced — no
+// folds the window's obs.WindowStats (counts the step already produced — no
 // allocation, a few dozen nanoseconds), while ModelDrift inspects the learned
 // models (B^CO orthogonality, M_C/M_O transition mass) and is meant to be
 // called from a background poller, never the step path.
@@ -19,37 +18,6 @@ import (
 // wired post-construction like SetTracer, because detectors are built behind
 // factory hooks that predate the serving layer's trackers.
 func (d *Detector) SetHealthTracker(t *obs.HealthTracker) { d.health = t }
-
-// healthCounts is the per-window accumulator the step loop fills when a
-// health tracker is attached; kept off the HealthSample so the sample stays a
-// plain value the obs package owns.
-type healthCounts struct {
-	raw, filtered, symbols, bottoms int
-}
-
-// observeHealth folds one step outcome into the health tracker. Allocation-
-// free: the per-sensor counts were accumulated inside the step loop (d.hc),
-// so only the (usually empty) structural-event slice is walked here.
-func (d *Detector) observeHealth(res StepResult) {
-	s := obs.HealthSample{Window: res.Index, Skipped: res.Skipped}
-	if !res.Skipped {
-		s.Sensors = len(res.Sensors)
-		s.RawAlarms = d.hc.raw
-		s.FilteredAlarms = d.hc.filtered
-		s.TrackSymbols = d.hc.symbols
-		s.TrackBottoms = d.hc.bottoms
-		for _, ev := range res.Events {
-			switch ev.Kind {
-			case cluster.EventSpawn:
-				s.Spawns++
-			case cluster.EventMerge:
-				s.Merges++
-			}
-		}
-		s.OpenTracks = d.tracks.OpenCount()
-	}
-	d.health.ObserveWindow(s)
-}
 
 // driftBaseline is the post-bootstrap reference the shift metrics compare
 // against: each chain's transition rows at capture time.
@@ -193,4 +161,3 @@ func (s *Shared) RefreshDrift(at time.Time) (obs.ModelDrift, bool) {
 	s.d.health.SetDrift(drift, at)
 	return drift, true
 }
-

@@ -209,7 +209,7 @@ func RestoreDetector(cfg Config, snap *Snapshot) (*Detector, error) {
 		quarantined: boolSet(snap.Quarantined),
 		seen:        boolSet(snap.Seen),
 		profiles:    profiles,
-		inst:        newInstruments(cfg.Observer),
+		inst:        newInstruments(cfg.Metrics),
 		epoch:       time.Now(),
 		steps:       snap.Steps,
 		skipped:     snap.Skipped,

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"sensorguard/internal/classify"
+	"sensorguard/internal/core"
 	"sensorguard/internal/fault"
 	"sensorguard/internal/network"
-	"sensorguard/internal/obs"
 	"sensorguard/internal/vecmat"
 )
 
@@ -40,9 +40,9 @@ type LatencySweepResult struct {
 
 // AblationDetectionLatency sweeps the calibration-fault magnitude on sensor
 // 7 and measures detection latency and final diagnosis. Detection delay is
-// read off the detector's own event stream: each run gets a ring sink, and
-// the latency is the gap between fault onset and the first event whose
-// tracks_opened names the faulted sensor.
+// read off the detector's own decision records: each run gets a decision
+// ring, and the latency is the gap between fault onset and the first record
+// whose sensor row shows the faulted sensor's track opening.
 func AblationDetectionLatency(cfg Config) (LatencySweepResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return LatencySweepResult{}, err
@@ -58,13 +58,13 @@ func AblationDetectionLatency(cfg Config) (LatencySweepResult, error) {
 		if err != nil {
 			return res, err
 		}
-		ring := obs.NewRingSink(cfg.Days*24 + 48)
+		ring := core.NewDecisionRing(cfg.Days*24 + 48)
 		r, err := runWithSteps(cfg.withSink(ring), network.WithFaults(plan))
 		if err != nil {
 			return res, err
 		}
 		pt := LatencyPoint{Factor: factor, DetectionWindow: -1, LatencyWindows: -1, Kind: classify.KindNone}
-		if w := firstTrackOpen(ring.Events(), 7); w >= 0 {
+		if w := firstTrackOpen(ring.Records(), 7); w >= 0 {
 			pt.DetectionWindow = w
 			pt.LatencyWindows = w - onset
 		}

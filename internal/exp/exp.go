@@ -37,10 +37,12 @@ type Config struct {
 	// few target states and genuinely stops being injective (see the
 	// experiment's doc comment).
 	SeedStates []vecmat.Vector
-	// Observer, when non-nil, instruments every detector the experiment
-	// builds: metrics accumulate across runs in the registry, and the sink
-	// receives one event per window.
-	Observer *obs.Observer
+	// Metrics, when non-nil, instruments every detector the experiment
+	// builds; the metrics accumulate across runs in the registry.
+	Metrics *obs.Registry
+	// Decisions, when non-nil, receives every detector's per-window
+	// decision records.
+	Decisions core.DecisionSink
 }
 
 // DefaultConfig mirrors the paper's month-long evaluation.
@@ -92,32 +94,38 @@ func buildDetector(cfg Config, tr gdi.Trace) (*core.Detector, error) {
 		}
 	}
 	ccfg := core.DefaultConfig(seeds)
-	ccfg.Observer = cfg.Observer
+	ccfg.Metrics = cfg.Metrics
+	ccfg.Decisions = cfg.Decisions
 	return core.NewDetector(ccfg)
 }
 
-// withSink returns a copy of cfg whose detectors also emit events into sink,
-// preserving any observer the caller configured.
-func (c Config) withSink(sink obs.EventSink) Config {
+// withSink returns a copy of cfg whose detectors also record their decisions
+// into sink, preserving the registry and any sink the caller configured.
+func (c Config) withSink(sink core.DecisionSink) Config {
 	out := c
-	o := &obs.Observer{Sink: sink}
-	if c.Observer != nil {
-		o.Metrics = c.Observer.Metrics
-		if c.Observer.Sink != nil {
-			o.Sink = obs.MultiSink{c.Observer.Sink, sink}
-		}
+	out.Decisions = sink
+	if c.Decisions != nil {
+		out.Decisions = teeSink{c.Decisions, sink}
 	}
-	out.Observer = o
 	return out
 }
 
-// firstTrackOpen scans an event stream for the first window that opened a
+// teeSink records every decision into each sink in order.
+type teeSink []core.DecisionSink
+
+func (t teeSink) Record(rec core.DecisionRecord) {
+	for _, s := range t {
+		s.Record(rec)
+	}
+}
+
+// firstTrackOpen scans decision records for the first window that opened a
 // track on the given sensor (-1 = never).
-func firstTrackOpen(events []obs.Event, sensor int) int {
-	for _, ev := range events {
-		for _, id := range ev.TracksOpened {
-			if id == sensor {
-				return ev.Window
+func firstTrackOpen(recs []core.DecisionRecord, sensor int) int {
+	for _, rec := range recs {
+		for _, s := range rec.Sensors {
+			if s.Sensor == sensor && s.TrackOpened {
+				return rec.Window
 			}
 		}
 	}

@@ -293,7 +293,7 @@ func New(cfg Config) (*Pool, error) {
 		return nil, err
 	}
 	if cfg.AuditLog != nil {
-		p.audit = core.NewDecisionLog(cfg.AuditLog)
+		p.audit = core.NewDecisionLog(auditWriter{w: cfg.AuditLog, log: cfg.Logger})
 	}
 	p.shards = make([]*shard, cfg.Shards)
 	for i := range p.shards {
@@ -1341,6 +1341,32 @@ func (s *shard) bootstrap(d *deployment) error {
 	return nil
 }
 
+// auditWriter logs the audit log's first failed write. The DecisionLog
+// keeps that error sticky and drops every later record, so this logs once;
+// AuditErr reports it to the caller after the run.
+type auditWriter struct {
+	w   io.Writer
+	log *slog.Logger
+}
+
+func (a auditWriter) Write(p []byte) (int, error) {
+	n, err := a.w.Write(p)
+	if err != nil && a.log != nil {
+		a.log.Error("audit log write failed; dropping every later decision record", "error", err.Error())
+	}
+	return n, err
+}
+
+// AuditErr returns the audit log's first write error (nil without an audit
+// log). Once it is set, every later decision record was dropped from the
+// log.
+func (p *Pool) AuditErr() error {
+	if p.audit == nil {
+		return nil
+	}
+	return p.audit.Err()
+}
+
 // namedSink stamps the deployment name on each decision record and fans it
 // out to the deployment's ring and the pool-wide audit log.
 type namedSink struct {
@@ -1359,13 +1385,14 @@ func (n *namedSink) Record(rec core.DecisionRecord) {
 	}
 }
 
-// wire attaches the pool's tracer, decision sinks, and health tracker to a
-// freshly built or restored detector; it returns the deployment's decision
-// ring (nil when DecisionBuffer is 0) and health tracker (nil when health
-// tracking is disabled).
+// wire attaches the pool's tracer, step clock, decision sinks, and health
+// tracker to a freshly built or restored detector; it returns the
+// deployment's decision ring (nil when DecisionBuffer is 0) and health
+// tracker (nil when health tracking is disabled).
 func (s *shard) wire(name string, det *core.Detector) (*core.DecisionRing, *obs.HealthTracker) {
 	cfg := s.pool.cfg
 	det.SetTracer(cfg.Tracer)
+	det.SetStepClock(s.pool.clkStep)
 	var ring *core.DecisionRing
 	if cfg.DecisionBuffer > 0 {
 		ring = core.NewDecisionRing(cfg.DecisionBuffer)
@@ -1415,15 +1442,9 @@ func (s *shard) step(d *deployment, w network.Window) {
 	if d.deadW {
 		return
 	}
-	var stepStart time.Time
-	if s.pool.clkStep != nil {
-		stepStart = time.Now()
-	}
-	_, err := d.detW.Step(w)
-	if s.pool.clkStep != nil {
-		s.pool.clkStep.Observe(time.Since(stepStart), 1)
-	}
-	if err != nil {
+	// The detector feeds the detector_step clock from its own stage marks
+	// (see wire), so the shard takes no clock reads here.
+	if _, err := d.detW.Step(w); err != nil {
 		d.fail(fmt.Errorf("window %d: %w", w.Index, err))
 		return
 	}

@@ -14,29 +14,6 @@ import (
 // pure arithmetic (no allocation); SetDrift carries the expensive model
 // inspection and is fed by a background poller off the hot path.
 
-// HealthSample is one window's worth of cheap detector health inputs. The
-// producer (core.Detector) fills it from quantities it already computed, so
-// building a sample costs a few integer reads.
-type HealthSample struct {
-	// Window is the detector's window ordinal.
-	Window int
-	// Skipped reports a window rejected for insufficient sensors.
-	Skipped bool
-	// Sensors is the number of sensors observed this window.
-	Sensors int
-	// RawAlarms and FilteredAlarms count per-sensor alarms this window,
-	// before and after k-of-n temporal filtering.
-	RawAlarms, FilteredAlarms int
-	// TrackSymbols counts diagnosis symbols recorded on open tracks this
-	// window; TrackBottoms counts how many were ⊥ (sensor agreed with the
-	// network — the healthy symbol).
-	TrackSymbols, TrackBottoms int
-	// Spawns and Merges count cluster model events this window.
-	Spawns, Merges int
-	// OpenTracks is the number of diagnosis tracks open after this window.
-	OpenTracks int
-}
-
 // ModelDrift is the polled (heavyweight) model-drift evidence for one
 // detector: how close the learned B^CO is to losing the orthogonality the
 // paper's §3.4 diagnosis depends on, and how far the M_C/M_O transition
@@ -150,30 +127,30 @@ type HealthSnapshot struct {
 	Spark []float64 `json:"spark,omitempty"`
 }
 
-// HealthTracker accumulates HealthSamples into rolling health state. Safe
+// HealthTracker folds each window's WindowStats into rolling health state. Safe
 // for concurrent use: the step path calls ObserveWindow while pollers call
 // SetDrift and Snapshot. ObserveWindow allocates nothing.
 type HealthTracker struct {
 	cfg HealthConfig
 
-	mu             sync.Mutex
-	windows        int
-	skipped        int
-	rawRate        float64 // EWMA raw alarms per sensor-window
-	filteredRate   float64 // EWMA filtered alarms per sensor-window
-	bottomFrac     float64 // EWMA ⊥ fraction of track symbols
-	sawSymbols     bool
-	openTracks     int
-	churnSpawns    int
-	churnMerges    int
-	churnStart     int // window count when the churn window began
-	prevSpawns     int // previous churn window totals (for smooth reads)
-	prevMerges     int
-	prevWindows    int
-	drift          ModelDrift
-	driftAt        time.Time
-	spark          [sparkLen]float64
-	sparkN         int // total sparkline points written (ring position)
+	mu           sync.Mutex
+	windows      int
+	skipped      int
+	rawRate      float64 // EWMA raw alarms per sensor-window
+	filteredRate float64 // EWMA filtered alarms per sensor-window
+	bottomFrac   float64 // EWMA ⊥ fraction of track symbols
+	sawSymbols   bool
+	openTracks   int
+	churnSpawns  int
+	churnMerges  int
+	churnStart   int // window count when the churn window began
+	prevSpawns   int // previous churn window totals (for smooth reads)
+	prevMerges   int
+	prevWindows  int
+	drift        ModelDrift
+	driftAt      time.Time
+	spark        [sparkLen]float64
+	sparkN       int // total sparkline points written (ring position)
 }
 
 // NewHealthTracker builds a tracker with cfg (zero value = defaults).
@@ -181,9 +158,9 @@ func NewHealthTracker(cfg HealthConfig) *HealthTracker {
 	return &HealthTracker{cfg: cfg.withDefaults()}
 }
 
-// ObserveWindow folds one window's sample into the rolling state. Nil-safe
+// ObserveWindow folds one window's stats into the rolling state. Nil-safe
 // and allocation-free — it sits on the detector step path.
-func (t *HealthTracker) ObserveWindow(s HealthSample) {
+func (t *HealthTracker) ObserveWindow(s WindowStats) {
 	if t == nil {
 		return
 	}
@@ -195,9 +172,9 @@ func (t *HealthTracker) ObserveWindow(s HealthSample) {
 	}
 	t.windows++
 	a := t.cfg.Alpha
-	if s.Sensors > 0 {
-		raw := float64(s.RawAlarms) / float64(s.Sensors)
-		filtered := float64(s.FilteredAlarms) / float64(s.Sensors)
+	if s.Reporting > 0 {
+		raw := float64(s.RawAlarms) / float64(s.Reporting)
+		filtered := float64(s.FilteredAlarms) / float64(s.Reporting)
 		if t.windows == 1 {
 			t.rawRate, t.filteredRate = raw, filtered
 		} else {
@@ -214,9 +191,9 @@ func (t *HealthTracker) ObserveWindow(s HealthSample) {
 			t.bottomFrac += a * (frac - t.bottomFrac)
 		}
 	}
-	t.openTracks = s.OpenTracks
-	t.churnSpawns += s.Spawns
-	t.churnMerges += s.Merges
+	t.openTracks = int(s.OpenTracks)
+	t.churnSpawns += int(s.StateSpawns)
+	t.churnMerges += int(s.StateMerges)
 	if t.windows-t.churnStart >= t.cfg.ChurnWindow {
 		t.prevSpawns, t.prevMerges = t.churnSpawns, t.churnMerges
 		t.prevWindows = t.windows - t.churnStart

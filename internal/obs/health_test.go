@@ -7,7 +7,7 @@ import (
 
 func TestHealthTrackerNilSafe(t *testing.T) {
 	var tr *HealthTracker
-	tr.ObserveWindow(HealthSample{Window: 1})
+	tr.ObserveWindow(WindowStats{Window: 1})
 	tr.SetDrift(ModelDrift{}, time.Now())
 	if tr.Drifting() {
 		t.Fatal("nil tracker drifting")
@@ -25,8 +25,8 @@ func TestHealthTrackerHealthySteadyState(t *testing.T) {
 		if w%10 == 0 {
 			raw = 1
 		}
-		tr.ObserveWindow(HealthSample{
-			Window: w, Sensors: 10, RawAlarms: raw,
+		tr.ObserveWindow(WindowStats{
+			Window: w, Reporting: 10, RawAlarms: raw,
 			TrackSymbols: 2, TrackBottoms: 2,
 		})
 	}
@@ -55,14 +55,14 @@ func TestHealthTrackerAlarmRateDrift(t *testing.T) {
 	tr := NewHealthTracker(HealthConfig{})
 	// Healthy prefix.
 	for w := 1; w <= 50; w++ {
-		tr.ObserveWindow(HealthSample{Window: w, Sensors: 10})
+		tr.ObserveWindow(WindowStats{Window: w, Reporting: 10})
 	}
 	if tr.Drifting() {
 		t.Fatal("drifting before the fault")
 	}
 	// Sustained fault: 4 of 10 sensors raise filtered alarms every window.
 	for w := 51; w <= 120; w++ {
-		tr.ObserveWindow(HealthSample{Window: w, Sensors: 10, RawAlarms: 4, FilteredAlarms: 4})
+		tr.ObserveWindow(WindowStats{Window: w, Reporting: 10, RawAlarms: 4, FilteredAlarms: 4})
 	}
 	snap := tr.Snapshot()
 	if !snap.Drifting {
@@ -79,7 +79,7 @@ func TestHealthTrackerAlarmRateDrift(t *testing.T) {
 	}
 	// Recovery: alarms stop; the EWMA must decay back under threshold.
 	for w := 121; w <= 240; w++ {
-		tr.ObserveWindow(HealthSample{Window: w, Sensors: 10})
+		tr.ObserveWindow(WindowStats{Window: w, Reporting: 10})
 	}
 	if tr.Drifting() {
 		t.Fatalf("still drifting after recovery: %v", tr.Snapshot().Reasons)
@@ -89,7 +89,7 @@ func TestHealthTrackerAlarmRateDrift(t *testing.T) {
 func TestHealthTrackerChurnDrift(t *testing.T) {
 	tr := NewHealthTracker(HealthConfig{ChurnWindow: 16, MaxChurn: 3})
 	for w := 1; w <= 10; w++ {
-		tr.ObserveWindow(HealthSample{Window: w, Sensors: 5, Spawns: 1})
+		tr.ObserveWindow(WindowStats{Window: w, Reporting: 5, StateSpawns: 1})
 	}
 	snap := tr.Snapshot()
 	if !snap.Drifting {
@@ -100,7 +100,7 @@ func TestHealthTrackerChurnDrift(t *testing.T) {
 	}
 	// Quiet for two full churn windows: the verdict must clear.
 	for w := 11; w <= 50; w++ {
-		tr.ObserveWindow(HealthSample{Window: w, Sensors: 5})
+		tr.ObserveWindow(WindowStats{Window: w, Reporting: 5})
 	}
 	if tr.Drifting() {
 		t.Fatalf("still drifting after churn settled: %v", tr.Snapshot().Reasons)
@@ -109,7 +109,7 @@ func TestHealthTrackerChurnDrift(t *testing.T) {
 
 func TestHealthTrackerModelDrift(t *testing.T) {
 	tr := NewHealthTracker(HealthConfig{})
-	tr.ObserveWindow(HealthSample{Window: 1, Sensors: 5})
+	tr.ObserveWindow(WindowStats{Window: 1, Reporting: 5})
 	// Without a baseline, polled drift is ignored.
 	tr.SetDrift(ModelDrift{OrthoMargin: -0.2, MCShift: 0.9}, time.Now())
 	if tr.Drifting() {
@@ -131,8 +131,8 @@ func TestHealthTrackerModelDrift(t *testing.T) {
 
 func TestHealthTrackerSkippedWindows(t *testing.T) {
 	tr := NewHealthTracker(HealthConfig{})
-	tr.ObserveWindow(HealthSample{Window: 1, Skipped: true})
-	tr.ObserveWindow(HealthSample{Window: 2, Sensors: 5})
+	tr.ObserveWindow(WindowStats{Window: 1, Skipped: true})
+	tr.ObserveWindow(WindowStats{Window: 2, Reporting: 5})
 	snap := tr.Snapshot()
 	if snap.SkippedWindows != 1 || snap.Windows != 1 {
 		t.Fatalf("skipped=%d windows=%d, want 1/1", snap.SkippedWindows, snap.Windows)
@@ -141,7 +141,7 @@ func TestHealthTrackerSkippedWindows(t *testing.T) {
 
 func TestHealthTrackerObserveWindowNoAlloc(t *testing.T) {
 	tr := NewHealthTracker(HealthConfig{})
-	sample := HealthSample{Window: 1, Sensors: 10, RawAlarms: 1, TrackSymbols: 3, TrackBottoms: 2, Spawns: 1}
+	sample := WindowStats{Window: 1, Reporting: 10, RawAlarms: 1, TrackSymbols: 3, TrackBottoms: 2, StateSpawns: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		sample.Window++
 		tr.ObserveWindow(sample)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -123,5 +124,50 @@ func TestTraceHandlerServesRingOldestFirst(t *testing.T) {
 		if len(td.Spans) != 1 || td.Spans[0].Name != fmt.Sprintf("batch-%d", i+2) {
 			t.Errorf("slot %d spans %+v", i, td.Spans)
 		}
+	}
+}
+
+func TestServeEndpoints(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("sensorguard_windows_total", "").Add(42)
+	srv, err := Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		var b strings.Builder
+		if _, err := bufio.NewReader(resp.Body).WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	if body := get("/metrics"); !strings.Contains(body, "sensorguard_windows_total 42") {
+		t.Errorf("/metrics missing counter:\n%s", body)
+	}
+	if body := get("/healthz"); !strings.Contains(body, "ok") {
+		t.Errorf("/healthz = %q", body)
+	}
+	for _, path := range []string{"/metrics.json", "/debug/vars"} {
+		var decoded map[string]any
+		if err := json.Unmarshal([]byte(get(path)), &decoded); err != nil {
+			t.Errorf("%s is not valid JSON: %v", path, err)
+		} else if decoded["sensorguard_windows_total"].(float64) != 42 {
+			t.Errorf("%s counter = %v", path, decoded["sensorguard_windows_total"])
+		}
+	}
+	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/ index missing profiles:\n%s", body)
 	}
 }

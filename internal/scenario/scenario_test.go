@@ -9,6 +9,7 @@ import (
 
 	"sensorguard/internal/core"
 	"sensorguard/internal/ingest"
+	"sensorguard/internal/obs"
 	"sensorguard/internal/vecmat"
 )
 
@@ -250,7 +251,7 @@ func TestPredictLabel(t *testing.T) {
 	if l, ok := PredictLabel(attackRec); !ok || l != LabelAttack {
 		t.Errorf("attack verdict → %v/%v", l, ok)
 	}
-	errRec := core.DecisionRecord{FilteredAlarms: 2, Evidence: &core.DecisionEvidence{Verdict: "none"}}
+	errRec := core.DecisionRecord{WindowStats: obs.WindowStats{FilteredAlarms: 2}, Evidence: &core.DecisionEvidence{Verdict: "none"}}
 	if l, ok := PredictLabel(errRec); !ok || l != LabelError {
 		t.Errorf("filtered alarms → %v/%v", l, ok)
 	}
@@ -264,22 +265,22 @@ func TestPredictLabel(t *testing.T) {
 	if l, ok := PredictLabel(core.DecisionRecord{Evidence: &core.DecisionEvidence{Verdict: "none"}}); !ok || l != LabelBenign {
 		t.Errorf("quiet record → %v/%v", l, ok)
 	}
-	if _, ok := PredictLabel(core.DecisionRecord{Skipped: true}); ok {
+	if _, ok := PredictLabel(core.DecisionRecord{WindowStats: obs.WindowStats{Skipped: true}}); ok {
 		t.Error("skipped window scored")
 	}
 	// The structural verdict outranks residual alarms when the evidence
 	// spans several sensors: an attack diagnosis with coordinated alarms
 	// still reads as attack.
-	both := core.DecisionRecord{FilteredAlarms: 3, Evidence: &core.DecisionEvidence{Verdict: "dynamic-change"}}
+	both := core.DecisionRecord{WindowStats: obs.WindowStats{FilteredAlarms: 3}, Evidence: &core.DecisionEvidence{Verdict: "dynamic-change"}}
 	if l, _ := PredictLabel(both); l != LabelAttack {
 		t.Errorf("attack verdict + coordinated alarms → %v, want attack", l)
 	}
 	// Exactly one implicated sensor is a fault's signature, not an
 	// attack's — the structural verdict is demoted to error.
 	lone := core.DecisionRecord{
-		FilteredAlarms: 1,
-		Sensors:        []core.SensorDecision{{Sensor: 6, TrackOpen: true}},
-		Evidence:       &core.DecisionEvidence{Verdict: "mixed", RowViolations: []vecmat.OrthoViolation{{I: 6, J: 6}}, ColViolations: []vecmat.OrthoViolation{{I: 0, J: 1}}},
+		WindowStats: obs.WindowStats{FilteredAlarms: 1},
+		Sensors:     []core.SensorDecision{{Sensor: 6, TrackOpen: true}},
+		Evidence:    &core.DecisionEvidence{Verdict: "mixed", RowViolations: []vecmat.OrthoViolation{{I: 6, J: 6}}, ColViolations: []vecmat.OrthoViolation{{I: 0, J: 1}}},
 	}
 	if l, _ := PredictLabel(lone); l != LabelError {
 		t.Errorf("lone-sensor mixed verdict → %v, want error", l)
@@ -313,10 +314,10 @@ func TestScoreRunJoinsTruthAgainstRecords(t *testing.T) {
 		},
 	}
 	recs := []core.DecisionRecord{
-		{Window: 0, Evidence: &core.DecisionEvidence{Verdict: "none"}},
-		{Window: 1, FilteredAlarms: 1, Evidence: &core.DecisionEvidence{Verdict: "none"}}, // false alarm
-		{Window: 2, Evidence: &core.DecisionEvidence{Verdict: "none"}},                    // missed
-		{Window: 3, Evidence: &core.DecisionEvidence{Verdict: "dynamic-creation"}},        // caught, latency 1
+		{WindowStats: obs.WindowStats{Window: 0}, Evidence: &core.DecisionEvidence{Verdict: "none"}},
+		{WindowStats: obs.WindowStats{Window: 1, FilteredAlarms: 1}, Evidence: &core.DecisionEvidence{Verdict: "none"}}, // false alarm
+		{WindowStats: obs.WindowStats{Window: 2}, Evidence: &core.DecisionEvidence{Verdict: "none"}},                    // missed
+		{WindowStats: obs.WindowStats{Window: 3}, Evidence: &core.DecisionEvidence{Verdict: "dynamic-creation"}},        // caught, latency 1
 		// window 4 never emitted (held by the watermark) — unscored
 	}
 	s := ScoreRun(run, recs)

@@ -87,22 +87,10 @@ const (
 // Observability types, re-exported so external callers can instrument the
 // pipeline (see docs/OBSERVABILITY.md).
 type (
-	// Observer bundles a metrics registry and an event sink; assign one to
-	// Config.Observer to instrument the detector.
-	Observer = obs.Observer
 	// MetricsRegistry is the concurrency-safe counter/gauge/histogram
-	// registry with Prometheus-text and JSON encodings.
+	// registry with Prometheus-text and JSON encodings; assign one to
+	// Config.Metrics to instrument the detector.
 	MetricsRegistry = obs.Registry
-	// Event is the structured per-window record the detector emits.
-	Event = obs.Event
-	// EventSink consumes the per-window event stream.
-	EventSink = obs.EventSink
-	// RingSink retains the most recent events in memory.
-	RingSink = obs.RingSink
-	// LogSink streams events as NDJSON to an io.Writer.
-	LogSink = obs.LogSink
-	// NopSink discards every event.
-	NopSink = obs.NopSink
 	// DetectorStats is the cheap counter snapshot Detector.Stats returns.
 	DetectorStats = core.Stats
 	// Tracer is the sampling span tracer: assign one to Config.Tracer (or
@@ -115,13 +103,17 @@ type (
 	SpanContext = obs.SpanContext
 	// TraceData is one retained trace (spans plus drop count).
 	TraceData = obs.TraceData
-	// DecisionRecord is the per-window provenance of a detector verdict:
-	// observable/correct states, per-sensor mappings, alarms, track symbols,
+	// DecisionRecord is the detector's one per-window record: the window's
+	// stats (observable/correct states, alarm counts, track symbols, stage
+	// latencies) plus the provenance of the verdict — per-sensor mappings
 	// and the B^CO structural evidence (see docs/OBSERVABILITY.md).
 	DecisionRecord = core.DecisionRecord
+	// WindowStats is the scalar part of a DecisionRecord.
+	WindowStats = obs.WindowStats
 	// DecisionEvidence is the §3.4 structural evidence inside a record.
 	DecisionEvidence = core.DecisionEvidence
-	// DecisionSink consumes decision records (assign to Config.Decisions).
+	// DecisionSink consumes decision records (assign to Config.Decisions);
+	// sentinel's -events and -audit-log write them as NDJSON.
 	DecisionSink = core.DecisionSink
 	// DecisionRing retains the most recent records in memory.
 	DecisionRing = core.DecisionRing
@@ -163,12 +155,6 @@ func NewDecisionLog(w io.Writer) *DecisionLog { return core.NewDecisionLog(w) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewRingSink returns an event sink retaining the last capacity events.
-func NewRingSink(capacity int) *RingSink { return obs.NewRingSink(capacity) }
-
-// NewLogSink returns an event sink writing NDJSON to w.
-func NewLogSink(w io.Writer) *LogSink { return obs.NewLogSink(w) }
 
 // NewLogger returns a trace-correlated JSON slog logger writing to w, tagged
 // with a component attribute when component is non-empty — the structured
