@@ -125,8 +125,8 @@ func reportBytes(t *testing.T, pool *fleet.Pool, deployment string) []byte {
 }
 
 // TestChaosEndToEnd is the chaos acceptance run. The fault schedule is fully
-// deterministic: journal writes 201-600 fail with ENOSPC (a mid-campaign
-// disk-full window), the listener rejects its first accepts with EMFILE, the
+// deterministic: journal writes from the fifth on fail with ENOSPC until the
+// disk heals mid-campaign (a disk-full window), the listener rejects its first accepts with EMFILE, the
 // shipper's first dials are refused, and every server-side connection is cut
 // after 256 KiB so batches die mid-body and retransmit. The verdict must not
 // notice any of it.
@@ -162,14 +162,17 @@ func TestChaosEndToEnd(t *testing.T) {
 	refPool.Drain()
 	want := reportBytes(t, refPool, dep)
 
-	// Chaos run: a seeded disk fault with a deterministic onset (journal
-	// write 201 onward fails ENOSPC) plus wire faults on both sides. The
-	// disk "heals" at the phase boundary below — while degraded the shard
-	// skips journal writes entirely, so only half-open probes touch the
-	// fault budget and a count-bounded window would drain one probe at a
-	// time, far slower than the campaign.
+	// Chaos run: a seeded disk fault with a deterministic onset plus wire
+	// faults on both sides. Journal write 5 onward fails ENOSPC. The first
+	// four writes are the two shards' segment headers and the first
+	// records; each POST journals one record per shard it touches (not one
+	// per reading), so a later onset would not open inside phase 1's three
+	// POSTs. The disk "heals" at the phase boundary below — while degraded
+	// the shard skips journal writes entirely, so only half-open probes
+	// touch the fault budget and a count-bounded window would drain one
+	// probe at a time, far slower than the campaign.
 	ffs := chaos.NewFaultFSSeeded(chaos.OS, 42,
-		&chaos.Rule{Op: chaos.OpWrite, Path: "journal-", Err: syscall.ENOSPC, After: 200})
+		&chaos.Rule{Op: chaos.OpWrite, Path: "journal-", Err: syscall.ENOSPC, After: 4})
 	pool := chaosFleet(t, ffs)
 	addr, ln, stop := serveFleet(t, pool, true)
 	defer stop()

@@ -1,0 +1,214 @@
+package fleet
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"sensorguard/internal/ingest"
+	"sensorguard/internal/obs"
+)
+
+// Tests for the one admission path Submit and SubmitBatch share: runs cut
+// at QueueLen, weighted slot reservation under both overflow policies, and
+// queue wait stamped once per run but counted per reading. The durable
+// twins of the overflow tests live in journal_test.go.
+
+// TestQueueWaitCountsEveryReading: the queue-wait histogram and the
+// queue_wait stage clock each count every accepted reading exactly once,
+// whichever entry point admitted it and whether or not it was journaled,
+// and the stage's busy time is the histogram's sum.
+func TestQueueWaitCountsEveryReading(t *testing.T) {
+	tr := stuckTrace(t, 2)
+	rs := interleave(tagged(tr, "alpha", 0, len(tr.Readings), true), tagged(tr, "beta", 0, len(tr.Readings), true))
+	for _, durable := range []bool{false, true} {
+		for _, batched := range []bool{false, true} {
+			t.Run(fmt.Sprintf("durable=%v,batched=%v", durable, batched), func(t *testing.T) {
+				cfg := Config{Shards: 2, Seed: 1, QueueLen: 64, Metrics: obs.NewRegistry()}
+				if durable {
+					cfg.Durability = Durability{Dir: t.TempDir(), EveryN: 500}
+				}
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batched {
+					submitBatches(t, p, rs, 300) // longer than the queue: runs are cut
+				} else {
+					for i, r := range rs {
+						if err := p.Submit(r); err != nil {
+							t.Fatalf("submit %d: %v", i, err)
+						}
+					}
+				}
+				p.Drain()
+				want := uint64(len(rs))
+				if got := p.readings.Value(); got != want {
+					t.Fatalf("fleet_readings_total = %d, want %d", got, want)
+				}
+				if got := p.queueWait.Count(); got != want {
+					t.Errorf("fleet_queue_wait_seconds count = %d, want %d accepted readings", got, want)
+				}
+				snap := p.stages.Snapshot(time.Now())
+				if got := snap.Units[StageQueueWait]; got != want {
+					t.Errorf("queue_wait stage units = %d, want %d accepted readings", got, want)
+				}
+				busy := float64(snap.BusyNS[StageQueueWait]) / 1e9
+				sum := p.queueWait.Snapshot().Sum
+				if math.Abs(busy-sum) > 1e-6*max(1, sum) {
+					t.Errorf("queue_wait stage busy %.9fs, histogram sum %.9fs: the weighted observations disagree", busy, sum)
+				}
+			})
+		}
+	}
+}
+
+// TestSubmitBatchLongerThanQueue is the non-durable twin of
+// TestDurableSubmitBatchLongerThanQueue: batches far longer than the queue
+// under Block, from two producers whose deployments share shards, so runs
+// are cut at the queue depth and slot reservations must not starve each
+// other. The final reports must match the one-producer reference.
+func TestSubmitBatchLongerThanQueue(t *testing.T) {
+	tr := stuckTrace(t, 3)
+	n := len(tr.Readings)
+	deps := []string{"alpha", "beta", "gamma", "delta"}
+	want := referenceReports(t, tr, deps)
+
+	cfg := Config{Shards: 2, Seed: 1, QueueLen: 8}
+	producers := [][]ingest.Reading{
+		interleave(tagged(tr, "alpha", 0, n, true), tagged(tr, "beta", 0, n, true)),
+		interleave(tagged(tr, "gamma", 0, n, true), tagged(tr, "delta", 0, n, true)),
+	}
+	shared := false
+	for _, a := range []string{"alpha", "beta"} {
+		for _, b := range []string{"gamma", "delta"} {
+			shared = shared || shardIndex(a, cfg.Shards) == shardIndex(b, cfg.Shards)
+		}
+	}
+	if !shared {
+		t.Fatal("the producers' deployments share no shard")
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDeadline(t, time.Minute, func() {
+		var wg sync.WaitGroup
+		for _, rs := range producers {
+			wg.Add(1)
+			go func(rs []ingest.Reading) {
+				defer wg.Done()
+				for i := 0; i < len(rs); i += 100 {
+					batch := rs[i:min(i+100, len(rs))]
+					if a, d, err := p.SubmitBatch(batch); err != nil || a != len(batch) || d != 0 {
+						t.Errorf("batch at %d: accepted %d dropped %d of %d: %v", i, a, d, len(batch), err)
+						return
+					}
+				}
+			}(rs)
+		}
+		wg.Wait()
+	})
+	p.Drain()
+	compareReports(t, collectReports(t, p, deps), want)
+}
+
+// TestDropNewestNeverQueuesDrops is the non-durable twin of
+// TestDurableDropNewestNeverJournalsDrops: a DropNewest queue backed up by a
+// stalled worker admits exactly the free slots of a burst, sheds and counts
+// the rest (accepted + dropped = sent), never holds more than QueueLen
+// readings, and the final reports are those of the accepted readings.
+func TestDropNewestNeverQueuesDrops(t *testing.T) {
+	const queueLen, burst = 16, 200
+	tr := stuckTrace(t, 3)
+	n := len(tr.Readings)
+	all := tagged(tr, "alpha", 0, n, true)
+
+	release, stalled := make(chan struct{}), make(chan struct{})
+	var stallOnce sync.Once
+	reg := obs.NewRegistry()
+	p, err := New(Config{
+		Shards: 1, Seed: 1, QueueLen: queueLen, Policy: DropNewest, Metrics: reg,
+		stallOn: func(ingest.Reading) <-chan struct{} {
+			var ch <-chan struct{}
+			stallOnce.Do(func() { ch = release; close(stalled) })
+			return ch
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.shards[0]
+	// Watch the slot count for the whole run: it bounds the queued readings.
+	var peak atomic.Int64
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			if u := s.slots.inUse(); u > peak.Load() {
+				peak.Store(u)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}()
+
+	// The worker takes the first reading, frees its slot and stalls. The
+	// burst then finds queueLen free slots for its first run and none
+	// after, so exactly queueLen of it are admitted.
+	if err := p.Submit(all[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-stalled
+	accepted, dropped, err := p.SubmitBatch(all[1 : 1+burst])
+	if err != nil || accepted != queueLen || dropped != burst-queueLen {
+		t.Fatalf("burst: accepted %d dropped %d: %v (want %d / %d)", accepted, dropped, err, queueLen, burst-queueLen)
+	}
+	if u := s.slots.inUse(); u != queueLen {
+		t.Fatalf("%d slots in use after the burst, want the full queue of %d", u, queueLen)
+	}
+	if err := p.Submit(all[1+burst]); !errors.Is(err, ingest.ErrDropped) {
+		t.Fatalf("submit into a full queue: %v, want ErrDropped", err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), fmt.Sprintf("fleet_shard0_dropped_total %d", burst-queueLen+1)) {
+		t.Fatalf("dropped counter does not show the %d shed readings:\n%s", burst-queueLen+1, firstLines(buf.String(), 30))
+	}
+	close(release)
+
+	// Everything after the burst is retried until admitted.
+	for _, r := range all[1+burst:] {
+		for {
+			err := p.Submit(r)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ingest.ErrDropped) {
+				t.Fatal(err)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	p.Drain()
+	close(stop)
+	<-watched
+	if got := peak.Load(); got > queueLen {
+		t.Fatalf("queue held %d readings, more than QueueLen %d", got, queueLen)
+	}
+	admitted := append(append([]ingest.Reading(nil), all[:1+queueLen]...), all[1+burst:]...)
+	compareReports(t, collectReports(t, p, []string{"alpha"}), reportsOf(t, admitted, []string{"alpha"}))
+}

@@ -98,11 +98,11 @@ type durableShard struct {
 	spare    []byte        // recycled batch buffer
 	flushing bool          // a leader is writing or enqueueing outside the lock
 
-	// enqueue hands a committed run to the shard queue, sequences first,
-	// first+1, …; the caller holds a queue slot per reading, so it never
-	// blocks. It runs under mu or by the flushing leader, which keeps the
-	// queue in sequence order.
-	enqueue func(first uint64, run []ingest.Reading)
+	// enqueue hands a committed run (its first sequence set) to the shard
+	// queue; the caller holds a queue slot per reading, so it never blocks.
+	// It runs under mu or by the flushing leader, which keeps the queue in
+	// sequence order.
+	enqueue func(*run)
 
 	// Breaker state (guarded by mu). probeAt is when the next half-open
 	// probe may run; backoff doubles per failed probe.
@@ -200,48 +200,44 @@ func (ds *durableShard) takeWantCkpt() bool {
 }
 
 // journalBatch is one group-committed set of records. done closes when the
-// batch is on disk (or failed) and its runs are enqueued; err is valid after
-// done. n counts the staged readings, not records, so a failed batch is
-// accounted non-durable reading by reading.
+// batch is on disk (or failed) and its runs (staged in sequence order) are
+// enqueued; err is valid after done. n counts the staged readings, not
+// records, so a failed batch is accounted non-durable reading by reading.
 type journalBatch struct {
 	buf  []byte
 	n    int
-	runs []stagedRun
+	runs []*run
 	done chan struct{}
 	err  error
-}
-
-// stagedRun is one committed run awaiting its batch's write.
-type stagedRun struct {
-	first uint64
-	rs    []ingest.Reading
 }
 
 // commit sequences one shard run, journals it as a single record, and
 // enqueues it, returning the run's first sequence and whether it made it to
 // disk. rec is the run's record as built by beginRecord and the frame
-// encoder, head still unsealed; run holds the frame's readings in row order,
+// encoder, head still unsealed; r holds the frame's readings in row order,
 // each with a queue slot reserved by the caller. Under mu commit only
-// assigns the contiguous range [nextSeq+1, nextSeq+len(run)] and stages the
-// sealed record; the batch leader writes outside the lock. It blocks until
-// the run is enqueued, and rec and run stay the caller's to reuse once it
-// returns.
+// assigns the contiguous range [nextSeq+1, nextSeq+len(r.rs)] and stages
+// the sealed record; the batch leader writes outside the lock. It blocks
+// until the run is enqueued; rec stays the caller's to reuse once it
+// returns, while r belongs to the shard worker from the moment it is
+// enqueued.
 //
 // A write failure does NOT reject the run: the shard degrades (breaker
 // opens), the readings are accepted non-durable, and later commits skip the
 // write entirely until a half-open probe reopens a fresh segment.
-func (ds *durableShard) commit(rec []byte, run []ingest.Reading) (first uint64, durable bool) {
-	n := uint64(len(run))
+func (ds *durableShard) commit(rec []byte, r *run) (first uint64, durable bool) {
+	n := uint64(len(r.rs))
 	ds.mu.Lock()
 	ds.probe() // half-open retry when due; no-op while healthy
 	first = ds.nextSeq + 1
 	ds.nextSeq += n
+	r.first = first
 	if ds.degraded {
 		// Breaker open: accept from memory, count the durability gap. No
 		// leader is flushing while the breaker is open, so enqueueing
 		// under mu keeps the queue in sequence order.
 		ds.nonDurable += n
-		ds.enqueue(first, run)
+		ds.enqueue(r)
 		ds.mu.Unlock()
 		return first, false
 	}
@@ -252,8 +248,8 @@ func (ds *durableShard) commit(rec []byte, run []ingest.Reading) (first uint64, 
 	}
 	b := ds.pending
 	b.buf = append(b.buf, rec...)
-	b.n += len(run)
-	b.runs = append(b.runs, stagedRun{first: first, rs: run})
+	b.n += int(n)
+	b.runs = append(b.runs, r)
 	if ds.flushing {
 		ds.mu.Unlock()
 		<-b.done
@@ -302,7 +298,7 @@ func (ds *durableShard) commit(rec []byte, run []ingest.Reading) (first uint64, 
 // the batch's references to them.
 func (ds *durableShard) enqueueBatch(b *journalBatch) {
 	for _, r := range b.runs {
-		ds.enqueue(r.first, r.rs)
+		ds.enqueue(r)
 	}
 	b.runs = nil
 }
@@ -366,7 +362,7 @@ func (s *shard) initDurability() error {
 		breakerMax:  cfg.BreakerMax,
 		log:         s.pool.cfg.Logger,
 		degradeEdge: s.pool.degradeEdges,
-		enqueue:     s.enqueueRun,
+		enqueue:     s.enqueue,
 	}
 	s.dur.idle = sync.NewCond(&s.dur.mu)
 	s.cleanTemporaries(dir)

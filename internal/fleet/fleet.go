@@ -256,9 +256,10 @@ type Pool struct {
 
 	audit *core.DecisionLog
 
-	// scratch pools the journaled submit path's per-call buffers
-	// (*durableScratch).
+	// scratch pools admission's per-call state (*admitScratch); runs pools
+	// the shard queue elements (*run) with their reading slabs.
 	scratch sync.Pool
+	runs    sync.Pool
 }
 
 // New builds and starts the pool; callers must Drain it when done. With
@@ -271,8 +272,9 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{cfg: cfg, drained: make(chan struct{})}
 	p.scratch.New = func() any {
-		return &durableScratch{byShard: make([][]ingest.Reading, cfg.Shards)}
+		return &admitScratch{open: make([]*run, cfg.Shards), budget: make([]int, cfg.Shards)}
 	}
+	p.runs.New = func() any { return new(run) }
 	if reg := cfg.Metrics; reg != nil {
 		p.readings = reg.Counter("fleet_readings_total", "readings accepted into shard queues")
 		p.panics = reg.Counter("fleet_panics_total", "shard worker panics recovered by the supervisor")
@@ -339,34 +341,26 @@ func shardIndex(deployment string, n int) int {
 // nil, a crash cannot lose the reading — and a reading the journal could not
 // replay intact is refused with ErrInvalidReading. An empty deployment key
 // names DefaultDeployment, as it does on the wire.
+//
+// Submit is a one-reading SubmitBatch: both go through the same admission
+// path.
 func (p *Pool) Submit(r ingest.Reading) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
+	one := [1]ingest.Reading{r}
+	_, dropped, err := p.SubmitBatch(one[:])
+	if err == nil && dropped > 0 {
+		err = ingest.ErrDropped
 	}
-	if p.cfg.Durability.Dir != "" {
-		one := [1]ingest.Reading{r}
-		_, dropped, err := p.submitDurable(one[:])
-		if err == nil && dropped > 0 {
-			err = ingest.ErrDropped
-		}
-		return err
-	}
-	return p.submitLocked(r)
+	return err
 }
 
 // SubmitBatch submits a decoded batch in order under one intake-lock
-// acquisition — the staged path the parallel binary decoder feeds whole
-// frames through (it makes Pool an ingest.BatchConsumer). Readings route to
-// their shards exactly as Submit would: accepted counts enqueued readings,
-// dropped those shed by the overflow policy. A terminal error (shutdown, or
-// with durability on an invalid reading) stops the batch where it stands;
-// the counts cover the prefix processed before it.
-//
-// With durability on, the batch is split by shard, keeping arrival order
-// within each shard, and each shard's run is journaled as one record in one
-// write (see submitDurable).
+// acquisition — the staged path both wire decoders feed (it makes Pool an
+// ingest.BatchConsumer). Readings route to their shards exactly as Submit
+// would: accepted counts enqueued readings, dropped those shed by the
+// overflow policy. A terminal error (shutdown, or with durability on an
+// invalid reading) stops the batch where it stands; the counts cover the
+// prefix processed before it. The pool copies what it keeps: rs is the
+// caller's again once SubmitBatch returns.
 func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err error) {
 	if len(rs) == 0 {
 		return 0, 0, nil
@@ -376,47 +370,7 @@ func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err erro
 	if p.closed {
 		return 0, 0, ErrClosed
 	}
-	if p.cfg.Durability.Dir != "" {
-		return p.submitDurable(rs)
-	}
-	for _, r := range rs {
-		switch err := p.submitLocked(r); {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ingest.ErrDropped):
-			dropped++
-		default:
-			return accepted, dropped, err
-		}
-	}
-	return accepted, dropped, nil
-}
-
-// submitLocked routes one reading to its shard on the non-durable path; the
-// caller holds p.mu.RLock and has checked p.closed.
-func (p *Pool) submitLocked(r ingest.Reading) error {
-	if r.Deployment == "" {
-		r.Deployment = ingest.DefaultDeployment
-	}
-	s := p.shards[shardIndex(r.Deployment, len(p.shards))]
-	q := queued{r: r}
-	// The enqueue timestamp feeds the queue-wait histogram and the
-	// ingest.queue_wait span; skip the clock read when neither is on.
-	if p.queueWait != nil || r.Trace.Recording() {
-		q.enq = time.Now()
-	}
-	if p.cfg.Policy == DropNewest {
-		select {
-		case s.queue <- q:
-		default:
-			s.m.dropped.Inc()
-			return ingest.ErrDropped
-		}
-	} else {
-		s.queue <- q
-	}
-	p.readings.Inc()
-	return nil
+	return p.admit(rs)
 }
 
 // ErrInvalidReading reports a reading the durable admission path refused
@@ -426,159 +380,244 @@ func (p *Pool) submitLocked(r ingest.Reading) error {
 // fault.
 var ErrInvalidReading = errors.New("fleet: invalid reading")
 
-// durableScratch is one durable submit call's reusable buffers: the batch
-// split by shard, the frame encoder, and the record being built.
-type durableScratch struct {
-	byShard [][]ingest.Reading
-	enc     ingest.FrameEncoder
-	rec     []byte
+// run is the shard queue element: readings of one shard admitted together,
+// in arrival order, with the journal sequence of the first (0 when
+// durability is off), one enqueue stamp (zero when neither the queue-wait
+// histogram nor a sampled trace wants it), and the index of the first
+// reading carrying a recording trace (-1 when none). Runs and their slabs
+// are pooled: the worker recycles a run once it has handled every reading.
+type run struct {
+	rs     []ingest.Reading
+	first  uint64
+	enq    time.Time
+	traced int
 }
 
-// submitDurable is the journaled admission path. It validates the batch up
-// front — a reading the journal could not replay ends the batch there, so
-// the journal never holds a gap or a record that replay would stop at —
-// then splits the valid prefix by shard and admits each shard's readings in
-// runs (submitRuns). The caller holds p.mu.RLock and has checked p.closed.
-func (p *Pool) submitDurable(rs []ingest.Reading) (accepted, dropped int, err error) {
+// admitScratch is one admission call's reusable state: the run being built
+// for each shard and its frame-byte budget so far, and the journal encoder
+// and record buffer of the durable path.
+type admitScratch struct {
+	open   []*run
+	budget []int
+	enc    ingest.FrameEncoder
+	rec    []byte
+}
+
+// getRun takes an empty run from the pool.
+func (p *Pool) getRun() *run {
+	r := p.runs.Get().(*run)
+	r.traced = -1
+	return r
+}
+
+// putRun clears a run's readings (dropping their references) and pools it.
+func (p *Pool) putRun(r *run) {
+	clear(r.rs)
+	*r = run{rs: r.rs[:0]}
+	p.runs.Put(r)
+}
+
+// readingBudget is a generous bound on one reading's share of a journal
+// frame: its values, its key in the intern table, and the varint columns
+// plus the frame's own header fields.
+func readingBudget(r *ingest.Reading) int {
+	return 8*len(r.Values) + len(r.Deployment) + 8*binary.MaxVarintLen64
+}
+
+// admit is the one admission path under Submit and SubmitBatch; the caller
+// holds p.mu.RLock and has checked p.closed. With durability on it first
+// validates the batch — a reading the journal could not replay ends the
+// batch there, so the journal never holds a gap or a record that replay
+// would stop at. It then splits the (valid prefix of the) batch by shard in
+// arrival order, cutting each shard's share into runs of at most QueueLen
+// readings and one frame's worth of bytes, and hands every run to
+// admitRun as soon as it is cut.
+func (p *Pool) admit(rs []ingest.Reading) (accepted, dropped int, err error) {
 	valid := len(rs)
-	for i := range rs {
-		if verr := ingest.CheckFrameReading(rs[i]); verr != nil {
-			valid = i
-			err = fmt.Errorf("%w %d of %d (deployment %q, sensor %d): %w",
-				ErrInvalidReading, i, len(rs), rs[i].Deployment, rs[i].Sensor, verr)
-			break
+	if p.cfg.Durability.Dir != "" {
+		for i := range rs {
+			if verr := ingest.CheckFrameReading(rs[i]); verr != nil {
+				valid = i
+				err = fmt.Errorf("%w %d of %d (deployment %q, sensor %d): %w",
+					ErrInvalidReading, i, len(rs), rs[i].Deployment, rs[i].Sensor, verr)
+				break
+			}
 		}
 	}
-	sc := p.scratch.Get().(*durableScratch)
-	for _, r := range rs[:valid] {
-		if r.Deployment == "" {
-			r.Deployment = ingest.DefaultDeployment
-		}
-		i := shardIndex(r.Deployment, len(p.shards))
-		sc.byShard[i] = append(sc.byShard[i], r)
-	}
-	for i, run := range sc.byShard {
-		if len(run) == 0 {
-			continue
-		}
-		a, d := p.submitRuns(p.shards[i], sc, run)
+	sc := p.scratch.Get().(*admitScratch)
+	flush := func(i int) {
+		a, d := p.admitRun(p.shards[i], sc, sc.open[i])
 		accepted += a
 		dropped += d
-		clear(run) // drop the readings' references before pooling
-		sc.byShard[i] = run[:0]
+		sc.open[i] = nil
+	}
+	for j := range rs[:valid] {
+		dep := rs[j].Deployment
+		if dep == "" {
+			dep = ingest.DefaultDeployment
+		}
+		i := shardIndex(dep, len(p.shards))
+		size := readingBudget(&rs[j])
+		if b := sc.open[i]; b != nil && (len(b.rs) == p.cfg.QueueLen || sc.budget[i]+size > ingest.MaxFramePayload) {
+			flush(i)
+		}
+		b := sc.open[i]
+		if b == nil {
+			b = p.getRun()
+			sc.open[i], sc.budget[i] = b, 0
+		}
+		sc.budget[i] += size
+		b.rs = append(b.rs, rs[j])
+		b.rs[len(b.rs)-1].Deployment = dep
+		if b.traced < 0 && rs[j].Trace.Recording() {
+			b.traced = len(b.rs) - 1
+		}
+	}
+	for i, b := range sc.open {
+		if b != nil {
+			flush(i)
+		}
 	}
 	p.scratch.Put(sc)
 	return accepted, dropped, err
 }
 
-// submitRuns admits one shard's readings, in order, as runs of at most
-// QueueLen readings (and at most one frame's worth of bytes). Each run first
-// reserves a queue slot per reading, so the queue sends that follow can
-// never block: under Block it waits for every slot, one reserver per shard at
-// a time so that two partial reservations cannot starve each other; under
-// DropNewest readings that find no free slot are shed and counted, and never
-// journaled. The run is then encoded as one frame outside any lock and
-// committed as one journal record.
-func (p *Pool) submitRuns(s *shard, sc *durableScratch, rs []ingest.Reading) (accepted, dropped int) {
-	for len(rs) > 0 {
-		n, budget := 0, 0
-		for n < len(rs) && n < p.cfg.QueueLen {
-			// A generous bound on the reading's share of the frame:
-			// its values, its key in the intern table, and the varint
-			// columns plus the frame's own header fields.
-			budget += 8*len(rs[n].Values) + len(rs[n].Deployment) + 8*binary.MaxVarintLen64
-			if n > 0 && budget > ingest.MaxFramePayload {
-				break
+// admitRun reserves queue slots for one run and enqueues it, journaling it
+// first when durability is on. Under Block it waits for every slot, one
+// reserver per shard at a time so that two partial reservations cannot
+// starve each other; under DropNewest it takes the free slots and sheds and
+// counts the tail, which is never journaled. The run belongs to the shard
+// once enqueued, so its length is read before.
+func (p *Pool) admitRun(s *shard, sc *admitScratch, b *run) (accepted, dropped int) {
+	n := len(b.rs)
+	if p.cfg.Policy == DropNewest {
+		accepted = s.slots.tryTake(n)
+		if dropped = n - accepted; dropped > 0 {
+			s.m.dropped.Add(uint64(dropped))
+			clear(b.rs[accepted:])
+			b.rs = b.rs[:accepted]
+			if b.traced >= accepted {
+				b.traced = -1
 			}
-			n++
 		}
-		run := rs[:n]
-		rs = rs[n:]
-		if p.cfg.Policy == DropNewest {
-			kept := run[:0]
-			for _, r := range run {
-				select {
-				case s.slots <- struct{}{}:
-					kept = append(kept, r)
-				default:
-					dropped++
-					s.m.dropped.Inc()
-				}
-			}
-			run = kept
-		} else {
-			s.reserve.Lock()
-			for range run {
-				s.slots <- struct{}{}
-			}
-			s.reserve.Unlock()
+		if accepted == 0 {
+			p.putRun(b)
+			return 0, dropped
 		}
-		if len(run) > 0 {
-			p.commitRun(s, sc, run)
-			accepted += len(run)
-		}
+	} else {
+		s.reserve.Lock()
+		s.slots.take(n)
+		s.reserve.Unlock()
+		accepted = n
+	}
+	if s.dur != nil {
+		p.commitRun(s, sc, b)
+	} else {
+		s.enqueue(b)
 	}
 	return accepted, dropped
 }
 
 // commitRun encodes one reserved run and commits it through the shard's
-// journal. The encode, the commit and the write it waits on are all charged
-// to the journal_append stage and the journal-append latency histogram, once
-// per run with its reading count; the journal.append span joins the trace of
-// the run's first sampled reading.
-func (p *Pool) commitRun(s *shard, sc *durableScratch, run []ingest.Reading) {
+// journal, which enqueues it. The encode, the commit and the write it waits
+// on are all charged to the journal_append stage and the journal-append
+// latency histogram, once per run with its reading count; the journal.append
+// span joins the trace of the run's first sampled reading.
+func (p *Pool) commitRun(s *shard, sc *admitScratch, b *run) {
 	var start time.Time
 	timed := p.journalAppend != nil || p.clkJournal != nil
 	if timed {
 		start = time.Now()
 	}
+	n, traced := len(b.rs), b.traced
 	var sp *obs.Span
-	traced := 0
-	for i := range run {
-		if run[i].Trace.Recording() {
-			sp = p.cfg.Tracer.StartSpan("journal.append", run[i].Trace)
-			sp.SetInt("readings", int64(len(run)))
-			traced = i
-			break
-		}
+	if traced >= 0 {
+		sp = p.cfg.Tracer.StartSpan("journal.append", b.rs[traced].Trace)
+		sp.SetInt("readings", int64(n))
 	}
-	rec, err := sc.enc.AppendFrame(beginRecord(sc.rec[:0]), run)
+	rec, err := sc.enc.AppendFrame(beginRecord(sc.rec[:0]), b.rs)
 	if err != nil {
-		// submitDurable validated every reading and submitRuns bounded
-		// the frame size, so the encoder cannot refuse the run.
+		// admit validated every reading and bounded the frame size, so
+		// the encoder cannot refuse the run.
 		panic(fmt.Sprintf("fleet: journal encode of a validated run: %v", err))
 	}
 	sc.rec = rec
-	first, durable := s.dur.commit(rec, run)
+	first, durable := s.dur.commit(rec, b)
 	if timed {
 		d := time.Since(start)
 		p.journalAppend.Observe(d.Seconds())
-		p.clkJournal.Observe(d, uint64(len(run)))
+		p.clkJournal.Observe(d, uint64(n))
 	}
 	sp.SetInt("seq", int64(first)+int64(traced))
 	sp.End()
 	if !durable {
-		s.m.nondurable.Add(uint64(len(run)))
+		s.m.nondurable.Add(uint64(n))
 	}
 }
 
-// enqueueRun hands a committed run to the worker queue, reading i carrying
-// journal sequence first+i. Every reading holds a reserved slot, so no send
-// blocks.
-func (s *shard) enqueueRun(first uint64, run []ingest.Reading) {
-	var enq time.Time
-	if s.pool.queueWait != nil {
-		enq = time.Now()
+// enqueue stamps a reserved run and hands it to the worker queue. The run
+// holds a slot per reading, and the queue has room for QueueLen runs, so the
+// send never blocks. The run is the worker's once sent.
+func (s *shard) enqueue(b *run) {
+	n := len(b.rs)
+	if s.pool.queueWait != nil || b.traced >= 0 {
+		b.enq = time.Now()
 	}
-	for i, r := range run {
-		q := queued{seq: first + uint64(i), r: r, enq: enq}
-		if r.Trace.Recording() && enq.IsZero() {
-			q.enq = time.Now()
-		}
-		s.queue <- q
-	}
-	s.pool.readings.Add(uint64(len(run)))
+	s.queue <- b
+	s.pool.readings.Add(uint64(n))
 }
+
+// slotCounter bounds the readings queued on one shard. Admission takes slots
+// for a whole run before enqueueing it, and the worker gives them back when
+// it takes the run off the queue, so QueueLen bounds the queued readings.
+type slotCounter struct {
+	used  atomic.Int64
+	limit int64
+	// freed is poked, never blocking, whenever slots come back; a Block
+	// reserver short of slots sleeps on it. A stale poke only costs one
+	// extra tryTake.
+	freed chan struct{}
+}
+
+func newSlotCounter(limit int) *slotCounter {
+	return &slotCounter{limit: int64(limit), freed: make(chan struct{}, 1)}
+}
+
+// tryTake takes up to n free slots without blocking and returns how many.
+func (c *slotCounter) tryTake(n int) int {
+	for {
+		used := c.used.Load()
+		k := min(int64(n), c.limit-used)
+		if k <= 0 {
+			return 0
+		}
+		if c.used.CompareAndSwap(used, used+k) {
+			return int(k)
+		}
+	}
+}
+
+// take blocks until it has taken n slots (n ≤ limit), taking them as they
+// free up. Callers serialise on shard.reserve, so a partial reservation
+// only ever waits on the worker.
+func (c *slotCounter) take(n int) {
+	for got := c.tryTake(n); got < n; got += c.tryTake(n - got) {
+		<-c.freed
+	}
+}
+
+// release returns n slots and wakes a waiting reserver.
+func (c *slotCounter) release(n int) {
+	c.used.Add(-int64(n))
+	select {
+	case c.freed <- struct{}{}:
+	default:
+	}
+}
+
+// inUse is the number of readings holding a slot: queued, or reserved by a
+// submitter that has not enqueued them yet.
+func (c *slotCounter) inUse() int64 { return c.used.Load() }
 
 // Drain stops intake, lets every shard work off its queue, flushes every
 // open window through the detectors, and returns when all workers exit.
@@ -808,7 +847,7 @@ func (p *Pool) Health() Health {
 func (p *Pool) maxQueueSaturation() float64 {
 	var max float64
 	for _, s := range p.shards {
-		if sat := float64(len(s.queue)) / float64(cap(s.queue)); sat > max {
+		if sat := float64(s.slots.inUse()) / float64(s.slots.limit); sat > max {
 			max = sat
 		}
 	}
@@ -944,38 +983,30 @@ type shardMetrics struct {
 	nondurable  *obs.Counter
 }
 
-// queued is one admitted reading plus its journal sequence (0 when
-// durability is off) and enqueue time (zero when neither the queue-wait
-// histogram nor a sampled trace wants it).
-type queued struct {
-	seq uint64
-	r   ingest.Reading
-	enq time.Time
-}
-
-// batchMax caps how many queued readings a shard drains per batch — enough
-// to amortise the per-batch bookkeeping (depth gauge, lag scan), small
-// enough to keep metrics fresh under sustained load.
+// batchMax is how many readings a busy shard handles between bookkeeping
+// passes (depth gauge, lag scan) — enough to amortise them, few enough to
+// keep metrics fresh under sustained load. An idle queue also triggers one.
 const batchMax = 256
 
 type shard struct {
 	id    int
 	pool  *Pool
-	queue chan queued
-	slots chan struct{} // admission semaphore; see submitRuns
+	queue chan *run
+	slots *slotCounter // counts queued readings; see admitRun
 	// reserve lets one Block-policy submitter at a time reserve a run's
-	// slots (see submitRuns). It is held across blocking slot sends on
+	// slots (see admitRun). It is held across the blocking take on
 	// purpose: the holder waits only on the worker freeing slots, and
 	// neither the worker nor any slot holder ever takes it.
 	reserve sync.Mutex
 	m       shardMetrics
 
-	// batch and batchPos are the in-progress drain: workBatch processes
-	// batch[batchPos:]. They live on the shard (not the stack) so a
-	// recovered panic can resume the rest of the batch, skipping only the
-	// poisoned reading.
-	batch    []queued
-	batchPos int
+	// cur and pos are the run in progress: workRun handles cur.rs[pos:].
+	// They live on the shard (not the stack) so a recovered panic can
+	// resume the rest of the run, skipping only the poisoned reading.
+	// unbooked counts readings handled since the last bookkeeping pass.
+	cur      *run
+	pos      int
+	unbooked int
 
 	// Worker-owned durability cursors (no lock: only the worker goroutine
 	// — or recovery, which runs before it starts — touches them).
@@ -1008,9 +1039,8 @@ func newShard(id int, p *Pool) *shard {
 	s := &shard{
 		id:           id,
 		pool:         p,
-		queue:        make(chan queued, p.cfg.QueueLen),
-		slots:        make(chan struct{}, p.cfg.QueueLen),
-		batch:        make([]queued, 0, min(batchMax, p.cfg.QueueLen)),
+		queue:        make(chan *run, p.cfg.QueueLen),
+		slots:        newSlotCounter(p.cfg.QueueLen),
 		lastCkptTime: time.Now(),
 		deployments:  make(map[string]*deployment),
 	}
@@ -1155,13 +1185,9 @@ func (s *shard) run() {
 // recovered (restart=true). A panic quarantines the deployment whose reading
 // was being handled; the reading count it was part of stays applied (its
 // journal sequence was recorded before handling), so checkpoints taken after
-// a restart remain consistent with replay. The interrupted batch stays on
-// the shard: the restarted worker resumes it past the poisoned reading, so
-// a panic never drops the innocent readings drained alongside it.
-//
-// Readings drain in batches: one blocking receive, then up to batchMax-1
-// opportunistic receives, so per-batch bookkeeping (queue-depth gauge,
-// watermark-lag scan) is paid once per drain instead of once per reading.
+// a restart remain consistent with replay. The interrupted run stays on the
+// shard: the restarted worker resumes it past the poisoned reading, so a
+// panic never drops the innocent readings admitted alongside it.
 func (s *shard) consume() (restart bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1171,84 +1197,92 @@ func (s *shard) consume() (restart bool) {
 				s.current = nil
 			}
 			// Skip the reading that blew up; the restarted worker
-			// picks up the rest of the batch.
-			s.batchPos++
+			// picks up the rest of the run.
+			s.pos++
 			restart = true
 		}
 	}()
-	if !s.workBatch() { // resume a batch a recovered panic interrupted
-		return false
-	}
 	for {
-		q, ok := <-s.queue
-		if !ok {
-			return false
-		}
-		s.batch = append(s.batch[:0], q)
-	fill:
-		for len(s.batch) < cap(s.batch) {
-			select {
-			case q, ok := <-s.queue:
-				if !ok {
-					break fill
-				}
-				s.batch = append(s.batch, q)
-			default:
-				break fill
+		if s.cur == nil {
+			r, ok := <-s.queue
+			if !ok {
+				return false
 			}
+			s.take(r)
 		}
-		s.batchPos = 0
-		if !s.workBatch() {
+		if !s.workRun() {
 			return false
 		}
 	}
 }
 
-// workBatch processes batch[batchPos:], returning false on abort. Per-batch
-// (not per-reading) it refreshes the depth and lag gauges and trims the
-// batch; per-reading state (applied cursor, current deployment) still
-// updates item by item so checkpoints and panic attribution stay exact.
-func (s *shard) workBatch() bool {
-	for s.batchPos < len(s.batch) {
-		q := s.batch[s.batchPos]
-		if s.dur != nil {
-			<-s.slots
-		}
+// take makes r the run in progress and frees its queue slots. The
+// queue-wait clock is read once for the whole run and observed for every
+// one of its readings; the ingest.queue_wait span joins the trace of the
+// run's first sampled reading, whose trace ID is also the histogram
+// exemplar, so a queue-wait spike on the dashboard links to the exact
+// /debug/traces trace that sat through it.
+func (s *shard) take(r *run) {
+	s.cur, s.pos = r, 0
+	n := len(r.rs)
+	s.slots.release(n)
+	if r.enq.IsZero() {
+		return
+	}
+	wait := time.Since(r.enq)
+	var traceID string
+	if r.traced >= 0 {
+		traceID = r.rs[r.traced].Trace.Trace.String()
+	}
+	s.pool.queueWait.ObserveN(wait.Seconds(), uint64(n), traceID)
+	s.pool.clkQueueWait.Observe(wait*time.Duration(n), uint64(n))
+	if r.traced >= 0 {
+		sp := s.pool.cfg.Tracer.StartSpanAt("ingest.queue_wait", r.rs[r.traced].Trace, r.enq)
+		sp.SetInt("shard", int64(s.id))
+		sp.SetInt("readings", int64(n))
+		sp.End()
+	}
+}
+
+// workRun handles cur.rs[pos:], returning false on abort, then recycles the
+// run. Per-reading state (applied cursor, current deployment) updates
+// reading by reading so checkpoints and panic attribution stay exact;
+// bookkeeping runs every batchMax readings and whenever the queue is empty.
+func (s *shard) workRun() bool {
+	r := s.cur
+	for s.pos < len(r.rs) {
 		if s.pool.aborted.Load() {
 			return false
 		}
-		if !q.enq.IsZero() {
-			wait := time.Since(q.enq)
-			// Traced readings stamp their trace ID on the bucket as an
-			// exemplar, so a queue-wait spike on the dashboard links to the
-			// exact /debug/traces trace that sat through it.
-			var traceID string
-			if q.r.Trace.Recording() {
-				traceID = q.r.Trace.Trace.String()
-			}
-			s.pool.queueWait.ObserveExemplar(wait.Seconds(), traceID)
-			s.pool.clkQueueWait.Observe(wait, 1)
-			if q.r.Trace.Recording() {
-				sp := s.pool.cfg.Tracer.StartSpanAt("ingest.queue_wait", q.r.Trace, q.enq)
-				sp.SetInt("shard", int64(s.id))
-				sp.End()
-			}
+		rd := &r.rs[s.pos]
+		if rd.Trace.Recording() {
+			s.lastTrace = rd.Trace
 		}
-		if q.r.Trace.Recording() {
-			s.lastTrace = q.r.Trace
+		if r.first > 0 {
+			s.applied = r.first + uint64(s.pos)
 		}
-		s.applied = q.seq
-		s.current = s.deployment(q.r.Deployment)
-		s.handle(s.current, q.r)
+		s.current = s.deployment(rd.Deployment)
+		s.handle(s.current, *rd)
 		s.current = nil
 		s.maybeCheckpoint()
-		s.batchPos++
+		s.pos++
+		if s.unbooked++; s.unbooked >= batchMax {
+			s.bookkeep()
+		}
 	}
-	s.batch = s.batch[:0]
-	s.batchPos = 0
-	s.m.depth.Set(float64(len(s.queue)))
-	s.updateLag()
+	s.cur, s.pos = nil, 0
+	s.pool.putRun(r)
+	if len(s.queue) == 0 {
+		s.bookkeep()
+	}
 	return true
+}
+
+// bookkeep refreshes the queue-depth and lag gauges.
+func (s *shard) bookkeep() {
+	s.unbooked = 0
+	s.m.depth.Set(float64(s.slots.inUse()))
+	s.updateLag()
 }
 
 func (s *shard) deployment(name string) *deployment {
@@ -1454,6 +1488,9 @@ func (s *shard) step(d *deployment, w network.Window) {
 // updateLag publishes the shard's total event-time lag: windows buffered
 // behind the watermark across its deployments.
 func (s *shard) updateLag() {
+	if s.m.lag == nil {
+		return
+	}
 	total := 0
 	s.mu.RLock()
 	for _, d := range s.deployments {

@@ -21,10 +21,17 @@ import (
 // cores, but their readings reach the consumer (and therefore each
 // deployment's shard queue) in the order they arrived on the socket.
 
-// BatchConsumer is a Consumer that can take a whole decoded frame in one
-// call. The binary submit path prefers it: one intake lock acquisition per
-// frame instead of per reading. accepted+dropped covers the prefix actually
-// processed; a non-nil error is terminal, as with Submit.
+// BatchConsumer is a Consumer that can take a whole batch of readings in
+// one call. Both stream readers prefer it: the binary path submits one
+// decoded frame per call and the NDJSON path up to ndjsonBatch lines, one
+// intake lock acquisition per batch instead of per reading. accepted+dropped
+// covers the prefix actually processed; a non-nil error is terminal, as with
+// Submit.
+//
+// Ownership: rs, the slice and its Reading structs, is valid only during
+// SubmitBatch — the readers reuse it for the next batch — so a consumer
+// copies what it keeps. Each reading's Values slice is the consumer's to
+// keep forever: no reader ever reuses or rewrites value storage.
 type BatchConsumer interface {
 	Consumer
 	SubmitBatch(rs []Reading) (accepted, dropped int, err error)
@@ -68,8 +75,44 @@ func decodePool() (chan decodeJob, int) {
 
 // frameBufPool recycles raw frame buffers between the stream reader and the
 // decode workers, so steady-state binary ingest allocates no frame-sized
-// byte slices. (Decoded readings are NOT pooled: the windower retains them.)
+// byte slices.
 var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64*1024); return &b }}
+
+// readingSlabPool recycles the []Reading slabs readings are decoded into:
+// a slab goes back once the consumer call that saw it returns (see
+// BatchConsumer). The float64 value slabs are NOT pooled: the windower
+// keeps them.
+var readingSlabPool = sync.Pool{New: func() any { return new([]Reading) }}
+
+// putReadingSlab clears a slab's live readings (dropping their references)
+// and pools it.
+func putReadingSlab(slab *[]Reading, live []Reading) {
+	clear(live)
+	*slab = (*slab)[:0]
+	readingSlabPool.Put(slab)
+}
+
+// streamReaderPool recycles the 64 KiB buffered readers the stream readers
+// wrap their input in. A reader goes back only once nothing — the binary
+// path's reader goroutine included — can touch it again.
+var streamReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64*1024) }}
+
+// streamReader returns r as a *bufio.Reader: r itself when it already is
+// one (owned=false), else a pooled reader over r that the caller must hand
+// back with putStreamReader.
+func streamReader(r io.Reader) (br *bufio.Reader, owned bool) {
+	if br, ok := r.(*bufio.Reader); ok {
+		return br, false
+	}
+	br = streamReaderPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br, true
+}
+
+func putStreamReader(br *bufio.Reader) {
+	br.Reset(nil)
+	streamReaderPool.Put(br)
+}
 
 type decodeJob struct {
 	buf     *[]byte // pooled; the worker returns it after decoding
@@ -79,6 +122,7 @@ type decodeJob struct {
 
 type decodeResult struct {
 	readings []Reading
+	slab     *[]Reading // pooled backing of readings; nil on error
 	rejected int
 	busy     time.Duration
 	err      error // *FrameError on a structurally bad frame
@@ -87,16 +131,24 @@ type decodeResult struct {
 func decodeWorker(jobs <-chan decodeJob) {
 	for j := range jobs {
 		t0 := time.Now()
-		readings, rejected, err := DecodeFrame(*j.buf)
+		slab := readingSlabPool.Get().(*[]Reading)
+		readings, rejected, err := decodeFrameInto(*j.buf, *slab)
 		busy := time.Since(t0)
 		frameBufPool.Put(j.buf)
-		var fe *FrameError
-		if errors.As(err, &fe) {
-			// DecodeFrame sees one frame at a time; report the ordinal
-			// within the stream instead.
-			err = &FrameError{Frame: j.frameNo, Err: fe.Err}
+		if err != nil {
+			// A failed decode may have written into the slab.
+			putReadingSlab(slab, (*slab)[:cap(*slab)])
+			slab = nil
+			var fe *FrameError
+			if errors.As(err, &fe) {
+				// decodeFrameInto sees one frame at a time; report the
+				// ordinal within the stream instead.
+				err = &FrameError{Frame: j.frameNo, Err: fe.Err}
+			}
+		} else {
+			*slab = readings // keep a slab the decode had to grow
 		}
-		j.out <- decodeResult{readings: readings, rejected: rejected, busy: busy, err: err}
+		j.out <- decodeResult{readings: readings, slab: slab, rejected: rejected, busy: busy, err: err}
 	}
 }
 
@@ -118,9 +170,11 @@ func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, er
 	span.SetAttr("codec", "binary")
 	ctx := span.Context()
 
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
+	br, owned := streamReader(r)
+	if owned {
+		// Deferred first, so it runs last: after every return path has
+		// waited for the reader goroutine to exit.
+		defer putStreamReader(br)
 	}
 
 	jobs, workers := decodePool()
@@ -196,7 +250,6 @@ func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, er
 	}()
 
 	var st StreamStats
-	bc, batched := c.(BatchConsumer)
 	fail := func(err error) (StreamStats, error) {
 		// Stop the reader, then drain so no result channel is left holding a
 		// reference; workers never block (each out has capacity 1).
@@ -215,35 +268,11 @@ func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, er
 		o.Decode.Observe(res.busy, uint64(len(res.readings)+res.rejected))
 		st.Rejected += res.rejected
 		st.RejectedDecode += res.rejected
-		if len(res.readings) == 0 {
-			continue
-		}
-		if batched {
-			if ctx.Valid() {
-				res.readings[0].Trace = ctx
-			}
-			accepted, dropped, err := bc.SubmitBatch(res.readings)
-			st.Accepted += accepted
-			st.Dropped += dropped
-			if err != nil {
-				return fail(err)
-			}
-			if accepted > 0 {
-				ctx = obs.SpanContext{} // one stamped reading per sampled stream
-			}
-			continue
-		}
-		for _, rd := range res.readings {
-			rd.Trace = ctx
-			switch err := c.Submit(rd); {
-			case err == nil:
-				st.Accepted++
-				ctx = obs.SpanContext{}
-			case errors.Is(err, ErrDropped):
-				st.Dropped++
-			default:
-				return fail(err)
-			}
+		var err error
+		ctx, err = submitReadings(c, res.readings, ctx, &st)
+		putReadingSlab(res.slab, res.readings)
+		if err != nil {
+			return fail(err)
 		}
 	}
 	err := <-readErr
@@ -254,15 +283,52 @@ func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, er
 	return st, nil
 }
 
+// submitReadings hands one decoded batch to c — in one SubmitBatch call
+// when c is a BatchConsumer, else reading by reading — adding the outcome
+// to st. ctx is the stream's span context while no
+// reading carrying it has been accepted yet; the first reading submitted
+// carries it, and the context comes back cleared once one was accepted.
+// rs may be reused as soon as submitReadings returns.
+func submitReadings(c Consumer, rs []Reading, ctx obs.SpanContext, st *StreamStats) (obs.SpanContext, error) {
+	if len(rs) == 0 {
+		return ctx, nil
+	}
+	if bc, ok := c.(BatchConsumer); ok {
+		if ctx.Valid() {
+			rs[0].Trace = ctx
+		}
+		accepted, dropped, err := bc.SubmitBatch(rs)
+		st.Accepted += accepted
+		st.Dropped += dropped
+		if accepted > 0 {
+			ctx = obs.SpanContext{} // one stamped reading per sampled stream
+		}
+		return ctx, err
+	}
+	for _, rd := range rs {
+		rd.Trace = ctx
+		switch err := c.Submit(rd); {
+		case err == nil:
+			st.Accepted++
+			ctx = obs.SpanContext{}
+		case errors.Is(err, ErrDropped):
+			st.Dropped++
+		default:
+			return ctx, err
+		}
+	}
+	return ctx, nil
+}
+
 // ReadWireStream reads a stream of readings in either wire codec, sniffing
 // the first byte: FrameMagic (0xBF, never a valid start of JSON or UTF-8
 // text) selects the binary frame codec, anything else — including an empty
 // stream — is NDJSON, which stays the default. This is the entry point for
 // transports with no content-type channel (TCP sockets, file replay).
 func ReadWireStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
+	br, owned := streamReader(r)
+	if owned {
+		defer putStreamReader(br)
 	}
 	if first, err := br.Peek(1); err == nil && first[0] == FrameMagic {
 		return ReadBinaryStream(br, c, o)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"sensorguard/internal/vecmat"
@@ -221,7 +222,10 @@ func (e *FrameEncoder) AppendFrame(dst []byte, rs []Reading) ([]byte, error) {
 // finite) plus the structural bounds on attribute count and deployment key
 // length. An empty deployment key is accepted, but note that it decodes as
 // DefaultDeployment.
-func CheckFrameReading(r Reading) error {
+func CheckFrameReading(r Reading) error { return checkFrameReading(&r) }
+
+// checkFrameReading is CheckFrameReading without the copy of r.
+func checkFrameReading(r *Reading) error {
 	if r.Time < 0 {
 		return fmt.Errorf("ingest: time %v is negative", r.Time)
 	}
@@ -256,6 +260,14 @@ func EncodeFrame(rs []Reading) ([]byte, error) {
 // tolerance. Returned Values slices are freshly allocated per frame and do
 // not alias data.
 func DecodeFrame(frame []byte) (readings []Reading, rejected int, err error) {
+	return decodeFrameInto(frame, nil)
+}
+
+// decodeFrameInto is DecodeFrame decoding into dst's backing array when it
+// is large enough (dst's contents are overwritten), so a caller that owns
+// the slab can reuse it across frames. The Values slices are still freshly
+// allocated per frame: the windower keeps them.
+func decodeFrameInto(frame []byte, dst []Reading) (readings []Reading, rejected int, err error) {
 	if len(frame) < frameHeaderLen+frameTrailerLen {
 		return nil, 0, &FrameError{Frame: 1, Err: errors.New("truncated frame")}
 	}
@@ -277,7 +289,7 @@ func DecodeFrame(frame []byte) (readings []Reading, rejected int, err error) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, 0, &FrameError{Frame: 1, Err: fmt.Errorf("CRC mismatch: payload %08x, trailer %08x", got, want)}
 	}
-	readings, rejected, derr := decodeFramePayload(payload)
+	readings, rejected, derr := decodeFramePayload(payload, dst)
 	if derr != nil {
 		return nil, 0, &FrameError{Frame: 1, Err: derr}
 	}
@@ -287,8 +299,9 @@ func DecodeFrame(frame []byte) (readings []Reading, rejected int, err error) {
 // decodeFramePayload decodes a CRC-verified columnar payload. Structural
 // faults (bad varints, out-of-range indices, lengths that disagree with the
 // payload size) error out; semantically invalid readings are dropped and
-// counted, like undecodable NDJSON lines.
-func decodeFramePayload(payload []byte) ([]Reading, int, error) {
+// counted, like undecodable NDJSON lines. Readings land in dst's backing
+// array when it is large enough.
+func decodeFramePayload(payload []byte, dst []Reading) ([]Reading, int, error) {
 	pos := 0
 	uv := func(what string) (uint64, error) {
 		v, n := binary.Uvarint(payload[pos:])
@@ -345,9 +358,12 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 		return nil, 0, fmt.Errorf("dim %d exceeds %d", dim, maxFrameDim)
 	}
 
-	dims := make([]int, r)
-	total := 0
+	// Ragged frames carry a dims column; uniform ones need no per-reading
+	// dims at all.
+	var dims []int
+	total := r * int(dim)
 	if dim == 0 {
+		dims = make([]int, r)
 		for i := range dims {
 			d, err := uv("dims")
 			if err != nil {
@@ -359,17 +375,13 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 			dims[i] = int(d)
 			total += int(d)
 		}
-	} else {
-		for i := range dims {
-			dims[i] = int(dim)
-		}
-		total = r * int(dim)
 	}
 	if total > (len(payload)-pos)/8+1 {
 		return nil, 0, fmt.Errorf("value count %d overruns payload", total)
 	}
 
-	readings := make([]Reading, r)
+	readings := slices.Grow(dst[:0], r)[:r]
+	clear(readings) // a reused slab may hold an earlier frame's readings
 	for i := range readings {
 		idx, err := uv("deployment index")
 		if err != nil {
@@ -414,8 +426,12 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 	slab := make(vecmat.Vector, total)
 	off := 0
 	for i := range readings {
-		readings[i].Values = slab[off : off+dims[i] : off+dims[i]]
-		off += dims[i]
+		d := int(dim)
+		if dims != nil {
+			d = dims[i]
+		}
+		readings[i].Values = slab[off : off+d : off+d]
+		off += d
 	}
 	if dim > 0 {
 		// Transpose the column-major wire layout into per-reading vectors.
@@ -438,16 +454,18 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 
 	// Semantic validation, mirroring DecodeLine: drop (and count) readings
 	// that would poison the detector, keep the rest of the frame.
-	rejected := 0
-	kept := readings[:0]
-	for _, rd := range readings {
-		if CheckFrameReading(rd) != nil {
-			rejected++
+	kept := 0
+	for i := range readings {
+		if checkFrameReading(&readings[i]) != nil {
 			continue
 		}
-		kept = append(kept, rd)
+		if kept != i {
+			readings[kept] = readings[i]
+		}
+		kept++
 	}
-	return kept, rejected, nil
+	clear(readings[kept:])
+	return readings[:kept], r - kept, nil
 }
 
 // readingEqual reports semantic equality of two readings (used by the fuzz

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,6 +80,10 @@ type StreamOptions struct {
 	Decode *obs.StageClock
 }
 
+// ndjsonBatch is how many decoded NDJSON readings the stream reader hands a
+// BatchConsumer per SubmitBatch call.
+const ndjsonBatch = 512
+
 // decodeFlushEvery is how many timed lines accumulate locally before the
 // decode stage clock's counters take the atomic adds.
 const decodeFlushEvery = 4096
@@ -137,6 +142,13 @@ func (lr *lineReader) next() (line []byte, oversize bool, err error) {
 	}
 }
 
+// lineBuffered reports whether a complete line is already buffered, so the
+// next call to next returns without reading from the underlying stream.
+func (lr *lineReader) lineBuffered() bool {
+	buf, _ := lr.br.Peek(lr.br.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
 func trimEOL(b []byte) []byte {
 	if n := len(b); n > 0 && b[n-1] == '\n' {
 		b = b[:n-1]
@@ -149,7 +161,14 @@ func trimEOL(b []byte) []byte {
 
 // ReadStreamOpts is the full-featured NDJSON stream reader; ReadStream and
 // ReadStreamTraced are thin wrappers over it, and ReadWireStream routes here
-// when the first byte is not the binary frame magic.
+// when the first byte is not the binary frame magic. Decoded readings are
+// staged in batches of up to ndjsonBatch lines, which a BatchConsumer gets
+// in one SubmitBatch call each (any other Consumer reading by reading). A
+// partial batch is submitted whenever no complete line is buffered — before
+// the reader would wait on the stream, so a trickling TCP producer's
+// readings are never held back for more input — and before the reader
+// returns, also when a body read fails: every line before the failing one
+// is submitted.
 func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
 	var span *obs.Span
 	switch {
@@ -168,21 +187,46 @@ func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 			busy, lines = 0, 0
 		}
 	}
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
+	br, owned := streamReader(r)
+	if owned {
+		defer putStreamReader(br)
+	}
+	slab := readingSlabPool.Get().(*[]Reading)
+	if cap(*slab) < ndjsonBatch {
+		*slab = make([]Reading, 0, ndjsonBatch)
+	}
+	batch := (*slab)[:0]
+	defer func() { putReadingSlab(slab, batch) }()
+	finish := func(err error) (StreamStats, error) {
+		flushClock()
+		finishDecodeSpan(span, st)
+		return st, err
+	}
+	// submit hands the staged batch over; the slab is reused afterwards.
+	submit := func() error {
+		var err error
+		ctx, err = submitReadings(c, batch, ctx, &st)
+		clear(batch)
+		batch = batch[:0]
+		return err
 	}
 	lr := lineReader{br: br}
 	lineNo := 0
 	for {
+		if len(batch) > 0 && !lr.lineBuffered() {
+			if err := submit(); err != nil {
+				return finish(err)
+			}
+		}
 		line, oversize, rerr := lr.next()
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
 				break
 			}
-			flushClock()
-			finishDecodeSpan(span, st)
-			return st, &PayloadError{Line: lineNo + 1, Err: rerr}
+			if err := submit(); err != nil {
+				return finish(err)
+			}
+			return finish(&PayloadError{Line: lineNo + 1, Err: rerr})
 		}
 		lineNo++
 		if oversize {
@@ -210,22 +254,13 @@ func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 			st.RejectedDecode++
 			continue
 		}
-		rd.Trace = ctx
-		switch err := c.Submit(rd); {
-		case err == nil:
-			st.Accepted++
-			ctx = obs.SpanContext{} // one stamped reading per batch
-		case errors.Is(err, ErrDropped):
-			st.Dropped++
-		default:
-			flushClock()
-			finishDecodeSpan(span, st)
-			return st, err
+		if batch = append(batch, rd); len(batch) == ndjsonBatch {
+			if err := submit(); err != nil {
+				return finish(err)
+			}
 		}
 	}
-	flushClock()
-	finishDecodeSpan(span, st)
-	return st, nil
+	return finish(submit())
 }
 
 func finishDecodeSpan(span *obs.Span, st StreamStats) {

@@ -39,6 +39,49 @@ func TestObserveExemplar(t *testing.T) {
 	nilH.ObserveExemplar(1, "x") // nil-safe
 }
 
+// TestObserveN checks the weighted observe: n samples of one value land in
+// one bucket with the sum raised by n·v, matching n plain Observe calls, and
+// the trace ID leaves exactly one exemplar.
+func TestObserveN(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("wait_seconds", "", []float64{0.01, 0.1, 1})
+	ref := reg.Histogram("ref_seconds", "", []float64{0.01, 0.1, 1})
+	h.ObserveN(0.05, 7, "trace-run")
+	h.ObserveN(0.5, 3, "")
+	h.ObserveN(0.5, 0, "trace-none") // n == 0: nothing counted, no exemplar
+	for i := 0; i < 7; i++ {
+		ref.Observe(0.05)
+	}
+	for i := 0; i < 3; i++ {
+		ref.Observe(0.5)
+	}
+
+	got, want := h.Snapshot(), ref.Snapshot()
+	if got.Count != 10 || want.Count != 10 {
+		t.Fatalf("count = %d (reference %d), want 10", got.Count, want.Count)
+	}
+	for i := range got.Counts {
+		if got.Counts[i] != want.Counts[i] {
+			t.Fatalf("bucket %d = %d, reference %d", i, got.Counts[i], want.Counts[i])
+		}
+	}
+	if d := got.Sum - want.Sum; d > 1e-12 || d < -1e-12 {
+		t.Fatalf("sum = %v, reference %v", got.Sum, want.Sum)
+	}
+	if got.Sum < 1.84 || got.Sum > 1.86 { // 7·0.05 + 3·0.5
+		t.Fatalf("sum = %v, want 1.85", got.Sum)
+	}
+	if e := got.Exemplars[1]; e == nil || e.TraceID != "trace-run" || e.Value != 0.05 {
+		t.Fatalf("bucket 1 exemplar = %+v, want trace-run @ 0.05", e)
+	}
+	if e := got.Exemplars[2]; e != nil {
+		t.Fatalf("bucket 2 exemplar = %+v, want nil (no trace ID, or n == 0)", e)
+	}
+
+	var nilH *Histogram
+	nilH.ObserveN(1, 5, "x") // nil-safe
+}
+
 // TestPrometheusExemplarSuffix checks /metrics renders OpenMetrics exemplar
 // annotations on bucket lines that have one, and plain 0.0.4 lines otherwise.
 func TestPrometheusExemplarSuffix(t *testing.T) {

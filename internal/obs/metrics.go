@@ -109,18 +109,7 @@ type Exemplar struct {
 
 // Observe folds one sample into the distribution.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.ObserveN(v, 1, "")
 }
 
 // ObserveExemplar is Observe plus an exemplar: the bucket the sample lands in
@@ -129,15 +118,30 @@ func (h *Histogram) Observe(v float64) {
 // sampled trace ID unconditionally and pay the pointer store only for the
 // (rare) traced observations.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if h == nil {
-		return
-	}
-	h.Observe(v)
-	if traceID == "" {
+	h.ObserveN(v, 1, traceID)
+}
+
+// ObserveN folds n samples of the same value v into the distribution in one
+// step: the bucket count rises by n and the sum by n·v, exactly as n Observe
+// calls would leave them. A non-empty traceID also stores one exemplar, as
+// ObserveExemplar does. n == 0 is a no-op.
+func (h *Histogram) ObserveN(v float64, n uint64, traceID string) {
+	if h == nil || n == 0 {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, UnixNano: time.Now().UnixNano()})
+	h.counts[i].Add(n)
+	add := v * float64(n)
+	for {
+		old := h.sumBits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + add)
+		if h.sumBits.CompareAndSwap(old, next) {
+			break
+		}
+	}
+	if traceID != "" {
+		h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, UnixNano: time.Now().UnixNano()})
+	}
 }
 
 // HistogramSnapshot is a consistent copy of a histogram's state. Counts are
