@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -26,7 +27,8 @@ import (
 // OnlineVsBaumWelchResult compares the two estimators on the same data.
 type OnlineVsBaumWelchResult struct {
 	Sequence int // observation count
-	// OnlineDuration and BaumWelchDuration are the wall-clock costs.
+	// OnlineDuration and BaumWelchDuration are the wall-clock costs: the
+	// fastest of timingTrials interleaved runs of each estimator.
 	OnlineDuration    time.Duration
 	BaumWelchDuration time.Duration
 	// Speedup is BaumWelchDuration / OnlineDuration.
@@ -39,6 +41,11 @@ type OnlineVsBaumWelchResult struct {
 	// BaumWelchIters is the number of EM iterations run.
 	BaumWelchIters int
 }
+
+// timingTrials is how many runs of each estimator AblationOnlineVsBaumWelch
+// interleaves. It keeps the fastest per side, so a GC pause or preemption
+// in one run (other processes sharing the CPUs) cannot decide the ratio.
+const timingTrials = 21
 
 // AblationOnlineVsBaumWelch plants a ground-truth HMM, generates a sequence,
 // and compares (a) the paper's on-line estimator fed the true hidden path
@@ -56,31 +63,49 @@ func AblationOnlineVsBaumWelch(seqLen int, seed int64) (OnlineVsBaumWelchResult,
 	obs, hidden := truth.Generate(seqLen, rng.Float64)
 
 	res := OnlineVsBaumWelchResult{Sequence: seqLen}
-
-	start := time.Now()
-	online, err := hmm.NewOnline(0.05, 0.05)
-	if err != nil {
-		return res, err
+	var online *hmm.Online
+	var est *hmm.Model
+	runOnline := func() error {
+		start := time.Now()
+		o, err := hmm.NewOnline(0.05, 0.05)
+		if err != nil {
+			return err
+		}
+		for t := range obs {
+			o.Observe(hidden[t], obs[t])
+		}
+		res.OnlineDuration = min(res.OnlineDuration, time.Since(start))
+		online = o
+		return nil
 	}
-	for t := range obs {
-		online.Observe(hidden[t], obs[t])
+	runBaumWelch := func() error {
+		start := time.Now()
+		m, err := hmm.PerturbedUniformModel(truth.States(), truth.Symbols())
+		if err != nil {
+			return err
+		}
+		_, iters, err := m.BaumWelch(obs, 60, 1e-5)
+		if err != nil {
+			return err
+		}
+		res.BaumWelchDuration = min(res.BaumWelchDuration, time.Since(start))
+		est, res.BaumWelchIters = m, iters
+		return nil
 	}
-	res.OnlineDuration = time.Since(start)
-
-	start = time.Now()
-	est, err := hmm.PerturbedUniformModel(truth.States(), truth.Symbols())
-	if err != nil {
-		return res, err
+	res.OnlineDuration, res.BaumWelchDuration = math.MaxInt64, math.MaxInt64
+	for trial := 0; trial < timingTrials; trial++ {
+		first, second := runOnline, runBaumWelch
+		if trial%2 == 1 {
+			first, second = second, first
+		}
+		if err := first(); err != nil {
+			return res, err
+		}
+		if err := second(); err != nil {
+			return res, err
+		}
 	}
-	_, iters, err := est.BaumWelch(obs, 60, 1e-5)
-	if err != nil {
-		return res, err
-	}
-	res.BaumWelchDuration = time.Since(start)
-	res.BaumWelchIters = iters
-	if res.OnlineDuration > 0 {
-		res.Speedup = float64(res.BaumWelchDuration) / float64(res.OnlineDuration)
-	}
+	res.Speedup = float64(res.BaumWelchDuration) / float64(max(res.OnlineDuration, 1))
 
 	res.OnlineBError = onlineBError(online, truth)
 	res.BaumWelchBError = permutedBError(est, truth)

@@ -2,12 +2,15 @@ package ingest
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sensorguard/internal/sensor"
 	"sensorguard/internal/vecmat"
@@ -121,7 +124,8 @@ func TestBinaryStreamSlabOwnership(t *testing.T) {
 
 // TestNDJSONStreamSlabOwnership is the NDJSON twin: the batched reader hands
 // the consumer up to ndjsonBatch lines per call from one reused slab, and
-// flushes the partial last batch before returning.
+// flushes the partial last batch before returning. Values are never slabbed:
+// each reading owns an array of exactly its length.
 func TestNDJSONStreamSlabOwnership(t *testing.T) {
 	const n = 5*ndjsonBatch + 77
 	var stream bytes.Buffer
@@ -156,6 +160,29 @@ func TestNDJSONStreamSlabOwnership(t *testing.T) {
 		t.Fatalf("batch sizes %v: none reaches %d", sink.sizes, ndjsonBatch)
 	}
 	checkKept(t, sink, want)
+	checkOwnValues(t, sink.kept)
+}
+
+// checkOwnValues: every reading's Values is its own exact-size array — no
+// spare capacity, and no two readings' arrays overlap — so a reading the
+// windower holds pins its own values and nothing decoded beside it.
+func checkOwnValues(t *testing.T, rs []Reading) {
+	t.Helper()
+	type span struct{ lo, hi uintptr }
+	spans := make([]span, len(rs))
+	for i, r := range rs {
+		if len(r.Values) != cap(r.Values) {
+			t.Fatalf("reading %d: len(Values) %d, cap %d", i, len(r.Values), cap(r.Values))
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(r.Values)))
+		spans[i] = span{lo, lo + uintptr(cap(r.Values))*unsafe.Sizeof(r.Values[0])}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("two readings share a values array at %#x", spans[i].lo)
+		}
+	}
 }
 
 // TestNDJSONBatchedTrickleNotHeld: a producer that sends a few lines and
