@@ -1,7 +1,6 @@
 GO ?= go
-TRAJECTORY ?= bench/trajectory.json
 
-.PHONY: build test race lint bench-smoke bench-record scenarios scenarios-smoke chaos
+.PHONY: build test race lint scenarios scenarios-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -24,22 +23,6 @@ lint:
 		echo "$$bad"; \
 		exit 1; \
 	fi
-
-# bench-smoke is the CI step: a short fixed sgbench workload that proves the
-# harness runs and the bare detector step is still zero-alloc, and leaves
-# BENCH_hotpath.json for the artifact upload.
-bench-smoke:
-	$(GO) run ./cmd/sgbench -days 1 -passes 10 -shards 1,4 -out BENCH_hotpath.json
-
-# bench-record runs the standard sgbench workload and appends one summary
-# entry (commit, cpus, readings/sec, decode ns/line in both codecs, step
-# p50/p99) to the committed perf trajectory, so the throughput curve travels
-# with history. A second run under -maxprocs 4 appends the multi-core point
-# (the frame-decode pool sizes itself off GOMAXPROCS). Run on a quiet
-# machine; override TRAJECTORY=/tmp/t.json for a dry run.
-bench-record:
-	$(GO) run ./cmd/sgbench -days 1 -passes 20 -shards 1,4 -out BENCH_hotpath.json -record $(TRAJECTORY)
-	$(GO) run ./cmd/sgbench -days 1 -passes 20 -shards 1,4 -maxprocs 4 -out /tmp/BENCH_multicore.json -record $(TRAJECTORY)
 
 # scenarios refreshes the committed adversary-simulation corpus report:
 # every labeled campaign in internal/scenario streamed over a real HTTP

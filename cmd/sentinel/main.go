@@ -22,11 +22,12 @@
 // object — the schema -audit-log and /debug/decisions use (see
 // docs/OBSERVABILITY.md).
 //
-// With -listen sentinel becomes a streaming server: live NDJSON readings
-// arrive over HTTP POST /ingest and/or a line-delimited TCP socket (-tcp),
-// are sharded by deployment key across -shards detector workers, and live
-// diagnoses are served from GET /report/{deployment}. See docs/SERVING.md
-// for wire formats, watermark semantics, and the backpressure policy.
+// With -listen sentinel becomes a streaming server: live NDJSON or
+// binary-frame readings arrive over HTTP POST /ingest and/or a TCP socket
+// (-tcp), are sharded by deployment key across -shards detector workers,
+// and live diagnoses are served from GET /report/{deployment}. See
+// docs/SERVING.md for wire formats, watermark semantics, and the
+// backpressure policy.
 package main
 
 import (
@@ -61,8 +62,8 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/vars, and /debug/pprof on this address while processing")
 	eventsPath := fs.String("events", "", "stream one NDJSON decision record per window to this file (\"-\" = stderr)")
 	hold := fs.Duration("hold", 0, "keep serving -metrics-addr this long after the report (0 = exit immediately)")
-	listen := fs.String("listen", "", "serve mode: accept live NDJSON readings over HTTP on this address (POST /ingest, GET /report/{deployment}, /metrics)")
-	tcpAddr := fs.String("tcp", "", "serve mode: also accept line-delimited NDJSON readings on this TCP address")
+	listen := fs.String("listen", "", "serve mode: accept live NDJSON or binary-frame readings over HTTP on this address (POST /ingest, GET /report/{deployment}, /metrics)")
+	tcpAddr := fs.String("tcp", "", "serve mode: also accept NDJSON or binary-frame readings on this TCP address")
 	shards := fs.Int("shards", 4, "serve mode: detector worker shards")
 	queueLen := fs.Int("queue", 1024, "serve mode: per-shard queue length")
 	overflow := fs.String("overflow", "block", "serve mode: full-queue policy, block (backpressure) or drop (shed + count)")

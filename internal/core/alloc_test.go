@@ -1,42 +1,93 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
+	"sensorguard/internal/cluster"
+	"sensorguard/internal/gdi"
 	"sensorguard/internal/network"
+	"sensorguard/internal/vecmat"
 )
 
 // TestStepZeroAllocSteadyState pins the hot-path contract: once the
 // detector's scratch space has grown to the window's working-set size, the
 // bare (uninstrumented) Step allocates nothing. A regression here silently
 // re-taxes every window of every deployment, so it fails loudly instead.
+// It holds on synthetic key-state windows and on a generated GDI day.
 func TestStepZeroAllocSteadyState(t *testing.T) {
-	d, err := NewDetector(DefaultConfig(keyStates()))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		input func(t *testing.T) (Config, []network.Window, int)
+	}{
+		{"key-states", keyStateAllocInput},
+		{"gdi-day", gdiDayAllocInput},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, wins, warm := tc.input(t)
+			d, err := NewDetector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := 0
+			step := func() {
+				w := wins[idx%len(wins)]
+				w.Index = idx
+				if _, err := d.Step(w); err != nil {
+					t.Fatal(err)
+				}
+				idx++
+			}
+			for i := 0; i < warm; i++ {
+				step()
+			}
+			if got := testing.AllocsPerRun(500, step); got != 0 {
+				t.Fatalf("steady-state Step allocates %v times per window, want 0", got)
+			}
+		})
 	}
+}
+
+// keyStateAllocInput is four uniform windows, one per key state, warmed
+// for 128 steps: scratch buffers grown, every key state visited, the
+// cluster set settled.
+func keyStateAllocInput(t *testing.T) (Config, []network.Window, int) {
 	points := keyStates()
 	wins := make([]network.Window, 4)
 	for i := range wins {
 		wins[i] = uniformWindow(i, 10, points[i])
 	}
-	idx := 0
-	step := func() {
-		w := wins[idx%4]
-		w.Index = idx
-		if _, err := d.Step(w); err != nil {
-			t.Fatal(err)
+	return DefaultConfig(keyStates()), wins, 128
+}
+
+// gdiDayAllocInput is the evaluation's setup on a one-day generated GDI
+// trace: six k-means states (seed 1) over its first 24 h, hourly windows,
+// and one full replay of them as warm-up.
+func gdiDayAllocInput(t *testing.T) (Config, []network.Window, int) {
+	gcfg := gdi.DefaultGenerateConfig()
+	gcfg.Days = 1
+	tr, err := gdi.Generate(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []vecmat.Vector
+	for _, r := range tr.Readings {
+		if r.Time < 24*time.Hour {
+			points = append(points, r.Values)
 		}
-		idx++
 	}
-	// Warm up: grow scratch buffers, visit every key state, let the
-	// cluster set settle.
-	for i := 0; i < 128; i++ {
-		step()
+	seeds, err := cluster.KMeans(points, 6, rand.New(rand.NewSource(1)), 100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(500, step); got != 0 {
-		t.Fatalf("steady-state Step allocates %v times per window, want 0", got)
+	cfg := DefaultConfig(seeds)
+	cfg.Window = time.Hour
+	wins, err := network.WindowAll(tr.Readings, time.Hour)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return cfg, wins, len(wins)
 }
 
 // TestStepResultCloneIndependent pins that Clone detaches a result from the

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -30,15 +31,13 @@ type discardBatches struct{}
 func (discardBatches) Submit(Reading) error                       { return nil }
 func (discardBatches) SubmitBatch(rs []Reading) (int, int, error) { return len(rs), 0, nil }
 
-// BenchmarkReadStreamNDJSON measures the NDJSON stream reader end to end
-// short of the consumer: one 500-line body of full-precision (16- and
-// 17-digit) values through ReadStreamOpts, reported per reading.
-func BenchmarkReadStreamNDJSON(b *testing.B) {
-	const lines = 500
+// decodeBatch is one shipper batch: 500 readings of full-precision (16- and
+// 17-digit) values, the input both codecs' decode costs are measured on.
+func decodeBatch() []Reading {
 	rng := rand.New(rand.NewSource(1))
-	var body bytes.Buffer
-	for i := 0; i < lines; i++ {
-		line, err := EncodeLine(Reading{
+	rs := make([]Reading, 500)
+	for i := range rs {
+		rs[i] = Reading{
 			Deployment: "gdi-field-7",
 			Seq:        uint64(i + 1),
 			Reading: sensor.Reading{
@@ -46,23 +45,111 @@ func BenchmarkReadStreamNDJSON(b *testing.B) {
 				Time:   time.Duration(i/10) * 5 * time.Minute,
 				Values: vecmat.Vector{5 + 20*rng.Float64(), 40 + 60*rng.Float64()},
 			},
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
-		body.Write(line)
-		body.WriteByte('\n')
 	}
-	b.SetBytes(int64(body.Len()))
+	return rs
+}
+
+// encodeLines renders rs as NDJSON, one line per reading, newlines omitted.
+func encodeLines(tb testing.TB, rs []Reading) [][]byte {
+	lines := make([][]byte, len(rs))
+	for i, r := range rs {
+		line, err := EncodeLine(r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines[i] = line
+	}
+	return lines
+}
+
+// encodeFrame renders rs as one binary frame, the way the shipper sends a
+// batch.
+func encodeFrame(tb testing.TB, rs []Reading) []byte {
+	frame, err := new(FrameEncoder).AppendFrame(nil, rs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// BenchmarkReadStreamNDJSON measures the NDJSON stream reader end to end
+// short of the consumer: one decodeBatch body through ReadStreamOpts,
+// reported per reading.
+func BenchmarkReadStreamNDJSON(b *testing.B) {
+	lines := encodeLines(b, decodeBatch())
+	body := append(bytes.Join(lines, []byte("\n")), '\n')
+	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := ReadStreamOpts(bytes.NewReader(body.Bytes()), discardBatches{}, StreamOptions{})
-		if err != nil || st.Accepted != lines {
-			b.Fatalf("accepted %d of %d: %v", st.Accepted, lines, err)
+		st, err := ReadStreamOpts(bytes.NewReader(body), discardBatches{}, StreamOptions{})
+		if err != nil || st.Accepted != len(lines) {
+			b.Fatalf("accepted %d of %d: %v", st.Accepted, len(lines), err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/reading")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/reading")
+}
+
+// BenchmarkDecodeFrame measures the binary codec on the same readings as
+// BenchmarkReadStreamNDJSON: one decodeBatch frame, reported per reading.
+func BenchmarkDecodeFrame(b *testing.B) {
+	rs := decodeBatch()
+	frame := encodeFrame(b, rs)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, rejected, err := DecodeFrame(frame)
+		if err != nil || rejected != 0 || len(got) != len(rs) {
+			b.Fatalf("decoded %d of %d (%d rejected): %v", len(got), len(rs), rejected, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rs)), "ns/reading")
+}
+
+// TestBinaryDecodeCheaperThanNDJSON pins the binary codec's reason to
+// exist: a shipper batch decodes for less per reading as one frame than as
+// NDJSON lines. Each codec is scored by its fastest of many short batches,
+// interleaved and alternating which goes first. Noise from a loaded machine
+// only ever slows a batch down, so both sides reach the quiet floor and the
+// minimum is the estimate it disturbs least.
+func TestBinaryDecodeCheaperThanNDJSON(t *testing.T) {
+	rs := decodeBatch()
+	lines := encodeLines(t, rs)
+	frame := encodeFrame(t, rs)
+	ndjson := func() time.Duration {
+		start := time.Now()
+		for _, line := range lines {
+			if _, err := DecodeLine(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	binary := func() time.Duration {
+		start := time.Now()
+		if _, _, err := DecodeFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	const trials = 201
+	mn, mb := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < trials; i++ {
+		if i%2 == 0 {
+			mn = min(mn, ndjson())
+			mb = min(mb, binary())
+		} else {
+			mb = min(mb, binary())
+			mn = min(mn, ndjson())
+		}
+	}
+	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(len(rs)) }
+	t.Logf("decode per reading: NDJSON %.0f ns, binary %.0f ns (%.1fx)", per(mn), per(mb), per(mn)/per(mb))
+	if mb >= mn {
+		t.Fatalf("binary decode %.0f ns/reading is not cheaper than NDJSON %.0f ns/reading", per(mb), per(mn))
+	}
 }
 
 // BenchmarkWindowerAdd measures the streaming windower's per-reading cost on

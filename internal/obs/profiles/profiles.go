@@ -234,46 +234,6 @@ func (c *Capturer) captureLookup(kind string, nowMs int64, slug, reason string) 
 	return e, true
 }
 
-// CaptureAround runs fn with a CPU profile recording for its whole duration
-// (ignoring CPUDuration), plus the usual heap/goroutine captures after. Used
-// by sgbench to profile a bench pass end to end.
-func (c *Capturer) CaptureAround(reason string, fn func()) {
-	if c == nil {
-		fn()
-		return
-	}
-	c.mu.Lock()
-	nowMs := time.Now().UnixMilli()
-	slug := reasonSlug(reason)
-	name := fmt.Sprintf("%d-%s.cpu.pprof", nowMs, slug)
-	path := filepath.Join(c.cfg.Dir, name)
-	f, err := os.Create(path)
-	if err == nil {
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			os.Remove(path)
-			f = nil
-		}
-	} else {
-		f = nil
-	}
-	c.mu.Unlock()
-
-	fn()
-
-	c.mu.Lock()
-	if f != nil {
-		pprof.StopCPUProfile()
-		f.Close()
-		c.log.Info("profile captured", "kind", "cpu", "file", name, "reason", reason)
-	}
-	for _, kind := range []string{"heap", "goroutine"} {
-		c.captureLookup(kind, nowMs, slug, reason)
-	}
-	c.prune()
-	c.mu.Unlock()
-}
-
 // Index lists the ring's entries, newest first, by scanning the directory —
 // the filenames are the metadata, so the index survives process restarts.
 func (c *Capturer) Index() []Entry {

@@ -181,29 +181,3 @@ func TestHandlerIndexAndServe(t *testing.T) {
 		t.Fatalf("nil capturer status = %d, want 404", rec.Code)
 	}
 }
-
-// TestCaptureAround checks the bench-profiling helper: fn runs exactly once
-// and a CPU profile covering it lands in the ring.
-func TestCaptureAround(t *testing.T) {
-	c := newTestCapturer(t, Config{})
-	ran := 0
-	c.CaptureAround("bench-pass", func() { ran++ })
-	if ran != 1 {
-		t.Fatalf("fn ran %d times", ran)
-	}
-	var kinds []string
-	for _, e := range c.Index() {
-		if e.Reason == "bench-pass" {
-			kinds = append(kinds, e.Kind)
-		}
-	}
-	if len(kinds) < 2 {
-		t.Fatalf("CaptureAround landed kinds %v, want at least heap+goroutine", kinds)
-	}
-	// Nil capturer still runs fn.
-	var nilC *Capturer
-	nilC.CaptureAround("x", func() { ran++ })
-	if ran != 2 {
-		t.Fatal("nil CaptureAround skipped fn")
-	}
-}
