@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -17,12 +18,26 @@ import (
 )
 
 // A checkpoint is the complete durable state of one shard at journal
-// sequence Seq: one header record plus one record per deployment. Unlike a
+// sequence Seq: a header record, then each deployment's records. Unlike a
 // journal, a checkpoint is all-or-nothing — if any record fails to decode,
 // the whole file is invalid and recovery falls back to the previous
 // checkpoint plus a longer journal replay. Files are written to a temporary
 // name, fsynced, and renamed into place, so a crash mid-write never shadows
 // the previous checkpoint.
+//
+// After the magic line "sgckpt2\n" come CRC-framed records (codec.go): the
+// JSON header, then for each deployment, in name order, its JSON record
+// followed by Frames records that each hold one ingest binary frame. The
+// frames carry every reading the deployment buffers — the bootstrap Pending
+// buffer first, then each open window's readings in ascending window index —
+// so a reading has one binary encoding on the wire, in the journal and here.
+// The JSON record says how many readings belong where. Checkpoints written
+// before the frames ("sgckpt1\n", readings as JSON objects inside the
+// deployment record) are still read, never written; the checkpoint that
+// closes recovery replaces them.
+
+// checkpointVersion is the header version sgckpt2 files carry.
+const checkpointVersion = 2
 
 // checkpointHeader is the first record of a checkpoint file.
 type checkpointHeader struct {
@@ -34,107 +49,204 @@ type checkpointHeader struct {
 	Deployments int    `json:"deployments"`
 }
 
-// checkpointReading mirrors journalEntry's exact-time encoding for readings
-// buffered inside the checkpoint (bootstrap buffer, open windows).
-type checkpointReading struct {
-	Sensor int       `json:"sensor"`
-	TimeNS int64     `json:"time_ns"`
-	Values []float64 `json:"values"`
-}
-
-func toCheckpointReadings(rs []sensor.Reading) []checkpointReading {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := make([]checkpointReading, len(rs))
-	for i, r := range rs {
-		out[i] = checkpointReading{Sensor: r.Sensor, TimeNS: int64(r.Time), Values: r.Values.Clone()}
-	}
-	return out
-}
-
-func fromCheckpointReadings(rs []checkpointReading) ([]sensor.Reading, error) {
-	if len(rs) == 0 {
-		return nil, nil
-	}
-	out := make([]sensor.Reading, len(rs))
-	for i, r := range rs {
-		if r.TimeNS < 0 || len(r.Values) == 0 {
-			return nil, fmt.Errorf("fleet: checkpoint reading %d invalid", i)
-		}
-		out[i] = sensor.Reading{Sensor: r.Sensor, Time: time.Duration(r.TimeNS), Values: r.Values}
-	}
-	return out, nil
-}
-
-// checkpointWindower is ingest.WindowerState with readings re-encoded
-// exactly (the windower state itself already uses integer nanoseconds for
-// cursors; only the buffered readings need the explicit form).
+// checkpointWindower is ingest.WindowerState without the buffered readings,
+// which travel in the deployment's frames; Open counts each open window's
+// readings.
 type checkpointWindower struct {
-	Width    time.Duration               `json:"width"`
-	Lateness time.Duration               `json:"lateness"`
-	Open     map[int][]checkpointReading `json:"open,omitempty"`
-	Started  bool                        `json:"started"`
-	NextEmit int                         `json:"next_emit"`
-	MaxIndex int                         `json:"max_index"`
-	MaxTime  time.Duration               `json:"max_time"`
-	Late     int                         `json:"late"`
+	Width    time.Duration `json:"width"`
+	Lateness time.Duration `json:"lateness"`
+	Open     map[int]int   `json:"open_readings,omitempty"`
+	Started  bool          `json:"started"`
+	NextEmit int           `json:"next_emit"`
+	MaxIndex int           `json:"max_index"`
+	MaxTime  time.Duration `json:"max_time"`
+	Late     int           `json:"late"`
 }
 
-func toCheckpointWindower(st ingest.WindowerState) checkpointWindower {
-	out := checkpointWindower{
-		Width:    st.Width,
-		Lateness: st.Lateness,
-		Started:  st.Started,
-		NextEmit: st.NextEmit,
-		MaxIndex: st.MaxIndex,
-		MaxTime:  st.MaxTime,
-		Late:     st.Late,
-	}
-	if len(st.Open) > 0 {
-		out.Open = make(map[int][]checkpointReading, len(st.Open))
-		for idx, rs := range st.Open {
-			out.Open[idx] = toCheckpointReadings(rs)
-		}
-	}
-	return out
-}
-
-func (w checkpointWindower) state() (ingest.WindowerState, error) {
-	out := ingest.WindowerState{
+func (w checkpointWindower) state(open map[int][]sensor.Reading) ingest.WindowerState {
+	return ingest.WindowerState{
 		Width:    w.Width,
 		Lateness: w.Lateness,
+		Open:     open,
 		Started:  w.Started,
 		NextEmit: w.NextEmit,
 		MaxIndex: w.MaxIndex,
 		MaxTime:  w.MaxTime,
 		Late:     w.Late,
 	}
-	if len(w.Open) > 0 {
-		out.Open = make(map[int][]sensor.Reading, len(w.Open))
-		for idx, rs := range w.Open {
-			decoded, err := fromCheckpointReadings(rs)
-			if err != nil {
-				return out, err
-			}
-			out.Open[idx] = decoded
-		}
-	}
-	return out, nil
 }
 
-// deploymentCheckpoint is one deployment's record.
+// deploymentCheckpoint is one deployment's record and the frames after it.
 type deploymentCheckpoint struct {
-	Name        string              `json:"name"`
-	State       string              `json:"state"`
-	Started     bool                `json:"started"`
-	FirstNS     int64               `json:"first_ns"`
-	Late        int                 `json:"late"`
-	LastWireSeq uint64              `json:"last_wire_seq,omitempty"`
-	Pending     []checkpointReading `json:"pending,omitempty"`
-	Windower    *checkpointWindower `json:"windower,omitempty"`
-	Detector    *core.Snapshot      `json:"detector,omitempty"`
-	Err         string              `json:"err,omitempty"`
+	Name        string `json:"name"`
+	State       string `json:"state"`
+	Started     bool   `json:"started"`
+	FirstNS     int64  `json:"first_ns"`
+	Late        int    `json:"late"`
+	LastWireSeq uint64 `json:"last_wire_seq,omitempty"`
+	// Pending counts the bootstrap buffer's readings; Frames counts the
+	// frame records that follow this one (encodeCheckpoint sets it).
+	Pending  int                 `json:"pending_readings,omitempty"`
+	Frames   int                 `json:"frames,omitempty"`
+	Windower *checkpointWindower `json:"windower,omitempty"`
+	Detector *core.Snapshot      `json:"detector,omitempty"`
+	Err      string              `json:"err,omitempty"`
+
+	// frames are the buffered readings as ingest frames: Pending's, then
+	// each open window's in ascending index order.
+	frames [][]byte
+}
+
+// frameBuffered encodes a deployment's buffered readings — pending, then
+// each open window's in ascending index order — as ingest frames, cut so
+// none exceeds ingest.MaxFramePayload, and counts each open window's
+// readings. A reading the frame decoder would refuse is an error: a
+// checkpoint never holds a frame it could not read back.
+func frameBuffered(name string, pending []sensor.Reading, open map[int][]sensor.Reading) (frames [][]byte, counts map[int]int, err error) {
+	idxs := make([]int, 0, len(open))
+	n := len(pending)
+	for idx, rs := range open {
+		idxs = append(idxs, idx)
+		n += len(rs)
+	}
+	sort.Ints(idxs)
+	all := make([]ingest.Reading, 0, n)
+	for _, r := range pending {
+		all = append(all, ingest.Reading{Deployment: name, Reading: r})
+	}
+	if len(open) > 0 {
+		counts = make(map[int]int, len(open))
+		for _, idx := range idxs {
+			counts[idx] = len(open[idx])
+			for _, r := range open[idx] {
+				all = append(all, ingest.Reading{Deployment: name, Reading: r})
+			}
+		}
+	}
+	for i := range all {
+		if err := ingest.CheckFrameReading(all[i]); err != nil {
+			return nil, nil, fmt.Errorf("fleet: deployment %s buffered reading %d: %w", name, i, err)
+		}
+	}
+	var enc ingest.FrameEncoder
+	for rs := all; len(rs) > 0; {
+		cut, size := 1, readingBudget(&rs[0])
+		for ; cut < len(rs); cut++ {
+			if size += readingBudget(&rs[cut]); size > ingest.MaxFramePayload {
+				break
+			}
+		}
+		frame, err := enc.AppendFrame(nil, rs[:cut])
+		if err != nil {
+			return nil, nil, fmt.Errorf("fleet: deployment %s: %w", name, err)
+		}
+		frames = append(frames, frame)
+		rs = rs[cut:]
+	}
+	return frames, counts, nil
+}
+
+// readings decodes the record's frames back into the bootstrap buffer and
+// the open windows. A frame that fails to decode, holds a reading the
+// decoder rejects or names another deployment, or a reading count that
+// disagrees with the record, is an error.
+func (rec *deploymentCheckpoint) readings() (pending []sensor.Reading, open map[int][]sensor.Reading, err error) {
+	size := 0
+	for _, f := range rec.frames {
+		size += len(f)
+	}
+	// Every reading carries at least one 8-byte value, which bounds the
+	// counts before anything is sized by them.
+	want := rec.Pending
+	var idxs []int
+	if rec.Windower != nil {
+		for idx, n := range rec.Windower.Open {
+			if n < 0 || n > size/8 {
+				return nil, nil, fmt.Errorf("fleet: deployment %s window %d lists %d readings", rec.Name, idx, n)
+			}
+			idxs = append(idxs, idx)
+			want += n
+		}
+	}
+	if rec.Pending < 0 || want > size/8 {
+		return nil, nil, fmt.Errorf("fleet: deployment %s lists %d buffered readings in %d frame bytes", rec.Name, want, size)
+	}
+	all := make([]sensor.Reading, 0, want)
+	var scratch []ingest.Reading
+	for i, f := range rec.frames {
+		rs, rejected, err := ingest.DecodeFrameInto(f, scratch)
+		if err != nil {
+			return nil, nil, fmt.Errorf("fleet: deployment %s frame %d: %w", rec.Name, i, err)
+		}
+		if rejected > 0 {
+			return nil, nil, fmt.Errorf("fleet: deployment %s frame %d holds %d invalid readings", rec.Name, i, rejected)
+		}
+		for j := range rs {
+			if rs[j].Deployment != rec.Name {
+				return nil, nil, fmt.Errorf("fleet: deployment %s frame %d holds a reading of %q", rec.Name, i, rs[j].Deployment)
+			}
+			all = append(all, rs[j].Reading)
+		}
+		scratch = rs
+	}
+	if len(all) != want {
+		return nil, nil, fmt.Errorf("fleet: deployment %s frames hold %d readings, record lists %d", rec.Name, len(all), want)
+	}
+	if rec.Pending > 0 {
+		pending, all = all[:rec.Pending:rec.Pending], all[rec.Pending:]
+	}
+	if len(idxs) > 0 {
+		sort.Ints(idxs)
+		open = make(map[int][]sensor.Reading, len(idxs))
+		for _, idx := range idxs {
+			n := rec.Windower.Open[idx]
+			open[idx], all = all[:n:n], all[n:]
+		}
+	}
+	return pending, open, nil
+}
+
+// checkpointReadingsV1 is where an sgckpt1 deployment record kept its
+// buffered readings: inline JSON objects of journalEntryV1's shape (sensor,
+// time_ns, values). Read-only, for recovery across upgrades.
+type checkpointReadingsV1 struct {
+	Pending  []journalEntryV1 `json:"pending"`
+	Windower *struct {
+		Open map[int][]journalEntryV1 `json:"open"`
+	} `json:"windower"`
+}
+
+// readV1 moves an sgckpt1 record's inline readings into frames, so both
+// versions restore through one path. A reading frames cannot carry (no
+// values) invalidates the record, as it did in sgckpt1.
+func (rec *deploymentCheckpoint) readV1(raw []byte) error {
+	var v1 checkpointReadingsV1
+	if err := json.Unmarshal(raw, &v1); err != nil {
+		return err
+	}
+	convert := func(es []journalEntryV1) []sensor.Reading {
+		out := make([]sensor.Reading, len(es))
+		for i, e := range es {
+			out[i] = sensor.Reading{Sensor: e.Sensor, Time: time.Duration(e.TimeNS), Values: e.Values}
+		}
+		return out
+	}
+	var open map[int][]sensor.Reading
+	if rec.Windower != nil && v1.Windower != nil && len(v1.Windower.Open) > 0 {
+		open = make(map[int][]sensor.Reading, len(v1.Windower.Open))
+		for idx, es := range v1.Windower.Open {
+			open[idx] = convert(es)
+		}
+	}
+	frames, counts, err := frameBuffered(rec.Name, convert(v1.Pending), open)
+	if err != nil {
+		return err
+	}
+	rec.frames, rec.Pending = frames, len(v1.Pending)
+	if rec.Windower != nil {
+		rec.Windower.Open = counts
+	}
+	return nil
 }
 
 // checkpointFile is the decoded form of one valid checkpoint.
@@ -147,8 +259,10 @@ func checkpointPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", seq))
 }
 
-// encodeCheckpoint frames the header and deployment records.
+// encodeCheckpoint frames the header and deployment records, each
+// deployment's frames right after its record, as sgckpt2.
 func encodeCheckpoint(hdr checkpointHeader, deps []deploymentCheckpoint) ([]byte, error) {
+	hdr.Version = checkpointVersion
 	hdr.Deployments = len(deps)
 	buf := []byte(checkpointMagic)
 	payload, err := json.Marshal(hdr)
@@ -157,11 +271,15 @@ func encodeCheckpoint(hdr checkpointHeader, deps []deploymentCheckpoint) ([]byte
 	}
 	buf = appendRecord(buf, payload)
 	for _, d := range deps {
+		d.Frames = len(d.frames)
 		payload, err := json.Marshal(d)
 		if err != nil {
 			return nil, err
 		}
 		buf = appendRecord(buf, payload)
+		for _, f := range d.frames {
+			buf = appendRecord(buf, f)
+		}
 	}
 	return buf, nil
 }
@@ -202,10 +320,17 @@ func writeCheckpoint(fsys chaos.FS, dir string, hdr checkpointHeader, deps []dep
 	return len(buf), nil
 }
 
-// decodeCheckpoint validates a checkpoint file completely. Any torn frame,
-// header mismatch, or record-count shortfall invalidates the whole file.
+// decodeCheckpoint validates a checkpoint file's framing, header and
+// records, sgckpt2 or sgckpt1. Any torn frame, header mismatch, or record
+// count that disagrees with the header or a deployment record invalidates
+// the whole file. The frames stay encoded (and alias data) until
+// restoreDeployment decodes them.
 func decodeCheckpoint(data []byte, wantShard, wantShards int) (*checkpointFile, error) {
-	records, tail := readAllRecords(data, checkpointMagic)
+	magic, version := checkpointMagic, checkpointVersion
+	if bytes.HasPrefix(data, []byte(checkpointMagicV1)) {
+		magic, version = checkpointMagicV1, 1
+	}
+	records, tail := readAllRecords(data, magic)
 	if tail != nil {
 		return nil, fmt.Errorf("fleet: checkpoint damaged: %w", tail)
 	}
@@ -216,29 +341,41 @@ func decodeCheckpoint(data []byte, wantShard, wantShards int) (*checkpointFile, 
 	if err := json.Unmarshal(records[0], &hdr); err != nil {
 		return nil, fmt.Errorf("fleet: checkpoint header: %w", err)
 	}
-	if hdr.Version != 1 {
-		return nil, fmt.Errorf("fleet: checkpoint version %d, want 1", hdr.Version)
+	if hdr.Version != version {
+		return nil, fmt.Errorf("fleet: checkpoint version %d, want %d", hdr.Version, version)
 	}
 	if hdr.Shard != wantShard || hdr.Shards != wantShards {
 		return nil, fmt.Errorf("fleet: checkpoint belongs to shard %d/%d, want %d/%d",
 			hdr.Shard, hdr.Shards, wantShard, wantShards)
 	}
-	if hdr.Deployments != len(records)-1 {
-		return nil, fmt.Errorf("fleet: checkpoint lists %d deployments, file holds %d",
-			hdr.Deployments, len(records)-1)
-	}
 	out := &checkpointFile{header: hdr}
-	seen := make(map[string]bool, hdr.Deployments)
-	for i, rec := range records[1:] {
+	seen := make(map[string]bool)
+	for i, rest := 0, records[1:]; len(rest) > 0; i++ {
 		var d deploymentCheckpoint
-		if err := json.Unmarshal(rec, &d); err != nil {
+		if err := json.Unmarshal(rest[0], &d); err != nil {
 			return nil, fmt.Errorf("fleet: checkpoint deployment record %d: %w", i, err)
 		}
 		if d.Name == "" || seen[d.Name] {
 			return nil, fmt.Errorf("fleet: checkpoint deployment record %d has missing or duplicate name", i)
 		}
+		if version == 1 {
+			if err := d.readV1(rest[0]); err != nil {
+				return nil, fmt.Errorf("fleet: checkpoint deployment record %d: %w", i, err)
+			}
+			rest = rest[1:]
+		} else {
+			if d.Frames < 0 || d.Frames > len(rest)-1 {
+				return nil, fmt.Errorf("fleet: checkpoint deployment record %d lists %d frames, file holds %d more records",
+					i, d.Frames, len(rest)-1)
+			}
+			d.frames, rest = rest[1:1+d.Frames:1+d.Frames], rest[1+d.Frames:]
+		}
 		seen[d.Name] = true
 		out.deployments = append(out.deployments, d)
+	}
+	if hdr.Deployments != len(out.deployments) {
+		return nil, fmt.Errorf("fleet: checkpoint lists %d deployments, file holds %d",
+			hdr.Deployments, len(out.deployments))
 	}
 	return out, nil
 }

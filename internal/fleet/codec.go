@@ -22,9 +22,10 @@ import (
 // crash cut off), checkpoints must decode completely or not at all (a half
 // checkpoint is not a consistent state).
 const (
-	journalMagic    = "sgwal2\n" // binary batch records (journal.go)
-	journalMagicV1  = "sgwal1\n" // JSON records: read-only, for recovery across upgrades
-	checkpointMagic = "sgckpt1\n"
+	journalMagic      = "sgwal2\n"  // binary batch records (journal.go)
+	journalMagicV1    = "sgwal1\n"  // JSON records: read-only, for recovery across upgrades
+	checkpointMagic   = "sgckpt2\n" // buffered readings as frame records (checkpoint.go)
+	checkpointMagicV1 = "sgckpt1\n" // buffered readings as JSON: read-only, likewise
 
 	// maxRecordLen bounds a single record so a corrupted length prefix
 	// cannot drive an allocation by gigabytes. Checkpoint records carry a

@@ -14,6 +14,7 @@ import (
 	"sensorguard/internal/core"
 	"sensorguard/internal/ingest"
 	"sensorguard/internal/obs"
+	"sensorguard/internal/sensor"
 )
 
 // Durability configures the write-ahead journal and periodic checkpoints.
@@ -41,11 +42,13 @@ type Durability struct {
 	// trigger the crash tests rely on. Zero disables the count trigger.
 	EveryN int
 	// Recover loads the newest valid checkpoint and replays the journal
-	// tail before the workers start. Without it, existing state in Dir is
-	// ignored (and will be overwritten).
+	// tail before the workers start, all shards at once; nothing is
+	// written unless every shard loads. Without it, existing state in Dir
+	// is ignored (and will be overwritten).
 	Recover bool
 	// RestoreDetector rebuilds a deployment's detector from its snapshot;
-	// it must mirror Config.NewDetector's parameters. Default:
+	// it must mirror Config.NewDetector's parameters and, since shards
+	// recover in parallel, be safe for concurrent use. Default:
 	// core.RestoreDetector over core.DefaultConfig with Window installed.
 	RestoreDetector func(*core.Snapshot) (*core.Detector, error)
 	// FS is the filesystem every journal and checkpoint operation goes
@@ -345,31 +348,84 @@ func shardDir(root string, id int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%d", id))
 }
 
-// initDurability prepares the shard's directory and — with Recover — loads
-// its persisted state before the worker starts.
-func (s *shard) initDurability() error {
-	cfg := s.pool.cfg.Durability
-	dir := shardDir(cfg.Dir, s.id)
-	if err := cfg.FS.MkdirAll(dir, 0o755); err != nil {
+// initDurability readies every shard's journal before the workers start.
+// With Recover it runs in two phases, so that a failed recovery changes
+// nothing on disk. First every shard, in parallel, loads its state in memory
+// (recoverState reads but never writes). Then, only if every shard loaded,
+// each shard — again in parallel — creates its directory, clears stray
+// temporaries and opens its journal (openDurable). The error returned is the
+// lowest-numbered failing shard's, and on any failure every journal opened
+// is closed again.
+func (p *Pool) initDurability() error {
+	cfg := p.cfg.Durability
+	for _, s := range p.shards {
+		s.dur = &durableShard{
+			dir:         shardDir(cfg.Dir, s.id),
+			fs:          cfg.FS,
+			shard:       s.id,
+			shards:      len(p.shards),
+			breakerBase: cfg.BreakerBase,
+			breakerMax:  cfg.BreakerMax,
+			log:         p.cfg.Logger,
+			degradeEdge: p.degradeEdges,
+			enqueue:     s.enqueue,
+		}
+		s.dur.idle = sync.NewCond(&s.dur.mu)
+	}
+	collapse := make([]bool, len(p.shards))
+	if cfg.Recover {
+		err := p.eachShard(func(s *shard) (err error) {
+			collapse[s.id], err = s.recoverState()
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	err := p.eachShard(func(s *shard) error { return s.openDurable(collapse[s.id]) })
+	if err != nil {
+		for _, s := range p.shards {
+			s.dur.journal.close()
+		}
+	}
+	return err
+}
+
+// eachShard runs fn on every shard at once, one goroutine per shard, and
+// returns the lowest-numbered shard's error.
+func (p *Pool) eachShard(fn func(*shard) error) error {
+	errs := make([]error, len(p.shards))
+	var wg sync.WaitGroup
+	for i, s := range p.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// openDurable prepares the shard's directory and opens its journal: a fresh
+// segment at base 0, or — when collapse says recovery loaded state — the
+// checkpoint that collapses the recovery, which also opens the next segment
+// and prunes what the replay made redundant.
+func (s *shard) openDurable(collapse bool) error {
+	dir, fsys := s.dur.dir, s.dur.fs
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	s.dur = &durableShard{
-		dir:         dir,
-		fs:          cfg.FS,
-		shard:       s.id,
-		shards:      len(s.pool.shards),
-		breakerBase: cfg.BreakerBase,
-		breakerMax:  cfg.BreakerMax,
-		log:         s.pool.cfg.Logger,
-		degradeEdge: s.pool.degradeEdges,
-		enqueue:     s.enqueue,
-	}
-	s.dur.idle = sync.NewCond(&s.dur.mu)
 	s.cleanTemporaries(dir)
-	if cfg.Recover {
-		return s.recoverState()
+	if collapse {
+		return s.checkpoint()
 	}
-	jw, err := openJournal(cfg.FS, dir, s.id, len(s.pool.shards), 0)
+	jw, err := openJournal(fsys, dir, s.id, s.dur.shards, 0)
 	if err != nil {
 		return err
 	}
@@ -393,18 +449,20 @@ func (s *shard) cleanTemporaries(dir string) {
 	}
 }
 
-// recoverState loads the newest fully-valid checkpoint, replays the journal
-// tail through the normal handle path, and collapses the result into a fresh
-// checkpoint + journal segment. Corrupt files fall back (older checkpoint,
-// shorter replay); configuration mismatches are hard errors.
-func (s *shard) recoverState() error {
+// recoverState loads the newest fully-valid checkpoint and replays the
+// journal tail through the normal handle path, in memory only: it writes
+// nothing, so openDurable can collapse the result into a fresh checkpoint +
+// journal segment once every shard has loaded. collapse reports whether
+// there was any state to collapse. Corrupt files fall back (older
+// checkpoint, shorter replay); configuration mismatches are hard errors.
+func (s *shard) recoverState() (collapse bool, err error) {
 	dir := s.dur.dir
 	fsys := s.dur.fs
 	n := len(s.pool.shards)
 
 	ckpts, err := listCheckpoints(fsys, dir)
 	if err != nil {
-		return err
+		return false, err
 	}
 	var loaded *checkpointFile
 	var restored map[string]*deployment
@@ -418,7 +476,7 @@ func (s *shard) recoverState() error {
 			continue // damaged or foreign: fall back to the previous one
 		}
 		if cf.header.WindowNS != int64(s.pool.cfg.Window) {
-			return fmt.Errorf("fleet: checkpoint %s was taken with window %s, pool configured for %s",
+			return false, fmt.Errorf("fleet: checkpoint %s was taken with window %s, pool configured for %s",
 				ckpts[i].path, time.Duration(cf.header.WindowNS), s.pool.cfg.Window)
 		}
 		deps, err := s.restoreAll(cf)
@@ -438,7 +496,7 @@ func (s *shard) recoverState() error {
 
 	segs, err := listJournals(fsys, dir)
 	if err != nil {
-		return err
+		return false, err
 	}
 	// Replay starts at the segment with the largest base ≤ the checkpoint
 	// seq (records accepted while that checkpoint was being written live
@@ -452,13 +510,13 @@ func (s *shard) recoverState() error {
 		}
 	}
 	if floor < 0 && len(segs) > 0 && base > 0 {
-		return fmt.Errorf("fleet: shard %d journal gap: no segment covers checkpoint seq %d", s.id, base)
+		return false, fmt.Errorf("fleet: shard %d journal gap: no segment covers checkpoint seq %d", s.id, base)
 	}
 	maxSeq, replayed := base, 0
 	for i := max(floor, 0); i < len(segs); i++ {
 		data, err := fsys.ReadFile(segs[i].path)
 		if err != nil {
-			return err
+			return false, err
 		}
 		gap := false
 		err = decodeSegment(data, s.id, n, func(seq uint64, r ingest.Reading) bool {
@@ -478,26 +536,15 @@ func (s *shard) recoverState() error {
 			return true
 		})
 		if err != nil {
-			return fmt.Errorf("fleet: journal %s: %w", segs[i].path, err)
+			return false, fmt.Errorf("fleet: journal %s: %w", segs[i].path, err)
 		}
 		if gap {
 			break
 		}
 	}
 	s.dur.nextSeq = maxSeq
-
-	if loaded == nil && replayed == 0 {
-		jw, err := openJournal(fsys, dir, s.id, n, 0)
-		if err != nil {
-			return err
-		}
-		s.dur.journal = jw
-		return nil
-	}
-	// Collapse recovery into one fresh checkpoint (which also opens the
-	// next journal segment and prunes what the replay made redundant).
 	s.applied = maxSeq
-	return s.checkpoint()
+	return loaded != nil || replayed > 0, nil
 }
 
 // restoreAll rebuilds every deployment of a checkpoint, all-or-nothing.
@@ -535,19 +582,16 @@ func (s *shard) restoreDeployment(rec deploymentCheckpoint) (*deployment, error)
 		lastWireSeq: rec.LastWireSeq,
 		quarantined: rec.State == StateQuarantined,
 	}
-	pending, err := fromCheckpointReadings(rec.Pending)
+	pending, open, err := rec.readings()
 	if err != nil {
-		return nil, fmt.Errorf("fleet: deployment %s: %w", rec.Name, err)
+		return nil, err
 	}
 	d.pending = pending
 	if (rec.Detector == nil) != (rec.Windower == nil) {
 		return nil, fmt.Errorf("fleet: deployment %s has detector/windower mismatch", rec.Name)
 	}
 	if rec.Windower != nil {
-		st, err := rec.Windower.state()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: deployment %s: %w", rec.Name, err)
-		}
+		st := rec.Windower.state(open)
 		if st.Width != cfg.Window || st.Lateness != cfg.Lateness {
 			return nil, fmt.Errorf("fleet: deployment %s windower was built for window %s/lateness %s, pool configured for %s/%s",
 				rec.Name, st.Width, st.Lateness, cfg.Window, cfg.Lateness)
@@ -662,7 +706,6 @@ func (s *shard) checkpoint() error {
 		records = append(records, rec)
 	}
 	hdr := checkpointHeader{
-		Version:  1,
 		Shard:    s.id,
 		Shards:   len(s.pool.shards),
 		Seq:      seq,
@@ -704,7 +747,7 @@ func (s *shard) exportDeployment(d *deployment) (deploymentCheckpoint, error) {
 		FirstNS:     int64(d.first),
 		Late:        d.late,
 		LastWireSeq: d.lastWireSeq,
-		Pending:     toCheckpointReadings(d.pending),
+		Pending:     len(d.pending),
 	}
 	det, derr := d.snapshot()
 	if derr != nil {
@@ -717,9 +760,27 @@ func (s *shard) exportDeployment(d *deployment) (deploymentCheckpoint, error) {
 		}
 		rec.Detector = snap
 	}
+	var open map[int][]sensor.Reading
 	if d.wd != nil {
-		st := toCheckpointWindower(d.wd.Export())
-		rec.Windower = &st
+		st := d.wd.Export()
+		open = st.Open
+		rec.Windower = &checkpointWindower{
+			Width:    st.Width,
+			Lateness: st.Lateness,
+			Started:  st.Started,
+			NextEmit: st.NextEmit,
+			MaxIndex: st.MaxIndex,
+			MaxTime:  st.MaxTime,
+			Late:     st.Late,
+		}
+	}
+	frames, counts, err := frameBuffered(d.name, d.pending, open)
+	if err != nil {
+		return rec, err
+	}
+	rec.frames = frames
+	if rec.Windower != nil {
+		rec.Windower.Open = counts
 	}
 	return rec, nil
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -582,12 +586,212 @@ func TestRestoreRejectsBadDeploymentRecords(t *testing.T) {
 		"windower-only": {Name: "d", State: StateRunning,
 			Windower: &checkpointWindower{Width: cfg.Window, Lateness: cfg.Lateness}},
 		"bad-pending": {Name: "d", State: StateBootstrapping,
-			Pending: []checkpointReading{{Sensor: 0, TimeNS: -5, Values: []float64{1}}}},
+			Pending: 1, frames: [][]byte{{ingest.FrameMagic, ingest.FrameVersion, 0xff}}},
 	}
 	s := &shard{pool: &Pool{cfg: cfg}}
 	for name, rec := range cases {
 		if _, err := s.restoreDeployment(rec); err == nil {
 			t.Errorf("%s: restored without error", name)
 		}
+	}
+}
+
+// spreadDeployments names perShard deployments routed to each of shards
+// shards.
+func spreadDeployments(shards, perShard int) []string {
+	var out []string
+	count := make([]int, shards)
+	for i := 0; len(out) < shards*perShard; i++ {
+		name := fmt.Sprintf("dep-%d", i)
+		if s := shardIndex(name, shards); count[s] < perShard {
+			count[s]++
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// bootstrapCut is the index of the first reading at or after 23 h: a crash
+// there leaves every checkpoint inside the 24 h bootstrap.
+func bootstrapCut(tr gdi.Trace) int {
+	for i, r := range tr.Readings {
+		if r.Time >= 23*time.Hour {
+			return i
+		}
+	}
+	return len(tr.Readings)
+}
+
+// TestCrashRecoveryParallelShards: four shards, deployments on every one,
+// killed while each shard's newest checkpoint holds its deployments'
+// bootstrap buffers, recover in parallel and must still match the
+// uninterrupted run.
+func TestCrashRecoveryParallelShards(t *testing.T) {
+	tr := stuckTrace(t, 3)
+	deployments := spreadDeployments(4, 2)
+	want := referenceReports(t, tr, deployments)
+	cut := bootstrapCut(tr)
+
+	dir := t.TempDir()
+	cfg := durableConfig(dir, false)
+	cfg.Shards = 4
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitInterleaved(t, first, deployments, tr, 0, cut)
+	first.abort()
+	for id := 0; id < 4; id++ {
+		ckpts, err := listCheckpoints(chaos.OS, shardDir(dir, id))
+		if err != nil || len(ckpts) == 0 {
+			t.Fatalf("shard %d: no checkpoint (%v)", id, err)
+		}
+		data, err := os.ReadFile(ckpts[len(ckpts)-1].path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := decodeCheckpoint(data, id, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cf.deployments) != 2 {
+			t.Fatalf("shard %d checkpoint holds %d deployments, want 2", id, len(cf.deployments))
+		}
+		for _, d := range cf.deployments {
+			if d.State != StateBootstrapping || d.Pending == 0 || len(d.frames) == 0 {
+				t.Fatalf("shard %d: %s is %s with %d pending readings, want a bootstrap buffer", id, d.Name, d.State, d.Pending)
+			}
+		}
+	}
+
+	cfg.Durability.Recover = true
+	second, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	submitInterleaved(t, second, deployments, tr, cut, len(tr.Readings))
+	second.Drain()
+	compareReports(t, collectReports(t, second, deployments), want)
+}
+
+// snapshotTree reads every file under dir, keyed by relative path.
+func snapshotTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		out[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// handleCountFS counts the files it has open.
+type handleCountFS struct {
+	chaos.FS
+	open atomic.Int64
+}
+
+func (c *handleCountFS) OpenFile(name string, flag int, perm fs.FileMode) (chaos.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	c.open.Add(1)
+	return &countedFile{File: f, fs: c}, nil
+}
+
+type countedFile struct {
+	chaos.File
+	fs     *handleCountFS
+	closed sync.Once
+}
+
+func (f *countedFile) Close() error {
+	f.closed.Do(func() { f.fs.open.Add(-1) })
+	return f.File.Close()
+}
+
+// TestRecoveryFailureLeavesDiskUntouched: a recovery that fails on some
+// shards changes nothing on disk, reports the lowest-numbered failing
+// shard's error, and closes every journal it opened; a later recovery with
+// a healthy disk still matches the uninterrupted run.
+func TestRecoveryFailureLeavesDiskUntouched(t *testing.T) {
+	tr := stuckTrace(t, 3)
+	deployments := spreadDeployments(4, 1)
+	want := referenceReports(t, tr, deployments)
+	n := len(tr.Readings)
+	cut := n / 2
+
+	dir := t.TempDir()
+	cfg := durableConfig(dir, false)
+	cfg.Shards = 4
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitInterleaved(t, first, deployments, tr, 0, cut)
+	first.abort()
+	image := snapshotTree(t, dir)
+
+	ffs := chaos.NewFaultFS(chaos.OS)
+	counter := &handleCountFS{FS: ffs}
+	cfg.Durability.Recover = true
+	cfg.Durability.FS = counter
+
+	// Loading fails on shards 1 and 3: shards 0 and 2 load fine but must
+	// not write their collapse checkpoints.
+	ffs.AddRule(&chaos.Rule{Op: chaos.OpRead, Path: "shard-1" + string(filepath.Separator) + "journal-", Err: syscall.EIO})
+	ffs.AddRule(&chaos.Rule{Op: chaos.OpRead, Path: "shard-3" + string(filepath.Separator) + "journal-", Err: syscall.EIO})
+	_, err = New(cfg)
+	if err == nil {
+		t.Fatal("recovery succeeded with unreadable journals")
+	}
+	if !strings.Contains(err.Error(), "shard-1") {
+		t.Errorf("error %q is not shard 1's", err)
+	}
+	after := snapshotTree(t, dir)
+	if len(after) != len(image) {
+		t.Errorf("failed recovery left %d files, image has %d", len(after), len(image))
+	}
+	for path, data := range image {
+		if !bytes.Equal(after[path], data) {
+			t.Errorf("failed recovery changed %s", path)
+		}
+	}
+	if open := counter.open.Load(); open != 0 {
+		t.Errorf("failed recovery left %d files open", open)
+	}
+
+	// Committing fails on shard 2 after the others have opened their
+	// journals: every one of them must be closed again.
+	ffs.Clear()
+	ffs.AddRule(&chaos.Rule{Op: chaos.OpRename, Path: "shard-2" + string(filepath.Separator) + "checkpoint-", Err: syscall.EIO})
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "shard-2") {
+		t.Fatalf("commit failure: error %v, want shard 2's", err)
+	}
+	if open := counter.open.Load(); open != 0 {
+		t.Errorf("failed commit left %d files open", open)
+	}
+
+	ffs.Clear()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	submitInterleaved(t, p, deployments, tr, cut, n)
+	p.Drain()
+	compareReports(t, collectReports(t, p, deployments), want)
+	if open := counter.open.Load(); open != 0 {
+		t.Errorf("drained pool left %d files open", open)
 	}
 }

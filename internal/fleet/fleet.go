@@ -263,8 +263,10 @@ type Pool struct {
 }
 
 // New builds and starts the pool; callers must Drain it when done. With
-// durability configured, recovery (checkpoint load + journal replay) runs
-// here, before any worker starts, so a returned pool is always consistent.
+// durability configured, recovery (checkpoint load + journal replay, every
+// shard in parallel) runs here, before any worker starts, so a returned
+// pool is always consistent; a failed recovery leaves the directory as it
+// was.
 func New(cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Lateness < 0 {
@@ -302,10 +304,8 @@ func New(cfg Config) (*Pool, error) {
 		p.shards[i] = newShard(i, p)
 	}
 	if cfg.Durability.Dir != "" {
-		for _, s := range p.shards {
-			if err := s.initDurability(); err != nil {
-				return nil, err
-			}
+		if err := p.initDurability(); err != nil {
+			return nil, err
 		}
 	}
 	for i := range p.shards {

@@ -16,17 +16,22 @@ import (
 // from the real format rather than random bytes.
 func fuzzSeedCheckpoint(tb testing.TB) []byte {
 	tb.Helper()
-	hdr := checkpointHeader{Version: 1, Shard: 0, Shards: 1, Seq: 42, WindowNS: int64(time.Hour)}
+	hdr := checkpointHeader{Shard: 0, Shards: 1, Seq: 42, WindowNS: int64(time.Hour)}
+	frame, err := ingest.EncodeFrame([]ingest.Reading{
+		{Deployment: "alpha", Reading: sensor.Reading{Sensor: 0, Time: time.Minute, Values: vecmat.Vector{15, 80}}},
+		{Deployment: "alpha", Reading: sensor.Reading{Sensor: 1, Time: 2 * time.Minute, Values: vecmat.Vector{16, 81}}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	deps := []deploymentCheckpoint{
 		{
 			Name:    "alpha",
 			State:   StateBootstrapping,
 			Started: true,
 			FirstNS: int64(time.Minute),
-			Pending: []checkpointReading{
-				{Sensor: 0, TimeNS: int64(time.Minute), Values: []float64{15, 80}},
-				{Sensor: 1, TimeNS: int64(2 * time.Minute), Values: []float64{16, 81}},
-			},
+			Pending: 2,
+			frames:  [][]byte{frame},
 		},
 		{Name: "beta", State: StateFailed, Err: "window 3: step failed"},
 	}
@@ -37,12 +42,24 @@ func fuzzSeedCheckpoint(tb testing.TB) []byte {
 	return buf
 }
 
+// fuzzSeedCheckpointV1 is the same checkpoint as sgckpt1, built by hand
+// because nothing writes that format any more: the buffered readings sit
+// inside the deployment record as JSON objects.
+func fuzzSeedCheckpointV1() []byte {
+	buf := appendRecord([]byte(checkpointMagicV1),
+		[]byte(`{"version":1,"shard":0,"shards":1,"seq":42,"window_ns":3600000000000,"deployments":2}`))
+	buf = appendRecord(buf, []byte(`{"name":"alpha","state":"bootstrapping","started":true,"first_ns":60000000000,"late":0,`+
+		`"pending":[{"sensor":0,"time_ns":60000000000,"values":[15,80]},{"sensor":1,"time_ns":120000000000,"values":[16,81]}]}`))
+	return appendRecord(buf, []byte(`{"name":"beta","state":"failed","started":false,"first_ns":0,"late":0,"err":"window 3: step failed"}`))
+}
+
 // FuzzCheckpointDecode throws arbitrary bytes at the checkpoint codec and the
 // deployment-restore layer behind it. The invariants: no panic, and either a
 // clean error (the caller falls back to the previous checkpoint) or a fully
 // valid set of deployments — never partial state.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(fuzzSeedCheckpoint(f))
+	f.Add(fuzzSeedCheckpointV1())
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte("sgckpt1\n\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte{})

@@ -213,6 +213,7 @@ func decodeSegmentV2(data []byte, wantShard, wantShards int, fn func(seq uint64,
 		return err
 	}
 	last, started := fields[2], false
+	var slab []ingest.Reading // reused across records: fn gets each reading by value
 	for {
 		rec, rest, err := nextRecord(data)
 		if err != nil || len(rec) < 8 {
@@ -220,10 +221,11 @@ func decodeSegmentV2(data []byte, wantShard, wantShards int, fn func(seq uint64,
 		}
 		data = rest
 		first := binary.LittleEndian.Uint64(rec[:8])
-		rs, rejected, err := ingest.DecodeFrame(rec[8:])
+		rs, rejected, err := ingest.DecodeFrameInto(rec[8:], slab)
 		if err != nil || rejected > 0 {
 			return nil
 		}
+		slab = rs
 		end := first + uint64(len(rs)) - 1
 		if first <= last || (started && first != last+1) || end < first {
 			return nil

@@ -132,7 +132,7 @@ func decodeWorker(jobs <-chan decodeJob) {
 	for j := range jobs {
 		t0 := time.Now()
 		slab := readingSlabPool.Get().(*[]Reading)
-		readings, rejected, err := decodeFrameInto(*j.buf, *slab)
+		readings, rejected, err := DecodeFrameInto(*j.buf, *slab)
 		busy := time.Since(t0)
 		frameBufPool.Put(j.buf)
 		if err != nil {
@@ -141,7 +141,7 @@ func decodeWorker(jobs <-chan decodeJob) {
 			slab = nil
 			var fe *FrameError
 			if errors.As(err, &fe) {
-				// decodeFrameInto sees one frame at a time; report the
+				// DecodeFrameInto sees one frame at a time; report the
 				// ordinal within the stream instead.
 				err = &FrameError{Frame: j.frameNo, Err: fe.Err}
 			}

@@ -260,14 +260,14 @@ func EncodeFrame(rs []Reading) ([]byte, error) {
 // tolerance. Returned Values slices are freshly allocated per frame and do
 // not alias data.
 func DecodeFrame(frame []byte) (readings []Reading, rejected int, err error) {
-	return decodeFrameInto(frame, nil)
+	return DecodeFrameInto(frame, nil)
 }
 
-// decodeFrameInto is DecodeFrame decoding into dst's backing array when it
+// DecodeFrameInto is DecodeFrame decoding into dst's backing array when it
 // is large enough (dst's contents are overwritten), so a caller that owns
 // the slab can reuse it across frames. The Values slices are still freshly
 // allocated per frame: the windower keeps them.
-func decodeFrameInto(frame []byte, dst []Reading) (readings []Reading, rejected int, err error) {
+func DecodeFrameInto(frame []byte, dst []Reading) (readings []Reading, rejected int, err error) {
 	if len(frame) < frameHeaderLen+frameTrailerLen {
 		return nil, 0, &FrameError{Frame: 1, Err: errors.New("truncated frame")}
 	}
