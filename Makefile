@@ -43,6 +43,6 @@ scenarios-smoke:
 # shipper, plus the torn-checkpoint and degraded-crash convergence proofs.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaosEndToEnd|TestSentinelTornCheckpointRecovery|TestJournalFaultDegradesThenRecovers|TestDegradedCrashConvergence|TestCheckpointFailureCoolsDownAndSurfaces|TestTCPAcceptRetriesTransientErrors' \
+		-run 'TestChaosEndToEnd|TestSentinelTornCheckpointRecovery|TestJournalFaultDegradesThenRecovers|TestDegradedCrashConvergence|TestCheckpointFailureCoolsDownAndSurfaces|TestTCPAcceptRetriesTransientErrors|TestTCPCloseSeversLateConnection' \
 		./cmd/sentinel ./internal/fleet ./internal/ingest
 	$(GO) test -race -count=1 ./internal/chaos

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sensorguard"
+	"sensorguard/internal/ingest"
 )
 
 func TestRunGeneratesCSV(t *testing.T) {
@@ -129,9 +130,9 @@ type frameCollector struct {
 	readings []sensorguard.IngestReading
 }
 
-func (c *frameCollector) Submit(r sensorguard.IngestReading) error {
-	c.readings = append(c.readings, r)
-	return nil
+func (c *frameCollector) SubmitBatch(rs []sensorguard.IngestReading) (int, int, error) {
+	c.readings = append(c.readings, rs...)
+	return len(rs), 0, nil
 }
 
 func TestRunStreamBinaryWire(t *testing.T) {
@@ -155,7 +156,7 @@ func TestRunStreamBinaryWire(t *testing.T) {
 		t.Fatalf("output does not start with the frame magic byte: % x", buf.Bytes()[:min(buf.Len(), 8)])
 	}
 	var col frameCollector
-	st, err := sensorguard.ReadIngestWire(&buf, &col, nil)
+	st, err := ingest.ReadWireStream(&buf, &col, ingest.StreamOptions{})
 	if err != nil {
 		t.Fatalf("frame stream undecodable: %v", err)
 	}

@@ -81,7 +81,6 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 	tsdbResolution := fs.Duration("tsdb-resolution", time.Second, "serve mode: historical metric sampling interval")
 	profileDir := fs.String("profile-dir", "", "serve mode: capture CPU/heap/goroutine profiles into this directory, served on /debug/profiles (empty disables)")
 	profileInterval := fs.Duration("profile-interval", 0, "serve mode: periodic profile capture cadence (0 = capture only when an SLO alert fires)")
-	decodeWorkers := fs.Int("decode-workers", 0, "serve mode: binary frame decode pool size (0 = one worker per core)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -94,9 +93,6 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 		}
 		if *profileDir == "" && *profileInterval != 0 {
 			return fmt.Errorf("-profile-interval needs -profile-dir")
-		}
-		if *decodeWorkers < 0 {
-			return fmt.Errorf("-decode-workers must be non-negative (got %d)", *decodeWorkers)
 		}
 		return runServe(serveOptions{
 			listen:       *listen,
@@ -124,7 +120,6 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 			tsdbResolution:  *tsdbResolution,
 			profileDir:      *profileDir,
 			profileInterval: *profileInterval,
-			decodeWorkers:   *decodeWorkers,
 		}, stdin, out, errOut)
 	}
 	if fs.NArg() != 1 {

@@ -17,7 +17,7 @@ import (
 // serveOptions parameterise the -listen serve mode.
 type serveOptions struct {
 	listen       string // HTTP address (ingest + report + metrics)
-	tcp          string // optional line-delimited TCP ingest address
+	tcp          string // optional TCP ingest address (either wire codec)
 	shards       int
 	queueLen     int
 	overflow     string
@@ -27,7 +27,7 @@ type serveOptions struct {
 	states       int
 	seed         int64
 	asJSON       bool
-	source       string // optional NDJSON source: "-" = stdin, else a file path
+	source       string // optional source stream: "-" = stdin, else a file path
 	ckptDir      string // durability root; empty = no journal, no checkpoints
 	ckptInterval time.Duration
 	ckptEvery    int
@@ -41,7 +41,6 @@ type serveOptions struct {
 	tsdbResolution  time.Duration // historical metrics sampling interval
 	profileDir      string        // profile ring directory; empty disables capture
 	profileInterval time.Duration // periodic capture cadence; 0 = alert-triggered only
-	decodeWorkers   int           // binary frame decode pool size; 0 = one per core
 }
 
 // shutdownGrace bounds how long in-flight HTTP requests may run after a
@@ -49,7 +48,7 @@ type serveOptions struct {
 const shutdownGrace = 5 * time.Second
 
 // runServe is the streaming server: live readings arrive over HTTP POST
-// /ingest, the TCP listener, and/or an NDJSON source stream (stdin or a
+// /ingest, the TCP listener, and/or a source stream (stdin or a
 // file); the sharded fleet windows and detects them; /report/{deployment}
 // serves live diagnoses and /metrics the shard instruments.
 //
@@ -67,9 +66,6 @@ func runServe(o serveOptions, stdin io.Reader, out, errOut io.Writer) error {
 		return err
 	}
 	log := logger(errOut)
-	if o.decodeWorkers > 0 {
-		sensorguard.SetIngestDecodeWorkers(o.decodeWorkers)
-	}
 	metrics := sensorguard.NewMetricsRegistry()
 	var tracer *sensorguard.Tracer
 	if o.traces > 0 {
@@ -172,12 +168,12 @@ func runServe(o serveOptions, stdin io.Reader, out, errOut io.Writer) error {
 
 	var tcpSrv *sensorguard.IngestTCPServer
 	if o.tcp != "" {
-		tcpSrv, err = sensorguard.ServeIngestTCPFor(o.tcp, pool)
+		tcpSrv, err = sensorguard.ServeIngestTCP(o.tcp, pool)
 		if err != nil {
 			srv.Close()
 			return err
 		}
-		log.Info("accepting NDJSON readings", "addr", "tcp://"+tcpSrv.Addr())
+		log.Info("accepting NDJSON or binary-frame readings", "addr", "tcp://"+tcpSrv.Addr())
 	}
 	// Shut the listeners down gracefully whichever way the serve loop ends:
 	// in-flight ingests and scrapes get shutdownGrace to finish, then their
@@ -205,7 +201,7 @@ func runServe(o serveOptions, stdin io.Reader, out, errOut io.Writer) error {
 		}
 		// The source stream negotiates its codec like the listeners: the
 		// first byte decides between NDJSON and binary frames.
-		st, err := sensorguard.ReadIngestWireFor(in, pool)
+		st, err := sensorguard.ReadIngestWire(in, pool)
 		if err != nil {
 			return err
 		}

@@ -114,9 +114,8 @@ type Config struct {
 	Profiles *profiles.Capturer
 
 	// Health tunes the per-deployment drift telemetry (zero value =
-	// defaults); DisableHealth turns the trackers off entirely.
-	Health        obs.HealthConfig
-	DisableHealth bool
+	// defaults).
+	Health obs.HealthConfig
 	// SLOs overrides the burn-rate specs the pool evaluates (nil =
 	// DefaultSLOs). Specs bind to their measurement source by Name, so an
 	// override may only rename thresholds/windows, not invent new sources;
@@ -355,7 +354,7 @@ func (p *Pool) Submit(r ingest.Reading) error {
 
 // SubmitBatch submits a decoded batch in order under one intake-lock
 // acquisition — the staged path both wire decoders feed (it makes Pool an
-// ingest.BatchConsumer). Readings route to their shards exactly as Submit
+// ingest.Consumer). Readings route to their shards exactly as Submit
 // would: accepted counts enqueued readings, dropped those shed by the
 // overflow policy. A terminal error (shutdown, or with durability on an
 // invalid reading) stops the batch where it stands; the counts cover the
@@ -1085,7 +1084,7 @@ type deployment struct {
 	mu          sync.Mutex
 	det         *core.Shared
 	decisions   *core.DecisionRing // nil when Config.DecisionBuffer is 0
-	health      *obs.HealthTracker // nil when Config.DisableHealth or pre-bootstrap
+	health      *obs.HealthTracker // nil pre-bootstrap
 	err         error
 	quarantined bool
 }
@@ -1098,9 +1097,8 @@ func (d *deployment) decisionRing() *core.DecisionRing {
 }
 
 // healthTracker returns the deployment's drift tracker under the lock; nil
-// (on which every tracker method is a no-op) while bootstrapping or when
-// health tracking is disabled. Nil receivers are tolerated so callers can
-// chain it off a map probe.
+// (on which every tracker method is a no-op) while bootstrapping. Nil
+// receivers are tolerated so callers can chain it off a map probe.
 func (d *deployment) healthTracker() *obs.HealthTracker {
 	if d == nil {
 		return nil
@@ -1422,7 +1420,7 @@ func (n *namedSink) Record(rec core.DecisionRecord) {
 // wire attaches the pool's tracer, step clock, decision sinks, and health
 // tracker to a freshly built or restored detector; it returns the
 // deployment's decision ring (nil when DecisionBuffer is 0) and health
-// tracker (nil when health tracking is disabled).
+// tracker.
 func (s *shard) wire(name string, det *core.Detector) (*core.DecisionRing, *obs.HealthTracker) {
 	cfg := s.pool.cfg
 	det.SetTracer(cfg.Tracer)
@@ -1434,11 +1432,8 @@ func (s *shard) wire(name string, det *core.Detector) (*core.DecisionRing, *obs.
 	if ring != nil || s.pool.audit != nil {
 		det.SetDecisionSink(&namedSink{deployment: name, ring: ring, log: s.pool.audit})
 	}
-	var ht *obs.HealthTracker
-	if !cfg.DisableHealth {
-		ht = obs.NewHealthTracker(cfg.Health)
-		det.SetHealthTracker(ht)
-	}
+	ht := obs.NewHealthTracker(cfg.Health)
+	det.SetHealthTracker(ht)
 	return ring, ht
 }
 

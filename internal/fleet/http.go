@@ -15,7 +15,7 @@ import (
 // Handler builds the serve-mode HTTP surface on top of the observability
 // mux, so ingestion, live diagnosis, and /metrics share one listener:
 //
-//	POST /ingest                       NDJSON reading stream → ingest.StreamStats
+//	POST /ingest                       NDJSON or binary-frame reading stream → ingest.StreamStats
 //	GET  /report/{deployment}          live structural diagnosis as JSON
 //	GET  /status/{deployment}          live counters/bootstrap state as JSON
 //	GET  /status                       pool health + every deployment's status

@@ -153,10 +153,11 @@ func TestTCPIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ingest.ServeTCP("127.0.0.1:0", pool)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := ingest.ServeTCP(ln, pool, ingest.DefaultTCPIdleTimeout, ingest.StreamOptions{})
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 	"sensorguard/internal/vecmat"
 )
 
-// The pool is the batch consumer the binary decode path feeds frames to.
-var _ ingest.BatchConsumer = (*Pool)(nil)
+// The pool is the consumer both wire decoders feed batches to.
+var _ ingest.Consumer = (*Pool)(nil)
 
 // postBatch posts one batch over the given codec to a live /ingest and fails
 // the test on any non-200.

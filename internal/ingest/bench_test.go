@@ -25,10 +25,9 @@ func BenchmarkDecodeLine(b *testing.B) {
 	}
 }
 
-// discardBatches is a BatchConsumer that accepts and forgets every reading.
+// discardBatches is a Consumer that accepts and forgets every reading.
 type discardBatches struct{}
 
-func (discardBatches) Submit(Reading) error                       { return nil }
 func (discardBatches) SubmitBatch(rs []Reading) (int, int, error) { return len(rs), 0, nil }
 
 // decodeBatch is one shipper batch: 500 readings of full-precision (16- and
@@ -74,7 +73,7 @@ func encodeFrame(tb testing.TB, rs []Reading) []byte {
 }
 
 // BenchmarkReadStreamNDJSON measures the NDJSON stream reader end to end
-// short of the consumer: one decodeBatch body through ReadStreamOpts,
+// short of the consumer: one decodeBatch body through ReadWireStream,
 // reported per reading.
 func BenchmarkReadStreamNDJSON(b *testing.B) {
 	lines := encodeLines(b, decodeBatch())
@@ -83,7 +82,7 @@ func BenchmarkReadStreamNDJSON(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := ReadStreamOpts(bytes.NewReader(body), discardBatches{}, StreamOptions{})
+		st, err := ReadWireStream(bytes.NewReader(body), discardBatches{}, StreamOptions{})
 		if err != nil || st.Accepted != len(lines) {
 			b.Fatalf("accepted %d of %d: %v", st.Accepted, len(lines), err)
 		}

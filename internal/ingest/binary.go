@@ -21,56 +21,23 @@ import (
 // cores, but their readings reach the consumer (and therefore each
 // deployment's shard queue) in the order they arrived on the socket.
 
-// BatchConsumer is a Consumer that can take a whole batch of readings in
-// one call. Both stream readers prefer it: the binary path submits one
-// decoded frame per call and the NDJSON path up to ndjsonBatch lines, one
-// intake lock acquisition per batch instead of per reading. accepted+dropped
-// covers the prefix actually processed; a non-nil error is terminal, as with
-// Submit.
-//
-// Ownership: rs, the slice and its Reading structs, is valid only during
-// SubmitBatch — the readers reuse it for the next batch — so a consumer
-// copies what it keeps. Each reading's Values slice is the consumer's to
-// keep forever: no reader ever reuses or rewrites value storage.
-type BatchConsumer interface {
-	Consumer
-	SubmitBatch(rs []Reading) (accepted, dropped int, err error)
-}
-
 var (
-	decodeMu       sync.Mutex
 	decodeOnce     sync.Once
-	decodeSetting  int // 0 ⇒ GOMAXPROCS at start
-	decodeStarted  int
+	decodeWorkers  int
 	decodeJobQueue chan decodeJob
 )
 
-// SetDecodeWorkers sets the size of the process-wide binary frame decode
-// pool. n <= 0 means one worker per GOMAXPROCS. The pool starts lazily with
-// the first binary stream; calls after that have no effect.
-func SetDecodeWorkers(n int) {
-	decodeMu.Lock()
-	decodeSetting = n
-	decodeMu.Unlock()
-}
-
-// decodePool returns the shared job queue and the worker count, starting the
-// workers on first use.
+// decodePool returns the process-wide job queue and its worker count, one
+// worker per GOMAXPROCS, starting the workers on first use.
 func decodePool() (chan decodeJob, int) {
 	decodeOnce.Do(func() {
-		decodeMu.Lock()
-		n := decodeSetting
-		decodeMu.Unlock()
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		decodeJobQueue = make(chan decodeJob, n)
-		decodeStarted = n
-		for i := 0; i < n; i++ {
+		decodeWorkers = runtime.GOMAXPROCS(0)
+		decodeJobQueue = make(chan decodeJob, decodeWorkers)
+		for i := 0; i < decodeWorkers; i++ {
 			go decodeWorker(decodeJobQueue)
 		}
 	})
-	return decodeJobQueue, decodeStarted
+	return decodeJobQueue, decodeWorkers
 }
 
 // frameBufPool recycles raw frame buffers between the stream reader and the
@@ -80,7 +47,7 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64*1024); re
 
 // readingSlabPool recycles the []Reading slabs readings are decoded into:
 // a slab goes back once the consumer call that saw it returns (see
-// BatchConsumer). The float64 value slabs are NOT pooled: the windower
+// Consumer). The float64 value slabs are NOT pooled: the windower
 // keeps them.
 var readingSlabPool = sync.Pool{New: func() any { return new([]Reading) }}
 
@@ -152,31 +119,15 @@ func decodeWorker(jobs <-chan decodeJob) {
 	}
 }
 
-// ReadBinaryStream decodes a stream of binary frames from r and submits
-// every frame's readings to c, in arrival order, until EOF. Frames decode in
+// readFrames decodes a stream of binary frames from br and submits every
+// frame's readings to c, in arrival order, until EOF. Frames decode in
 // parallel on the shared worker pool. Any framing fault (bad magic, bad
 // length, CRC mismatch, truncation) is fatal to the stream and reported as a
 // *FrameError — unlike NDJSON there is no line boundary to resync on.
 // Semantically invalid readings inside a well-formed frame are counted as
-// rejected and skipped, like undecodable NDJSON lines.
-func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
-	var span *obs.Span
-	switch {
-	case o.Parent.Recording():
-		span = o.Tracer.StartSpan("ingest.decode", o.Parent)
-	case !o.Parent.Valid():
-		span = o.Tracer.Root("ingest.decode")
-	}
-	span.SetAttr("codec", "binary")
-	ctx := span.Context()
-
-	br, owned := streamReader(r)
-	if owned {
-		// Deferred first, so it runs last: after every return path has
-		// waited for the reader goroutine to exit.
-		defer putStreamReader(br)
-	}
-
+// rejected and skipped, like undecodable NDJSON lines. br is untouched once
+// readFrames returns: every return path waits for the reader goroutine.
+func readFrames(br *bufio.Reader, c Consumer, decode *obs.StageClock, ctx obs.SpanContext, st *StreamStats) error {
 	jobs, workers := decodePool()
 	// The in-order spine: the reader pushes each frame's result channel here
 	// before dispatching its decode, the submitter drains it sequentially.
@@ -249,43 +200,35 @@ func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, er
 		}
 	}()
 
-	var st StreamStats
-	fail := func(err error) (StreamStats, error) {
+	fail := func(err error) error {
 		// Stop the reader, then drain so no result channel is left holding a
 		// reference; workers never block (each out has capacity 1).
 		stop()
 		for range results {
 		}
 		<-readErr
-		finishDecodeSpan(span, st)
-		return st, err
+		return err
 	}
 	for out := range results {
 		res := <-out
 		if res.err != nil {
 			return fail(res.err)
 		}
-		o.Decode.Observe(res.busy, uint64(len(res.readings)+res.rejected))
+		decode.Observe(res.busy, uint64(len(res.readings)+res.rejected))
 		st.Rejected += res.rejected
 		st.RejectedDecode += res.rejected
 		var err error
-		ctx, err = submitReadings(c, res.readings, ctx, &st)
+		ctx, err = submitReadings(c, res.readings, ctx, st)
 		putReadingSlab(res.slab, res.readings)
 		if err != nil {
 			return fail(err)
 		}
 	}
-	err := <-readErr
-	finishDecodeSpan(span, st)
-	if err != nil {
-		return st, err
-	}
-	return st, nil
+	return <-readErr
 }
 
-// submitReadings hands one decoded batch to c — in one SubmitBatch call
-// when c is a BatchConsumer, else reading by reading — adding the outcome
-// to st. ctx is the stream's span context while no
+// submitReadings hands one decoded batch to c in one SubmitBatch call,
+// adding the outcome to st. ctx is the stream's span context while no
 // reading carrying it has been accepted yet; the first reading submitted
 // carries it, and the context comes back cleared once one was accepted.
 // rs may be reused as soon as submitReadings returns.
@@ -293,45 +236,14 @@ func submitReadings(c Consumer, rs []Reading, ctx obs.SpanContext, st *StreamSta
 	if len(rs) == 0 {
 		return ctx, nil
 	}
-	if bc, ok := c.(BatchConsumer); ok {
-		if ctx.Valid() {
-			rs[0].Trace = ctx
-		}
-		accepted, dropped, err := bc.SubmitBatch(rs)
-		st.Accepted += accepted
-		st.Dropped += dropped
-		if accepted > 0 {
-			ctx = obs.SpanContext{} // one stamped reading per sampled stream
-		}
-		return ctx, err
+	if ctx.Valid() {
+		rs[0].Trace = ctx
 	}
-	for _, rd := range rs {
-		rd.Trace = ctx
-		switch err := c.Submit(rd); {
-		case err == nil:
-			st.Accepted++
-			ctx = obs.SpanContext{}
-		case errors.Is(err, ErrDropped):
-			st.Dropped++
-		default:
-			return ctx, err
-		}
+	accepted, dropped, err := c.SubmitBatch(rs)
+	st.Accepted += accepted
+	st.Dropped += dropped
+	if accepted > 0 {
+		ctx = obs.SpanContext{} // one stamped reading per sampled stream
 	}
-	return ctx, nil
-}
-
-// ReadWireStream reads a stream of readings in either wire codec, sniffing
-// the first byte: FrameMagic (0xBF, never a valid start of JSON or UTF-8
-// text) selects the binary frame codec, anything else — including an empty
-// stream — is NDJSON, which stays the default. This is the entry point for
-// transports with no content-type channel (TCP sockets, file replay).
-func ReadWireStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
-	br, owned := streamReader(r)
-	if owned {
-		defer putStreamReader(br)
-	}
-	if first, err := br.Peek(1); err == nil && first[0] == FrameMagic {
-		return ReadBinaryStream(br, c, o)
-	}
-	return ReadStreamOpts(br, c, o)
+	return ctx, err
 }

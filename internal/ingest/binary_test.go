@@ -18,8 +18,8 @@ import (
 	"sensorguard/internal/vecmat"
 )
 
-// batchConsumer is a collectConsumer that also takes whole batches,
-// recording how each reading arrived.
+// batchConsumer is a collectConsumer that also counts its SubmitBatch
+// calls.
 type batchConsumer struct {
 	collectConsumer
 	batches int
@@ -74,7 +74,7 @@ func TestReadBinaryStreamPreservesOrder(t *testing.T) {
 	const n = 5000
 	stream, want := encodeFrames(t, n, 100) // 50 frames in flight
 	sink := &collectConsumer{}
-	st, err := ReadBinaryStream(bytes.NewReader(stream), sink, StreamOptions{})
+	st, err := ReadWireStream(bytes.NewReader(stream), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,12 @@ func TestReadBinaryStreamPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestReadBinaryStreamPrefersBatchConsumer: each frame reaches the consumer
+// in one SubmitBatch call.
 func TestReadBinaryStreamPrefersBatchConsumer(t *testing.T) {
 	stream, want := encodeFrames(t, 1000, 250)
 	sink := &batchConsumer{}
-	st, err := ReadBinaryStream(bytes.NewReader(stream), sink, StreamOptions{})
+	st, err := ReadWireStream(bytes.NewReader(stream), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestReadBinaryStreamCorruptFrameFatal(t *testing.T) {
 	mutated := append([]byte(nil), stream...)
 	mutated[len(mutated)-3] ^= 0x10 // corrupt the last frame's payload
 	sink := &collectConsumer{}
-	st, err := ReadBinaryStream(bytes.NewReader(mutated), sink, StreamOptions{})
+	st, err := ReadWireStream(bytes.NewReader(mutated), sink, StreamOptions{})
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err %v, want *FrameError", err)
@@ -128,7 +130,7 @@ func TestReadBinaryStreamCorruptFrameFatal(t *testing.T) {
 
 func TestReadBinaryStreamTruncatedFatal(t *testing.T) {
 	stream, _ := encodeFrames(t, 100, 100)
-	_, err := ReadBinaryStream(bytes.NewReader(stream[:len(stream)-4]), &collectConsumer{}, StreamOptions{})
+	_, err := ReadWireStream(bytes.NewReader(stream[:len(stream)-4]), &collectConsumer{}, StreamOptions{})
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err %v, want *FrameError", err)
@@ -162,10 +164,7 @@ func TestReadWireStreamSniffsCodec(t *testing.T) {
 
 func TestTCPServerAcceptsBinaryFrames(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCP("127.0.0.1:0", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServeTCP(listenTCP(t), sink, DefaultTCPIdleTimeout, StreamOptions{})
 	defer srv.Close()
 	stream, want := encodeFrames(t, 300, 100)
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -185,7 +184,7 @@ func TestTCPServerAcceptsBinaryFrames(t *testing.T) {
 // split rejection stats.
 func TestIngestHandlerBinaryContentType(t *testing.T) {
 	sink := &batchConsumer{}
-	srv := httptest.NewServer(IngestHandler(sink))
+	srv := httptest.NewServer(IngestHandlerStaged(sink, nil, nil))
 	defer srv.Close()
 	stream, want := encodeFrames(t, 800, 200)
 	resp, err := http.Post(srv.URL, FrameContentType, bytes.NewReader(stream))
@@ -212,7 +211,7 @@ func TestIngestHandlerBinaryContentType(t *testing.T) {
 // a generic content type still decodes via the magic-byte sniff.
 func TestIngestHandlerSniffsBinaryWithoutContentType(t *testing.T) {
 	sink := &collectConsumer{}
-	srv := httptest.NewServer(IngestHandler(sink))
+	srv := httptest.NewServer(IngestHandlerStaged(sink, nil, nil))
 	defer srv.Close()
 	stream, want := encodeFrames(t, 50, 50)
 	resp, err := http.Post(srv.URL, "application/octet-stream", bytes.NewReader(stream))
@@ -232,7 +231,7 @@ func TestIngestHandlerSniffsBinaryWithoutContentType(t *testing.T) {
 // frame is the client's fault — 400 with a structured body naming the frame,
 // never 503 (which would make shippers retry an unpayable batch forever).
 func TestIngestHandlerCorruptFrameIs400(t *testing.T) {
-	srv := httptest.NewServer(IngestHandler(&collectConsumer{}))
+	srv := httptest.NewServer(IngestHandlerStaged(&collectConsumer{}, nil, nil))
 	defer srv.Close()
 	stream, _ := encodeFrames(t, 100, 50)
 	mutated := append([]byte(nil), stream...)
@@ -261,13 +260,13 @@ func TestIngestHandlerCorruptFrameIs400(t *testing.T) {
 // shape of a draining pool.
 type errConsumer struct{ err error }
 
-func (c errConsumer) Submit(Reading) error { return c.err }
+func (c errConsumer) SubmitBatch([]Reading) (int, int, error) { return 0, 0, c.err }
 
 // TestIngestHandlerConsumerErrorIs503: collector-side submit failures keep
 // the retryable status.
 func TestIngestHandlerConsumerErrorIs503(t *testing.T) {
 	closed := errors.New("fleet: pool is draining")
-	srv := httptest.NewServer(IngestHandler(errConsumer{err: closed}))
+	srv := httptest.NewServer(IngestHandlerStaged(errConsumer{err: closed}, nil, nil))
 	defer srv.Close()
 	for _, body := range []io.Reader{
 		bytes.NewReader(ingestLine(t, 1)),
@@ -291,7 +290,7 @@ func TestShipperBinaryWire(t *testing.T) {
 	sink := &batchConsumer{}
 	var mu sync.Mutex
 	contentTypes := map[string]int{}
-	handler := IngestHandler(sink)
+	handler := IngestHandlerStaged(sink, nil, nil)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		contentTypes[r.Header.Get("Content-Type")]++
@@ -351,7 +350,7 @@ func TestOversizedLineResync(t *testing.T) {
 	stream.Write(ingestLine(t, 4))
 
 	sink := &collectConsumer{}
-	st, err := ReadStream(&stream, sink)
+	st, err := ReadWireStream(&stream, sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +366,7 @@ func TestOversizedLineResync(t *testing.T) {
 // checks the split rejection counters in the JSON response.
 func TestOversizedLineResyncHTTP(t *testing.T) {
 	sink := &collectConsumer{}
-	srv := httptest.NewServer(IngestHandler(sink))
+	srv := httptest.NewServer(IngestHandlerStaged(sink, nil, nil))
 	defer srv.Close()
 	var body bytes.Buffer
 	body.Write(ingestLine(t, 1))
@@ -396,10 +395,7 @@ func TestOversizedLineResyncHTTP(t *testing.T) {
 // connection either.
 func TestOversizedLineResyncTCP(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCP("127.0.0.1:0", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServeTCP(listenTCP(t), sink, DefaultTCPIdleTimeout, StreamOptions{})
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -424,7 +420,7 @@ func TestOversizedLineResyncTCP(t *testing.T) {
 func TestFinalLineWithoutNewline(t *testing.T) {
 	line := bytes.TrimSuffix(ingestLine(t, 1), []byte("\n"))
 	sink := &collectConsumer{}
-	st, err := ReadStream(bytes.NewReader(line), sink)
+	st, err := ReadWireStream(bytes.NewReader(line), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

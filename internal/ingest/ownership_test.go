@@ -16,8 +16,8 @@ import (
 	"sensorguard/internal/vecmat"
 )
 
-// keepingConsumer is a BatchConsumer that keeps what the BatchConsumer
-// contract lets it keep: a copy of every Reading struct, sharing the
+// keepingConsumer is a Consumer that keeps what the Consumer ownership
+// rule lets it keep: a copy of every Reading struct, sharing the
 // Values slices. Inside each call it also checks that rs does not change
 // under it — a reader that recycled the batch's slab before SubmitBatch
 // returned would show up here.
@@ -27,11 +27,6 @@ type keepingConsumer struct {
 	batches int
 	sizes   []int
 	changed int // readings of rs rewritten during their own SubmitBatch call
-}
-
-func (c *keepingConsumer) Submit(r Reading) error {
-	_, _, err := c.SubmitBatch([]Reading{r})
-	return err
 }
 
 func (c *keepingConsumer) SubmitBatch(rs []Reading) (int, int, error) {
@@ -88,7 +83,7 @@ func checkKept(t *testing.T, c *keepingConsumer, want []Reading) {
 }
 
 // TestBinaryStreamSlabOwnership streams many frames of varying size through
-// ReadBinaryStream into a consumer that keeps its copies, then checks every
+// ReadWireStream into a consumer that keeps its copies, then checks every
 // copy against the encoded input: neither the pooled reading slabs nor the
 // per-frame value slabs may alias data decoded later.
 func TestBinaryStreamSlabOwnership(t *testing.T) {
@@ -112,7 +107,7 @@ func TestBinaryStreamSlabOwnership(t *testing.T) {
 		frames++
 	}
 	sink := &keepingConsumer{}
-	st, err := ReadBinaryStream(&stream, sink, StreamOptions{})
+	st, err := ReadWireStream(&stream, sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +135,7 @@ func TestNDJSONStreamSlabOwnership(t *testing.T) {
 		stream.WriteByte('\n')
 	}
 	sink := &keepingConsumer{}
-	st, err := ReadStreamOpts(&stream, sink, StreamOptions{})
+	st, err := ReadWireStream(&stream, sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +189,7 @@ func TestNDJSONBatchedTrickleNotHeld(t *testing.T) {
 	sink := &keepingConsumer{}
 	done := make(chan error, 1)
 	go func() {
-		_, err := ReadStreamOpts(pr, sink, StreamOptions{})
+		_, err := ReadWireStream(pr, sink, StreamOptions{})
 		done <- err
 	}()
 	held := func() int {
@@ -245,8 +240,8 @@ func (r *failingReader) Read(p []byte) (int, error) {
 }
 
 // TestNDJSONBatchedReadErrorFlushesPrefix: a body read error mid-stream
-// still names the failing line, and every line before it reaches a
-// BatchConsumer and is counted, as it would reading by reading.
+// still names the failing line, and every line before it reaches the
+// consumer and is counted.
 func TestNDJSONBatchedReadErrorFlushesPrefix(t *testing.T) {
 	const n = ndjsonBatch + 10
 	var body bytes.Buffer
@@ -260,7 +255,7 @@ func TestNDJSONBatchedReadErrorFlushesPrefix(t *testing.T) {
 	}
 	boom := errors.New("connection reset")
 	for _, c := range []Consumer{&keepingConsumer{}, &collectConsumer{}} {
-		st, err := ReadStreamOpts(&failingReader{data: body.Bytes(), err: boom}, c, StreamOptions{})
+		st, err := ReadWireStream(&failingReader{data: body.Bytes(), err: boom}, c, StreamOptions{})
 		var pe *PayloadError
 		if !errors.As(err, &pe) || !errors.Is(err, boom) || pe.Line != n+1 {
 			t.Fatalf("%T: err %v, want a PayloadError at line %d", c, err, n+1)

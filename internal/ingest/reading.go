@@ -43,7 +43,7 @@ type Reading struct {
 	Seq uint64
 	// Trace is the span context stamped on this reading by a traced
 	// listener (one reading per sampled batch carries it — see
-	// ReadStreamTraced). It rides alongside the payload, not on the wire:
+	// StreamOptions). It rides alongside the payload, not on the wire:
 	// batch headers carry trace context between processes.
 	Trace obs.SpanContext
 	// Reading is the ⟨t, p⟩ message itself.
@@ -336,11 +336,19 @@ func EncodeLine(r Reading) ([]byte, error) {
 	})
 }
 
-// Consumer accepts decoded readings — in practice the fleet.Pool. Submit may
-// block (backpressure) or drop (load shedding) per the consumer's policy;
-// ErrDropped reports a shed reading, any other error a terminal condition.
+// Consumer accepts decoded readings in batches — in practice the
+// fleet.Pool. Every stream reader submits through it: the binary path one
+// decoded frame per call, the NDJSON path up to ndjsonBatch lines.
+// SubmitBatch may block (backpressure) or shed readings (load shedding) per
+// the consumer's policy. accepted+dropped covers the prefix actually
+// processed; a non-nil error is terminal and stops the stream.
+//
+// Ownership: rs, the slice and its Reading structs, is valid only during
+// SubmitBatch — the readers reuse it for the next batch — so a consumer
+// copies what it keeps. Each reading's Values slice is the consumer's to
+// keep forever: no reader ever reuses or rewrites value storage.
 type Consumer interface {
-	Submit(Reading) error
+	SubmitBatch(rs []Reading) (accepted, dropped int, err error)
 }
 
 // ErrDropped reports that a reading was shed by the consumer's overflow

@@ -66,15 +66,15 @@ type collector struct {
 	err  error
 }
 
-func (c *collector) Submit(r Reading) error {
+func (c *collector) SubmitBatch(rs []Reading) (int, int, error) {
 	if c.err != nil {
-		return c.err
+		return 0, 0, c.err
 	}
 	if c.drop {
-		return ErrDropped
+		return 0, len(rs), nil
 	}
-	c.got = append(c.got, r)
-	return nil
+	c.got = append(c.got, rs...)
+	return len(rs), 0, nil
 }
 
 func TestReadStreamCounts(t *testing.T) {
@@ -85,7 +85,7 @@ not a reading
 {"sensor":2,"time_s":-1,"values":[5]}
 `
 	var c collector
-	st, err := ReadStream(strings.NewReader(input), &c)
+	st, err := ReadWireStream(strings.NewReader(input), &c, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +98,12 @@ not a reading
 }
 
 func TestReadStreamDropsAndFatals(t *testing.T) {
-	st, err := ReadStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{drop: true})
+	st, err := ReadWireStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{drop: true}, StreamOptions{})
 	if err != nil || st.Dropped != 1 {
 		t.Errorf("drop path: stats %+v err %v", st, err)
 	}
 	boom := errors.New("boom")
-	if _, err := ReadStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{err: boom}); !errors.Is(err, boom) {
+	if _, err := ReadWireStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{err: boom}, StreamOptions{}); !errors.Is(err, boom) {
 		t.Errorf("fatal consumer error not propagated: %v", err)
 	}
 }

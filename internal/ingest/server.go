@@ -52,36 +52,71 @@ func (e *PayloadError) Error() string {
 
 func (e *PayloadError) Unwrap() error { return e.Err }
 
-// ReadStream decodes NDJSON readings from r and submits each to c until EOF.
-// Undecodable lines are counted, not fatal (one bad producer must not kill a
-// shared socket); consumer errors other than ErrDropped are fatal.
-func ReadStream(r io.Reader, c Consumer) (StreamStats, error) {
-	return ReadStreamTraced(r, c, nil, obs.SpanContext{})
-}
-
-// ReadStreamTraced is ReadStream under a tracer: an "ingest.decode" span
-// covers the whole batch — continuing the producer's trace when parent is a
-// recording context (a stamped traceparent header), starting a sampled root
-// when parent is zero — and the first accepted reading is stamped with the
-// span's context, so exactly one reading per sampled batch threads the trace
-// through the queue, the windower, and the detector. A nil tracer (or an
-// explicitly unsampled parent) records nothing and behaves like ReadStream.
-func ReadStreamTraced(r io.Reader, c Consumer, tr *obs.Tracer, parent obs.SpanContext) (StreamStats, error) {
-	return ReadStreamOpts(r, c, StreamOptions{Tracer: tr, Parent: parent})
-}
-
-// StreamOptions carries the optional instrumentation of one NDJSON stream.
+// StreamOptions carries the optional instrumentation of one ingest stream.
 type StreamOptions struct {
-	// Tracer/Parent behave as in ReadStreamTraced.
+	// Tracer records an "ingest.decode" span covering the whole stream —
+	// continuing the producer's trace when Parent is a recording context (a
+	// stamped traceparent header), starting a sampled root when Parent is
+	// zero — and the first accepted reading is stamped with the span's
+	// context, so exactly one reading per sampled stream threads the trace
+	// through the queue, the windower, and the detector. A nil Tracer (or an
+	// explicitly unsampled Parent) records nothing.
 	Tracer *obs.Tracer
 	Parent obs.SpanContext
-	// Decode, when non-nil, accumulates per-line decode time into the
-	// ingest_decode stage clock for bottleneck attribution.
+	// Decode, when non-nil, accumulates decode time into the ingest_decode
+	// stage clock for bottleneck attribution.
 	Decode *obs.StageClock
 }
 
-// ndjsonBatch is how many decoded NDJSON readings the stream reader hands a
-// BatchConsumer per SubmitBatch call.
+// ReadWireStream reads a stream of readings in either wire codec from r and
+// submits them to c until EOF, sniffing the first byte: FrameMagic (0xBF,
+// never a valid start of JSON or UTF-8 text) selects the binary frame codec,
+// anything else — including an empty stream — is NDJSON, which stays the
+// default. Undecodable NDJSON lines and invalid readings inside a frame are
+// counted, not fatal (one bad producer must not kill a shared socket); a
+// framing fault, a body read error, or a consumer error is fatal.
+func ReadWireStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
+	return readStream(r, c, o, false)
+}
+
+// readStream is ReadWireStream with the codec sniff skipped when framed is
+// set: the stream is then read as binary frames outright. It owns the
+// stream's "ingest.decode" span.
+func readStream(r io.Reader, c Consumer, o StreamOptions, framed bool) (StreamStats, error) {
+	var span *obs.Span
+	switch {
+	case o.Parent.Recording():
+		span = o.Tracer.StartSpan("ingest.decode", o.Parent)
+	case !o.Parent.Valid():
+		span = o.Tracer.Root("ingest.decode")
+	}
+	br, owned := streamReader(r)
+	if owned {
+		defer putStreamReader(br)
+	}
+	if !framed {
+		first, err := br.Peek(1)
+		framed = err == nil && first[0] == FrameMagic
+	}
+	var st StreamStats
+	var err error
+	if framed {
+		span.SetAttr("codec", "binary")
+		err = readFrames(br, c, o.Decode, span.Context(), &st)
+	} else {
+		err = readNDJSON(br, c, o.Decode, span.Context(), &st)
+	}
+	span.SetInt("accepted", int64(st.Accepted))
+	span.SetInt("rejected", int64(st.Rejected))
+	span.SetInt("rejected_decode", int64(st.RejectedDecode))
+	span.SetInt("rejected_oversize", int64(st.RejectedOversize))
+	span.SetInt("dropped", int64(st.Dropped))
+	span.End()
+	return st, err
+}
+
+// ndjsonBatch is how many decoded NDJSON readings the stream reader hands
+// the consumer per SubmitBatch call.
 const ndjsonBatch = 512
 
 // decodeFlushEvery is how many timed lines accumulate locally before the
@@ -159,53 +194,33 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// ReadStreamOpts is the full-featured NDJSON stream reader; ReadStream and
-// ReadStreamTraced are thin wrappers over it, and ReadWireStream routes here
-// when the first byte is not the binary frame magic. Decoded readings are
-// staged in batches of up to ndjsonBatch lines, which a BatchConsumer gets
-// in one SubmitBatch call each (any other Consumer reading by reading). A
-// partial batch is submitted whenever no complete line is buffered — before
-// the reader would wait on the stream, so a trickling TCP producer's
-// readings are never held back for more input — and before the reader
-// returns, also when a body read fails: every line before the failing one
-// is submitted.
-func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
-	var span *obs.Span
-	switch {
-	case o.Parent.Recording():
-		span = o.Tracer.StartSpan("ingest.decode", o.Parent)
-	case !o.Parent.Valid():
-		span = o.Tracer.Root("ingest.decode")
-	}
-	ctx := span.Context()
-	var st StreamStats
+// readNDJSON decodes NDJSON readings from br and submits them to c until
+// EOF. Decoded readings are staged in batches of up to ndjsonBatch lines,
+// one SubmitBatch call each. A partial batch is submitted whenever no
+// complete line is buffered — before the reader would wait on the stream,
+// so a trickling TCP producer's readings are never held back for more
+// input — and before the reader returns, also when a body read fails: every
+// line before the failing one is submitted.
+func readNDJSON(br *bufio.Reader, c Consumer, decode *obs.StageClock, ctx obs.SpanContext, st *StreamStats) error {
 	var busy time.Duration
 	var lines uint64
 	flushClock := func() {
 		if lines > 0 {
-			o.Decode.Observe(busy, lines)
+			decode.Observe(busy, lines)
 			busy, lines = 0, 0
 		}
 	}
-	br, owned := streamReader(r)
-	if owned {
-		defer putStreamReader(br)
-	}
+	defer flushClock()
 	slab := readingSlabPool.Get().(*[]Reading)
 	if cap(*slab) < ndjsonBatch {
 		*slab = make([]Reading, 0, ndjsonBatch)
 	}
 	batch := (*slab)[:0]
 	defer func() { putReadingSlab(slab, batch) }()
-	finish := func(err error) (StreamStats, error) {
-		flushClock()
-		finishDecodeSpan(span, st)
-		return st, err
-	}
 	// submit hands the staged batch over; the slab is reused afterwards.
 	submit := func() error {
 		var err error
-		ctx, err = submitReadings(c, batch, ctx, &st)
+		ctx, err = submitReadings(c, batch, ctx, st)
 		clear(batch)
 		batch = batch[:0]
 		return err
@@ -215,7 +230,7 @@ func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 	for {
 		if len(batch) > 0 && !lr.lineBuffered() {
 			if err := submit(); err != nil {
-				return finish(err)
+				return err
 			}
 		}
 		line, oversize, rerr := lr.next()
@@ -224,9 +239,9 @@ func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 				break
 			}
 			if err := submit(); err != nil {
-				return finish(err)
+				return err
 			}
-			return finish(&PayloadError{Line: lineNo + 1, Err: rerr})
+			return &PayloadError{Line: lineNo + 1, Err: rerr}
 		}
 		lineNo++
 		if oversize {
@@ -239,7 +254,7 @@ func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 		}
 		var rd Reading
 		var err error
-		if o.Decode != nil {
+		if decode != nil {
 			t0 := time.Now()
 			rd, err = DecodeLine(line)
 			busy += time.Since(t0)
@@ -256,37 +271,18 @@ func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 		}
 		if batch = append(batch, rd); len(batch) == ndjsonBatch {
 			if err := submit(); err != nil {
-				return finish(err)
+				return err
 			}
 		}
 	}
-	return finish(submit())
+	return submit()
 }
 
-func finishDecodeSpan(span *obs.Span, st StreamStats) {
-	span.SetInt("accepted", int64(st.Accepted))
-	span.SetInt("rejected", int64(st.Rejected))
-	span.SetInt("rejected_decode", int64(st.RejectedDecode))
-	span.SetInt("rejected_oversize", int64(st.RejectedOversize))
-	span.SetInt("dropped", int64(st.Dropped))
-	span.End()
-}
-
-// IngestHandler returns the HTTP handler for POST /ingest: the request body
-// is an NDJSON stream of readings, the response a JSON StreamStats.
-func IngestHandler(c Consumer) http.HandlerFunc {
-	return IngestHandlerTraced(c, nil)
-}
-
-// IngestHandlerTraced is IngestHandler under a tracer: a Traceparent request
-// header joins the batch to the producer's trace; without one the tracer's
-// root sampling applies.
-func IngestHandlerTraced(c Consumer, tr *obs.Tracer) http.HandlerFunc {
-	return IngestHandlerStaged(c, tr, nil)
-}
-
-// IngestHandlerStaged is IngestHandlerTraced plus decode-stage accounting:
-// each request body's per-line decode time feeds the given stage clock.
+// IngestHandlerStaged returns the HTTP handler for POST /ingest: the request
+// body is a stream of readings in either wire codec, the response a JSON
+// StreamStats. A Traceparent request header joins the stream to the
+// producer's trace; without one tr's root sampling applies (tr may be nil).
+// Each body's decode time feeds the decode stage clock (nil for none).
 //
 // Codec negotiation: a FrameContentType request selects the binary frame
 // codec outright; any other content type is sniffed by the first body byte
@@ -307,13 +303,8 @@ func IngestHandlerStaged(c Consumer, tr *obs.Tracer, decode *obs.StageClock) htt
 			}
 		}
 		o := StreamOptions{Tracer: tr, Parent: parent, Decode: decode}
-		var st StreamStats
-		var err error
-		if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, FrameContentType) {
-			st, err = ReadBinaryStream(r.Body, c, o)
-		} else {
-			st, err = ReadWireStream(r.Body, c, o)
-		}
+		framed := strings.HasPrefix(r.Header.Get("Content-Type"), FrameContentType)
+		st, err := readStream(r.Body, c, o, framed)
 		if err != nil {
 			writeIngestError(w, st, err)
 			return
@@ -359,59 +350,33 @@ func writeIngestError(w http.ResponseWriter, st StreamStats, err error) {
 // minutes of silence are normal; hours mean a half-open peer.
 const DefaultTCPIdleTimeout = 5 * time.Minute
 
-// TCPServer accepts line-delimited NDJSON readings on a TCP listener — the
-// mote-gateway-facing ingestion path, one stream per connection.
+// TCPServer accepts readings in either wire codec on a TCP listener — the
+// mote-gateway-facing ingestion path, one stream per connection, whose
+// first byte picks the codec.
 type TCPServer struct {
-	ln     net.Listener
-	c      Consumer
-	idle   time.Duration
-	tracer *obs.Tracer
-	decode *obs.StageClock
-	wg     sync.WaitGroup
+	ln   net.Listener
+	c    Consumer
+	idle time.Duration
+	o    StreamOptions
+	wg   sync.WaitGroup
 
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool // set by Close: accept closes any later connection
 }
 
-// ServeTCP starts accepting connections on addr (e.g. ":9000",
-// "127.0.0.1:0") in the background, feeding decoded readings to c.
-// Connections idle longer than DefaultTCPIdleTimeout are severed.
-func ServeTCP(addr string, c Consumer) (*TCPServer, error) {
-	return ServeTCPTraced(addr, c, DefaultTCPIdleTimeout, nil)
-}
-
-// ServeTCPIdle is ServeTCP with an explicit idle timeout. The read deadline
-// resets on every read, so a live producer is never cut off mid-stream while
-// a stalled or half-open client cannot pin its goroutine (and the window
-// state behind it) forever. idle <= 0 disables the deadline.
-func ServeTCPIdle(addr string, c Consumer, idle time.Duration) (*TCPServer, error) {
-	return ServeTCPTraced(addr, c, idle, nil)
-}
-
-// ServeTCPTraced is ServeTCPIdle under a tracer: each connection's stream is
-// a root-sampled "ingest.decode" span (there is no header channel on a raw
-// socket, so TCP traces always root at the collector).
-func ServeTCPTraced(addr string, c Consumer, idle time.Duration, tr *obs.Tracer) (*TCPServer, error) {
-	return ServeTCPStaged(addr, c, idle, tr, nil)
-}
-
-// ServeTCPStaged is ServeTCPTraced plus decode-stage accounting on every
-// connection's stream.
-func ServeTCPStaged(addr string, c Consumer, idle time.Duration, tr *obs.Tracer, decode *obs.StageClock) (*TCPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
-	}
-	s := &TCPServer{ln: ln, c: c, idle: idle, tracer: tr, decode: decode, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.accept()
-	return s, nil
-}
-
-// ServeTCPListener runs the TCP ingest loop on a caller-supplied listener —
-// the seam the chaos harness wraps a fault-injecting listener through.
-func ServeTCPListener(ln net.Listener, c Consumer, idle time.Duration, tr *obs.Tracer) *TCPServer {
-	s := &TCPServer{ln: ln, c: c, idle: idle, tracer: tr, conns: make(map[net.Conn]struct{})}
+// ServeTCP runs the TCP ingest loop on ln in the background, feeding every
+// connection's readings to c. Connections idle longer than idle are
+// severed: the read deadline resets on every read, so a live producer is
+// never cut off mid-stream while a stalled or half-open client cannot pin
+// its goroutine (and the window state behind it) forever. idle <= 0
+// disables the deadline; DefaultTCPIdleTimeout suits gateways. Each
+// connection's stream is instrumented per o, except that o.Parent is
+// ignored: a raw socket has no header channel, so TCP traces always root at
+// the collector. Close stops the loop and closes ln.
+func ServeTCP(ln net.Listener, c Consumer, idle time.Duration, o StreamOptions) *TCPServer {
+	o.Parent = obs.SpanContext{}
+	s := &TCPServer{ln: ln, c: c, idle: idle, o: o, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.accept()
 	return s
@@ -457,6 +422,13 @@ func (s *TCPServer) accept() {
 		}
 		backoff = 0
 		s.mu.Lock()
+		if s.closed {
+			// Accepted after Close walked the open connections: nobody
+			// else will close it.
+			s.mu.Unlock()
+			conn.Close()
+			continue
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -473,7 +445,7 @@ func (s *TCPServer) accept() {
 				r = idleConn{conn: conn, idle: s.idle}
 			}
 			// Both codecs share the socket: the first byte decides.
-			_, _ = ReadWireStream(r, s.c, StreamOptions{Tracer: s.tracer, Decode: s.decode})
+			_, _ = ReadWireStream(r, s.c, s.o)
 		}()
 	}
 }
@@ -484,12 +456,13 @@ func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
 // Close stops accepting connections, severs any still open (an idle
 // producer must not stall shutdown), and waits for in-flight streams.
 func (s *TCPServer) Close() error {
-	err := s.ln.Close()
 	s.mu.Lock()
+	s.closed = true
 	for conn := range s.conns {
 		conn.Close()
 	}
 	s.mu.Unlock()
+	err := s.ln.Close()
 	s.wg.Wait()
 	return err
 }

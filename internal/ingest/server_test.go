@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"syscall"
@@ -18,11 +20,11 @@ type collectConsumer struct {
 	readings []Reading
 }
 
-func (c *collectConsumer) Submit(r Reading) error {
+func (c *collectConsumer) SubmitBatch(rs []Reading) (int, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.readings = append(c.readings, r)
-	return nil
+	c.readings = append(c.readings, rs...)
+	return len(rs), 0, nil
 }
 
 func (c *collectConsumer) count() int {
@@ -43,6 +45,16 @@ func ingestLine(t *testing.T, seconds int) []byte {
 	return append(line, '\n')
 }
 
+// listenTCP returns a loopback listener on an ephemeral port.
+func listenTCP(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
 // waitFor polls cond until it holds or the deadline lapses.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
@@ -57,10 +69,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 func TestTCPServerDeliversStream(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCP("127.0.0.1:0", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServeTCP(listenTCP(t), sink, DefaultTCPIdleTimeout, StreamOptions{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -89,7 +98,7 @@ func TestTCPAcceptRetriesTransientErrors(t *testing.T) {
 	ln.FailNextAccepts(4, syscall.EMFILE)
 
 	sink := &collectConsumer{}
-	srv := ServeTCPListener(ln, sink, 0, nil)
+	srv := ServeTCP(ln, sink, 0, StreamOptions{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -111,10 +120,7 @@ func TestTCPAcceptRetriesTransientErrors(t *testing.T) {
 // connection that goes silent past the idle timeout is severed by the server.
 func TestTCPIdleTimeoutSeversStalledConn(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCPIdle("127.0.0.1:0", sink, 80*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServeTCP(listenTCP(t), sink, 80*time.Millisecond, StreamOptions{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -141,10 +147,7 @@ func TestTCPIdleTimeoutSeversStalledConn(t *testing.T) {
 // for several multiples of it overall — is never cut off.
 func TestTCPIdleTimeoutSparesLiveProducer(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCPIdle("127.0.0.1:0", sink, 150*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServeTCP(listenTCP(t), sink, 150*time.Millisecond, StreamOptions{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -161,4 +164,53 @@ func TestTCPIdleTimeoutSparesLiveProducer(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return sink.count() == n },
 		fmt.Sprintf("server delivered %d of %d readings", sink.count(), n))
+}
+
+// lateConnListener is a listener whose Close hands one last connection to
+// the pending Accept before reporting itself closed: a real listener can
+// complete a handshake in the instant before it closes.
+type lateConnListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	late   net.Conn
+}
+
+func (l *lateConnListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *lateConnListener) Close() error {
+	l.conns <- l.late
+	close(l.closed)
+	return nil
+}
+
+func (l *lateConnListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+// TestTCPCloseSeversLateConnection: a connection the listener hands over
+// while Close is shutting it down must still be closed, or Close waits on
+// its stream forever (idle = 0 sets no deadline to end it).
+func TestTCPCloseSeversLateConnection(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		server, client := net.Pipe()
+		ln := &lateConnListener{conns: make(chan net.Conn), closed: make(chan struct{}), late: server}
+		srv := ServeTCP(ln, &collectConsumer{}, 0, StreamOptions{})
+		closed := make(chan error, 1)
+		go func() { closed <- srv.Close() }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: Close still waiting on the late connection", i)
+		}
+		client.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("iteration %d: late connection left open: read returned %v", i, err)
+		}
+		client.Close()
+	}
 }

@@ -30,7 +30,7 @@ func (d *Deployment) RunConcurrent(start, end time.Duration) ([]sensor.Reading, 
 	// loop never regrows it mid-run.
 	rounds := 0
 	if end > start {
-		rounds = int((end - start - 1) / d.cfg.SamplePeriod) + 1
+		rounds = int((end-start-1)/d.cfg.SamplePeriod) + 1
 	}
 	msgs := make(chan sensor.Reading, 4*len(d.devices))
 	var wg sync.WaitGroup

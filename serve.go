@@ -1,7 +1,9 @@
 package sensorguard
 
 import (
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"time"
 
@@ -18,7 +20,8 @@ type (
 	// IngestReading is one wire message: a sensor reading tagged with its
 	// deployment key.
 	IngestReading = ingest.Reading
-	// IngestConsumer accepts decoded readings (implemented by Fleet).
+	// IngestConsumer accepts decoded readings in batches (implemented by
+	// Fleet).
 	IngestConsumer = ingest.Consumer
 	// IngestStats counts the outcome of one ingest stream (either codec).
 	IngestStats = ingest.StreamStats
@@ -34,7 +37,7 @@ type (
 	FleetStatus = fleet.Status
 	// OverflowPolicy says what Submit does when a shard queue is full.
 	OverflowPolicy = fleet.Policy
-	// IngestTCPServer accepts line-delimited NDJSON readings over TCP.
+	// IngestTCPServer accepts readings in either wire codec over TCP.
 	IngestTCPServer = ingest.TCPServer
 	// FleetDurability configures the write-ahead journal and periodic
 	// checkpoints (see docs/RESILIENCE.md).
@@ -131,48 +134,27 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) { return fleet.ParseP
 // the /metrics family when reg is non-nil).
 func FleetHandler(p *Fleet, reg *MetricsRegistry) http.Handler { return fleet.Handler(p, reg) }
 
-// ServeIngestTCP accepts line-delimited NDJSON readings on addr in the
-// background, feeding them to c.
-func ServeIngestTCP(addr string, c IngestConsumer) (*IngestTCPServer, error) {
-	return ingest.ServeTCP(addr, c)
+// ServeIngestTCP accepts readings in either wire codec on addr in the
+// background, feeding them to p; the first byte of each connection picks
+// the codec. Connections inherit the pool's tracer and feed its
+// ingest_decode stage clock, so TCP ingestion participates in bottleneck
+// attribution like POST /ingest does. Connections idle longer than five
+// minutes are severed.
+func ServeIngestTCP(addr string, p *Fleet) (*IngestTCPServer, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
+	}
+	o := ingest.StreamOptions{Tracer: p.Tracer(), Decode: p.DecodeClock()}
+	return ingest.ServeTCP(ln, p, ingest.DefaultTCPIdleTimeout, o), nil
 }
 
-// ServeIngestTCPTraced is ServeIngestTCP with per-connection "ingest.decode"
-// spans recorded under tr's sampling policy (tr may be nil).
-func ServeIngestTCPTraced(addr string, c IngestConsumer, tr *Tracer) (*IngestTCPServer, error) {
-	return ingest.ServeTCPTraced(addr, c, ingest.DefaultTCPIdleTimeout, tr)
-}
-
-// ServeIngestTCPFor is ServeIngestTCPTraced wired to a fleet: connections
-// inherit the pool's tracer and feed the ingest_decode stage clock, so TCP
-// ingestion participates in bottleneck attribution like POST /ingest does.
-func ServeIngestTCPFor(addr string, p *Fleet) (*IngestTCPServer, error) {
-	return ingest.ServeTCPStaged(addr, p, ingest.DefaultTCPIdleTimeout, p.Tracer(), p.DecodeClock())
-}
-
-// ReadIngestStream decodes NDJSON readings from r and submits each to c
-// until EOF.
-func ReadIngestStream(r io.Reader, c IngestConsumer) (IngestStats, error) {
-	return ingest.ReadStream(r, c)
-}
-
-// ReadIngestStreamTraced is ReadIngestStream recording an "ingest.decode"
-// span for the stream under tr's sampling policy (tr may be nil).
-func ReadIngestStreamTraced(r io.Reader, c IngestConsumer, tr *Tracer) (IngestStats, error) {
-	return ingest.ReadStreamTraced(r, c, tr, obs.SpanContext{})
-}
-
-// ReadIngestWire reads a stream of readings in either wire codec, sniffing
-// the first byte: the binary frame magic selects the columnar frame codec,
-// anything else is NDJSON (the default). tr may be nil.
-func ReadIngestWire(r io.Reader, c IngestConsumer, tr *Tracer) (IngestStats, error) {
-	return ingest.ReadWireStream(r, c, ingest.StreamOptions{Tracer: tr})
-}
-
-// ReadIngestWireFor is ReadIngestWire wired to a fleet: the stream inherits
-// the pool's tracer and feeds the ingest_decode stage clock, so source-stream
-// ingestion participates in bottleneck attribution like the listeners do.
-func ReadIngestWireFor(r io.Reader, p *Fleet) (IngestStats, error) {
+// ReadIngestWire reads a stream of readings in either wire codec from r
+// into p until EOF, sniffing the first byte: the binary frame magic selects
+// the columnar frame codec, anything else is NDJSON (the default). The
+// stream inherits the pool's tracer and feeds its ingest_decode stage
+// clock, like the listeners.
+func ReadIngestWire(r io.Reader, p *Fleet) (IngestStats, error) {
 	return ingest.ReadWireStream(r, p, ingest.StreamOptions{Tracer: p.Tracer(), Decode: p.DecodeClock()})
 }
 
@@ -186,11 +168,6 @@ func EncodeIngestFrame(rs []IngestReading) ([]byte, error) { return ingest.Encod
 // DecodeIngestFrame parses one binary wire frame, returning its readings and
 // the count of semantically invalid ones it skipped.
 func DecodeIngestFrame(frame []byte) ([]IngestReading, int, error) { return ingest.DecodeFrame(frame) }
-
-// SetIngestDecodeWorkers sizes the process-wide binary frame decode pool
-// (default: one worker per GOMAXPROCS). Call before serving; the pool starts
-// lazily with the first binary stream and keeps its size after that.
-func SetIngestDecodeWorkers(n int) { ingest.SetDecodeWorkers(n) }
 
 // EncodeIngestLine renders a reading as one NDJSON line (no newline).
 func EncodeIngestLine(r IngestReading) ([]byte, error) { return ingest.EncodeLine(r) }
