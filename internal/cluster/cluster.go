@@ -232,12 +232,15 @@ func (s *Set) nearestSq(p vecmat.Vector) (idx int, d2 float64) {
 // equal length (the Set invariant guarantees centroids match s.dim). The
 // two-attribute case is unrolled: GDI-style deployments sense (temperature,
 // humidity), and this sits innermost in every per-observation nearest-state
-// scan.
+// scan. Both cases accumulate like vecmat.Vector.Distance, one square at a
+// time from zero, so KMeans can compare these sums in place of its roots.
 func sqDist(a, b vecmat.Vector) float64 {
 	if len(a) == 2 && len(b) == 2 {
 		dx := a[0] - b[0]
 		dy := a[1] - b[1]
-		return dx*dx + dy*dy
+		s := dx * dx
+		s += dy * dy
+		return s
 	}
 	var s float64
 	for i := range a {

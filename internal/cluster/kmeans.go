@@ -16,6 +16,12 @@ import (
 //
 // rng drives the (deterministic, seeded) initialisation. maxIter bounds the
 // Lloyd iterations; the algorithm also stops early on convergence.
+//
+// The kernel works on one flat copy of the points and compares squared
+// distances, yet its output is bit-for-bit that of the textbook algorithm
+// over Euclidean distances: a point joins the centroid whose root distance
+// is strictly smaller (see closer), a k-means++ weight is the root distance
+// squared, and every sum and rng draw keeps the textbook order.
 func KMeans(points []vecmat.Vector, k int, rng *rand.Rand, maxIter int) ([]vecmat.Vector, error) {
 	switch {
 	case k <= 0:
@@ -25,103 +31,148 @@ func KMeans(points []vecmat.Vector, k int, rng *rand.Rand, maxIter int) ([]vecma
 	case rng == nil:
 		return nil, errors.New("cluster: nil rng")
 	}
-	dim := len(points[0])
+	n, dim := len(points), len(points[0])
 	for _, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("cluster: ragged point %v: %w", p, vecmat.ErrDimensionMismatch)
 		}
 	}
-
-	centroids, err := seedPlusPlus(points, k, rng)
-	if err != nil {
-		return nil, err
+	flat := make([]float64, n*dim)
+	for i, p := range points {
+		copy(flat[i*dim:], p)
 	}
 
-	assign := make([]int, len(points))
+	cent := seedPlusPlus(flat, n, dim, k, rng)
+	assign := make([]int, n)
+	sums := make([]float64, k*dim)
+	counts := make([]int, k)
 	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i, p := range points {
-			best, bestDist := 0, math.Inf(1)
-			for c, cent := range centroids {
-				d, derr := p.Distance(cent)
-				if derr != nil {
-					return nil, derr
-				}
-				if d < bestDist {
-					best, bestDist = c, d
+		if !assignNearest(assign, flat, cent, dim, k) && iter > 0 {
+			break
+		}
+		clear(sums)
+		clear(counts)
+		for i, c := range assign {
+			sum := sums[c*dim : c*dim+dim]
+			for j, x := range flat[i*dim : i*dim+dim] {
+				sum[j] += x
+			}
+			counts[c]++
+		}
+		for c, count := range counts {
+			dst := cent[c*dim : c*dim+dim]
+			if count == 0 {
+				// Re-seed an empty cluster at a random point.
+				p := rng.Intn(n)
+				copy(dst, flat[p*dim:p*dim+dim])
+				continue
+			}
+			scale := 1 / float64(count)
+			for j, x := range sums[c*dim : c*dim+dim] {
+				dst[j] = scale * x
+			}
+		}
+	}
+
+	centroids := make([]vecmat.Vector, k)
+	for c := range centroids {
+		centroids[c] = cent[c*dim : c*dim+dim : c*dim+dim]
+	}
+	return centroids, nil
+}
+
+// closer reports whether a point at squared distance s from one centroid is
+// nearer than at squared distance best from another, deciding exactly as
+// √s < √best would. Two squared distances that differ can round to the same
+// root, and then the earlier centroid must keep the point; so the roots are
+// taken whenever s is within 2⁻⁴⁸ of best, where they could coincide.
+func closer(s, best float64) bool {
+	return s < best && (s < best*(1-0x1p-48) || math.Sqrt(s) < math.Sqrt(best))
+}
+
+// assignNearest points assign[i] at the nearest of the k centroids in cent
+// (the first on a tie) and reports whether any assignment changed.
+func assignNearest(assign []int, flat, cent []float64, dim, k int) bool {
+	changed := false
+	if dim == 2 {
+		// Every serving input is (temperature, humidity): keep the point
+		// in two locals across the k centroids. s is summed as sqDist
+		// sums it, so it rounds as 0 + dx² + dy² does.
+		for i := range assign {
+			x, y := flat[2*i], flat[2*i+1]
+			best, bestS := 0, math.Inf(1)
+			for c := 0; c < k; c++ {
+				dx, dy := x-cent[2*c], y-cent[2*c+1]
+				s := dx * dx
+				s += dy * dy
+				if closer(s, bestS) {
+					best, bestS = c, s
 				}
 			}
 			if assign[i] != best {
 				assign[i], changed = best, true
 			}
 		}
-		if !changed && iter > 0 {
-			break
-		}
-		sums := make([]vecmat.Vector, k)
-		counts := make([]int, k)
-		for c := range sums {
-			sums[c] = vecmat.NewVector(dim)
-		}
-		for i, p := range points {
-			if err := sums[assign[i]].AddInPlace(p); err != nil {
-				return nil, err
+		return changed
+	}
+	for i := range assign {
+		p := flat[i*dim : i*dim+dim]
+		best, bestS := 0, math.Inf(1)
+		for c := 0; c < k; c++ {
+			if s := sqDist(p, cent[c*dim:c*dim+dim]); closer(s, bestS) {
+				best, bestS = c, s
 			}
-			counts[assign[i]]++
 		}
-		for c := range centroids {
-			if counts[c] == 0 {
-				// Re-seed an empty cluster at a random point.
-				centroids[c] = points[rng.Intn(len(points))].Clone()
-				continue
-			}
-			centroids[c] = sums[c].Scale(1 / float64(counts[c]))
+		if assign[i] != best {
+			assign[i], changed = best, true
 		}
 	}
-	return centroids, nil
+	return changed
 }
 
-// seedPlusPlus picks k initial centroids with the k-means++ rule: each next
-// seed is sampled with probability proportional to its squared distance from
-// the nearest existing seed.
-func seedPlusPlus(points []vecmat.Vector, k int, rng *rand.Rand) ([]vecmat.Vector, error) {
-	centroids := make([]vecmat.Vector, 0, k)
-	centroids = append(centroids, points[rng.Intn(len(points))].Clone())
-	d2 := make([]float64, len(points))
-	for len(centroids) < k {
+// seedPlusPlus picks k initial centroids from the n flat points with the
+// k-means++ rule: each next seed is sampled with probability proportional
+// to its squared distance from the nearest existing seed. It returns them
+// as one flat k×dim slice. d2 keeps each point's running minimum, so a new
+// seed costs one distance per point. A weight is the root distance squared,
+// (√s)², as in the textbook algorithm: it need not equal s, and weighting
+// by s could move the sampled pick.
+func seedPlusPlus(flat []float64, n, dim, k int, rng *rand.Rand) []float64 {
+	cent := make([]float64, k*dim)
+	p := rng.Intn(n)
+	copy(cent, flat[p*dim:p*dim+dim])
+	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
+	for c := 1; c < k; c++ {
+		last := cent[(c-1)*dim : c*dim]
 		var total float64
-		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				d, err := p.Distance(c)
-				if err != nil {
-					return nil, err
-				}
-				if dd := d * d; dd < best {
-					best = dd
-				}
+		for i := range d2 {
+			r := math.Sqrt(sqDist(flat[i*dim:i*dim+dim], last))
+			if w := r * r; w < d2[i] {
+				d2[i] = w
 			}
-			d2[i] = best
-			total += best
+			total += d2[i]
 		}
 		if total == 0 {
 			// All points coincide with existing seeds; duplicate one.
-			centroids = append(centroids, points[rng.Intn(len(points))].Clone())
-			continue
-		}
-		target := rng.Float64() * total
-		var acc float64
-		pick := len(points) - 1
-		for i, w := range d2 {
-			acc += w
-			if acc >= target {
-				pick = i
-				break
+			p = rng.Intn(n)
+		} else {
+			target := rng.Float64() * total
+			var acc float64
+			p = n - 1
+			for i, w := range d2 {
+				acc += w
+				if acc >= target {
+					p = i
+					break
+				}
 			}
 		}
-		centroids = append(centroids, points[pick].Clone())
+		copy(cent[c*dim:], flat[p*dim:p*dim+dim])
 	}
-	return centroids, nil
+	return cent
 }
 
 // RandomStates returns k random centroids drawn uniformly inside the

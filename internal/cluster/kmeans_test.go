@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
+	"sensorguard/internal/gdi"
 	"sensorguard/internal/vecmat"
 )
 
@@ -103,6 +107,140 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 	}
 }
 
+// bootstrapDay returns the attribute vectors of the first 24 h of a
+// two-day synthetic GDI deployment: what the collector clusters when that
+// deployment bootstraps.
+func bootstrapDay(tb testing.TB, seed int64) []vecmat.Vector {
+	tb.Helper()
+	cfg := gdi.DefaultGenerateConfig()
+	cfg.Days = 2
+	cfg.Seed = seed
+	tr, err := gdi.Generate(cfg)
+	if err != nil {
+		tb.Fatalf("generate: %v", err)
+	}
+	var pts []vecmat.Vector
+	for _, r := range tr.Readings {
+		if r.Time < tr.Readings[0].Time+24*time.Hour {
+			pts = append(pts, r.Values)
+		}
+	}
+	return pts
+}
+
+// tiePoints puts p = (0, 0) last, after five copies of a = (2²⁶, 1) and
+// five of b = (−2²⁶, 0). p's squared distances, 2⁵²+1 from a and 2⁵² from
+// b, are one ulp apart yet share the root 2²⁶, so p must stay with a when
+// a is the earlier centroid. A kernel comparing plain squared distances
+// moves it to b.
+func tiePoints() []vecmat.Vector {
+	var pts []vecmat.Vector
+	for range 5 {
+		pts = append(pts, vecmat.Vector{0x1p26, 1})
+	}
+	for range 5 {
+		pts = append(pts, vecmat.Vector{-0x1p26, 0})
+	}
+	return append(pts, vecmat.Vector{0, 0})
+}
+
+// tieSeed is an rng seed under which k-means++ seeds tiePoints with a
+// first and b second.
+const tieSeed = 1
+
+func TestKMeansMatchesReference(t *testing.T) {
+	type kmCase struct {
+		name   string
+		points []vecmat.Vector
+		k      int
+		seed   int64
+	}
+	var cases []kmCase
+	// perfbench's 64 deployments at workload seed 1.
+	for d := range 64 {
+		pts := bootstrapDay(t, 1_000_003+int64(d)+1)
+		for _, seed := range []int64{1, 2, 7} {
+			cases = append(cases, kmCase{fmt.Sprintf("gdi-dep-%d/rng-%d", d, seed), pts, 6, seed})
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	var oneD, threeD []vecmat.Vector
+	for _, c := range []vecmat.Vector{{0}, {5}, {9}, {30}} {
+		oneD = append(oneD, blob(rng, c, 1, 80)...)
+	}
+	for _, c := range []vecmat.Vector{{12, 94, 3}, {17, 84, 1}, {24, 70, 2}} {
+		threeD = append(threeD, blob(rng, c, 2, 60)...)
+	}
+	var identical []vecmat.Vector
+	for range 40 {
+		identical = append(identical, vecmat.Vector{5, 5})
+	}
+	// Two locations cannot seed three clusters: the third seed duplicates
+	// one of them, loses every point to the earlier twin, and is re-seeded.
+	reseed := []vecmat.Vector{{5, 5}, {5, 5}, {5, 5}, {9, 9}}
+	for _, seed := range []int64{1, 2, 7} {
+		cases = append(cases,
+			kmCase{fmt.Sprintf("1d-blobs/rng-%d", seed), oneD, 4, seed},
+			kmCase{fmt.Sprintf("3d-blobs/rng-%d", seed), threeD, 3, seed},
+			kmCase{fmt.Sprintf("identical/rng-%d", seed), identical, 3, seed},
+			kmCase{fmt.Sprintf("k-equals-n/rng-%d", seed), threeD[:12], 12, seed},
+			kmCase{fmt.Sprintf("empty-reseed/rng-%d", seed), reseed, 3, seed},
+		)
+	}
+
+	tie := tiePoints()
+	a, b, p := tie[0], tie[5], tie[10]
+	sa := (p[0]-a[0])*(p[0]-a[0]) + (p[1]-a[1])*(p[1]-a[1])
+	sb := (p[0]-b[0])*(p[0]-b[0]) + (p[1]-b[1])*(p[1]-b[1])
+	if sa != math.Nextafter(sb, math.Inf(1)) || math.Sqrt(sa) != math.Sqrt(sb) {
+		t.Fatalf("tie case: squared distances %v and %v are not one ulp apart with one root", sa, sb)
+	}
+	seeds, err := referenceSeedPlusPlus(tie, 2, rand.New(rand.NewSource(tieSeed)))
+	if err != nil || !seeds[0].Equal(a, 0) || !seeds[1].Equal(b, 0) {
+		t.Fatalf("tie case: rng seed %d seeds %v, want a then b", tieSeed, seeds)
+	}
+	cases = append(cases, kmCase{"root-tie", tie, 2, tieSeed})
+
+	for _, tc := range cases {
+		want, err := referenceKMeans(tc.points, tc.k, rand.New(rand.NewSource(tc.seed)), 100)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		got, err := KMeans(tc.points, tc.k, rand.New(rand.NewSource(tc.seed)), 100)
+		if err != nil {
+			t.Fatalf("%s: KMeans: %v", tc.name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d centroids, want %d", tc.name, len(got), len(want))
+		}
+		for c := range want {
+			if len(got[c]) != len(want[c]) {
+				t.Fatalf("%s: centroid %d has dim %d, want %d", tc.name, c, len(got[c]), len(want[c]))
+			}
+			for j := range want[c] {
+				if math.Float64bits(got[c][j]) != math.Float64bits(want[c][j]) {
+					t.Errorf("%s: centroid %d = %v, want %v", tc.name, c, got[c], want[c])
+					break
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKMeans clusters one GDI bootstrap day (2,591 points) into six
+// states, as the collector does for every deployment it bootstraps.
+func BenchmarkKMeans(b *testing.B) {
+	pts := bootstrapDay(b, 1_000_003+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := KMeans(pts, 6, rand.New(rand.NewSource(1)), 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestRandomStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	got, err := RandomStates(6, 2, 0, 100, rng)
@@ -132,4 +270,115 @@ func TestRandomStates(t *testing.T) {
 	if _, err := RandomStates(1, 2, 0, 1, nil); err == nil {
 		t.Error("nil rng accepted")
 	}
+}
+
+// referenceKMeans is the textbook KMeans that the flat kernel replaced,
+// kept verbatim as the oracle the kernel must match bit for bit: Lloyd's
+// algorithm over Euclidean distances with k-means++ seeding.
+func referenceKMeans(points []vecmat.Vector, k int, rng *rand.Rand, maxIter int) ([]vecmat.Vector, error) {
+	switch {
+	case k <= 0:
+		return nil, errors.New("cluster: k must be positive")
+	case len(points) < k:
+		return nil, fmt.Errorf("cluster: %d points cannot seed %d clusters", len(points), k)
+	case rng == nil:
+		return nil, errors.New("cluster: nil rng")
+	}
+	dim := len(points[0])
+	for _, p := range points {
+		if len(p) != dim {
+			return nil, fmt.Errorf("cluster: ragged point %v: %w", p, vecmat.ErrDimensionMismatch)
+		}
+	}
+
+	centroids, err := referenceSeedPlusPlus(points, k, rng)
+	if err != nil {
+		return nil, err
+	}
+
+	assign := make([]int, len(points))
+	for iter := 0; iter < maxIter; iter++ {
+		changed := false
+		for i, p := range points {
+			best, bestDist := 0, math.Inf(1)
+			for c, cent := range centroids {
+				d, derr := p.Distance(cent)
+				if derr != nil {
+					return nil, derr
+				}
+				if d < bestDist {
+					best, bestDist = c, d
+				}
+			}
+			if assign[i] != best {
+				assign[i], changed = best, true
+			}
+		}
+		if !changed && iter > 0 {
+			break
+		}
+		sums := make([]vecmat.Vector, k)
+		counts := make([]int, k)
+		for c := range sums {
+			sums[c] = vecmat.NewVector(dim)
+		}
+		for i, p := range points {
+			if err := sums[assign[i]].AddInPlace(p); err != nil {
+				return nil, err
+			}
+			counts[assign[i]]++
+		}
+		for c := range centroids {
+			if counts[c] == 0 {
+				// Re-seed an empty cluster at a random point.
+				centroids[c] = points[rng.Intn(len(points))].Clone()
+				continue
+			}
+			centroids[c] = sums[c].Scale(1 / float64(counts[c]))
+		}
+	}
+	return centroids, nil
+}
+
+// referenceSeedPlusPlus picks k initial centroids with the k-means++ rule: each next
+// seed is sampled with probability proportional to its squared distance from
+// the nearest existing seed.
+func referenceSeedPlusPlus(points []vecmat.Vector, k int, rng *rand.Rand) ([]vecmat.Vector, error) {
+	centroids := make([]vecmat.Vector, 0, k)
+	centroids = append(centroids, points[rng.Intn(len(points))].Clone())
+	d2 := make([]float64, len(points))
+	for len(centroids) < k {
+		var total float64
+		for i, p := range points {
+			best := math.Inf(1)
+			for _, c := range centroids {
+				d, err := p.Distance(c)
+				if err != nil {
+					return nil, err
+				}
+				if dd := d * d; dd < best {
+					best = dd
+				}
+			}
+			d2[i] = best
+			total += best
+		}
+		if total == 0 {
+			// All points coincide with existing seeds; duplicate one.
+			centroids = append(centroids, points[rng.Intn(len(points))].Clone())
+			continue
+		}
+		target := rng.Float64() * total
+		var acc float64
+		pick := len(points) - 1
+		for i, w := range d2 {
+			acc += w
+			if acc >= target {
+				pick = i
+				break
+			}
+		}
+		centroids = append(centroids, points[pick].Clone())
+	}
+	return centroids, nil
 }

@@ -228,7 +228,14 @@ func TestE2EDetectorDriftAlert(t *testing.T) {
 	for w := 0; w < 4; w++ { // bootstrap horizon (4h)
 		feed(w, 0)
 	}
-	if code := getJSON(t, srv.URL+"/debug/health/drift", nil); code != http.StatusServiceUnavailable {
+	// Submit returns once the readings are queued; the deployment exists
+	// (404 → 503) only after the shard worker has taken the first run.
+	code := getJSON(t, srv.URL+"/debug/health/drift", nil)
+	for deadline := time.Now().Add(10 * time.Second); code == http.StatusNotFound && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		code = getJSON(t, srv.URL+"/debug/health/drift", nil)
+	}
+	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/debug/health/drift while bootstrapping = %d, want 503", code)
 	}
 	for w := 4; w < 24; w++ { // clean steady state
@@ -238,12 +245,14 @@ func TestE2EDetectorDriftAlert(t *testing.T) {
 		feed(w, 4)
 	}
 
-	// The step path has folded the windows in synchronously; the verdict
-	// should already be visible on the health endpoint.
+	// The shard worker folds the queued windows in behind Submit. Until it
+	// has finished the bootstrap the endpoint answers 503 with a plain-text
+	// body, so only a 200 is decoded.
 	var hd healthDoc
 	stop := time.Now().Add(10 * time.Second)
 	for {
-		if code := getJSON(t, srv.URL+"/debug/health/drift", &hd); code == 200 && hd.Health.Drifting {
+		url := srv.URL + "/debug/health/drift"
+		if getJSON(t, url, nil) == 200 && getJSON(t, url, &hd) == 200 && hd.Health.Drifting {
 			break
 		}
 		if time.Now().After(stop) {

@@ -248,38 +248,3 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
-
-func TestRunConcurrentMatchesDeviceCount(t *testing.T) {
-	d, err := New(testConfig(), constantField(20, 70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := d.RunConcurrent(0, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace) != 12*10 {
-		t.Fatalf("concurrent trace has %d messages, want 120", len(trace))
-	}
-	// Re-sequenced ordering.
-	for i := 1; i < len(trace); i++ {
-		if trace[i].Time < trace[i-1].Time {
-			t.Fatal("concurrent trace not time ordered")
-		}
-	}
-}
-
-func TestRunConcurrentRejectsAttack(t *testing.T) {
-	adv, err := attack.NewAdversary([]int{0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(testConfig(), constantField(20, 70),
-		WithAttack(&attack.DynamicCreation{Adversary: adv, Target: vecmat.Vector{1, 1}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.RunConcurrent(0, time.Hour); err == nil {
-		t.Error("concurrent run with attack accepted")
-	}
-}
