@@ -13,7 +13,7 @@ race:
 
 # lint forbids ad-hoc diagnostic prints outside examples/ and tests: all
 # operational chatter must go through the structured slog logger
-# (obs.NewLogger), so every line is JSON and carries trace correlation.
+# (obs.NewLogger), so every line is JSON.
 lint:
 	@bad=$$(grep -rn 'log\.Printf\|log\.Println\|fmt\.Fprintf(os\.Stderr\|fmt\.Fprintf(errOut' \
 		--include='*.go' . \

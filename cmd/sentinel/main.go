@@ -228,9 +228,9 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 	return nil
 }
 
-// logger builds the process-wide structured logger: trace-correlated JSON
-// lines on the diagnostic stream, tagged component=sentinel. Reports still go
-// to stdout untouched — only operational chatter is structured.
+// logger builds the process-wide structured logger: JSON lines on the
+// diagnostic stream, tagged component=sentinel. Reports still go to stdout
+// untouched — only operational chatter is structured.
 func logger(errOut io.Writer) *slog.Logger {
 	return sensorguard.NewLogger(errOut, slog.LevelInfo, "sentinel")
 }

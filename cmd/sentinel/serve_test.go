@@ -96,6 +96,7 @@ func TestServeErrors(t *testing.T) {
 		"bad overflow policy": {"-listen", "127.0.0.1:0", "-overflow", "sometimes", "-"},
 		"too many args":       {"-listen", "127.0.0.1:0", "a.ndjson", "b.ndjson"},
 		"missing source file": {"-listen", "127.0.0.1:0", "no-such-file.ndjson"},
+		"negative lateness":   {"-listen", "127.0.0.1:0", "-lateness", "-1m", "-"},
 	} {
 		if err := run(args, strings.NewReader(""), io.Discard, io.Discard); err == nil {
 			t.Errorf("%s: run succeeded, want error", name)

@@ -163,9 +163,6 @@ func New(cfg Config, dim int, initial []vecmat.Vector) (*Set, error) {
 // Len returns the current number of states.
 func (s *Set) Len() int { return len(s.states) }
 
-// Dim returns the attribute dimensionality.
-func (s *Set) Dim() int { return s.dim }
-
 // States returns a copy of the current states, ordered by ID.
 func (s *Set) States() []State {
 	out := make([]State, len(s.states))
@@ -265,13 +262,8 @@ func (s *Set) DistanceTo(id int, p vecmat.Vector) (float64, bool) {
 	return 0, false
 }
 
-// Assign maps each observation to its nearest state (Eq. 3), returning one
-// state ID per observation. On error the returned slice is nil.
-func (s *Set) Assign(points []vecmat.Vector) ([]int, error) {
-	return s.AssignTo(points, nil)
-}
-
-// AssignTo is Assign writing into dst (grown as needed), so steady-state
+// AssignTo maps each observation to its nearest state (Eq. 3), writing one
+// state ID per observation into dst (grown as needed), so steady-state
 // callers can reuse one buffer across windows. It returns dst resliced to
 // len(points); on error the result is nil.
 func (s *Set) AssignTo(points []vecmat.Vector, dst []int) ([]int, error) {
@@ -485,13 +477,3 @@ func (s *Set) SpawnCount() int { return s.spawned }
 
 // MergeCount returns the total number of merge events so far.
 func (s *Set) MergeCount() int { return s.merged }
-
-// TotalWeight returns the sum of all state weights (total observations
-// absorbed so far).
-func (s *Set) TotalWeight() float64 {
-	var t float64
-	for _, st := range s.states {
-		t += st.Weight
-	}
-	return t
-}

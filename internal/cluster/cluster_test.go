@@ -63,17 +63,6 @@ func TestNearestAndAssign(t *testing.T) {
 	if id != 0 || math.Abs(d-math.Sqrt2) > 1e-12 {
 		t.Errorf("Nearest = (%d, %v), want (0, √2)", id, d)
 	}
-
-	ids, err := s.Assign([]vecmat.Vector{{1, 1}, {99, 99}, {60, 60}})
-	if err != nil {
-		t.Fatalf("Assign: %v", err)
-	}
-	want := []int{0, 1, 1}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Errorf("Assign[%d] = %d, want %d", i, ids[i], want[i])
-		}
-	}
 }
 
 func TestNearestEmptySetErrors(t *testing.T) {
@@ -289,17 +278,6 @@ func TestIDStabilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTotalWeightAccumulates(t *testing.T) {
-	s := mustNew(t, testConfig(), 1, []vecmat.Vector{{0}})
-	points := []vecmat.Vector{{0}, {0.5}}
-	if _, err := s.Adapt(points, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TotalWeight(); got != 2 {
-		t.Errorf("TotalWeight = %v, want 2", got)
 	}
 }
 

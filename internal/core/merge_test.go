@@ -133,10 +133,3 @@ func TestOverallMajorityOfSensorKinds(t *testing.T) {
 		t.Errorf("empty Overall = %v, want none", got)
 	}
 }
-
-func TestWindowDuration(t *testing.T) {
-	d := mustDetector(t)
-	if got := d.WindowDuration(); got != DefaultConfig(keyStates()).Window {
-		t.Errorf("WindowDuration = %v", got)
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"sensorguard/internal/classify"
 	"sensorguard/internal/cluster"
@@ -123,6 +122,3 @@ func (d *Detector) ProcessTrace(readings []sensor.Reading) ([]StepResult, error)
 	}
 	return out, nil
 }
-
-// WindowDuration returns the configured observation window w.
-func (d *Detector) WindowDuration() time.Duration { return d.cfg.Window }

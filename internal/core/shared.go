@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"sensorguard/internal/classify"
 	"sensorguard/internal/network"
 	"sensorguard/internal/vecmat"
 )
@@ -67,20 +66,4 @@ func (s *Shared) StateAttributes() map[int]vecmat.Vector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.d.StateAttributes()
-}
-
-// Diagnose runs the per-sensor classification for one tracked sensor.
-func (s *Shared) Diagnose(sensorID int) (classify.SensorDiagnosis, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap, ok := s.d.ModelCE(sensorID)
-	if !ok {
-		return classify.SensorDiagnosis{}, false
-	}
-	diag, err := classify.Sensor(sensorID, snap, s.d.StateAttributes(),
-		s.d.ErrorProfile(sensorID), s.d.cfg.Classify)
-	if err != nil {
-		return classify.SensorDiagnosis{}, false
-	}
-	return diag, true
 }

@@ -51,7 +51,6 @@ func TestSharedConcurrentSnapshots(t *testing.T) {
 				_, _ = shared.Report()
 				_ = shared.Quarantined()
 				_ = shared.StateAttributes()
-				_, _ = shared.Diagnose(0)
 			}
 		}()
 	}

@@ -286,16 +286,3 @@ func (p *Plan) Apply(sensorID int, t time.Duration, clean vecmat.Vector) (vecmat
 	}
 	return out, true
 }
-
-// FaultySensors returns the IDs of all sensors with at least one schedule.
-func (p *Plan) FaultySensors() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, s := range p.schedules {
-		if !seen[s.Sensor] {
-			seen[s.Sensor] = true
-			out = append(out, s.Sensor)
-		}
-	}
-	return out
-}

@@ -180,21 +180,6 @@ func TestPlanStacksInjectors(t *testing.T) {
 	}
 }
 
-func TestFaultySensors(t *testing.T) {
-	p, err := NewPlan(
-		Schedule{Sensor: 6, Injector: StuckAt{}},
-		Schedule{Sensor: 7, Injector: StuckAt{}},
-		Schedule{Sensor: 6, Injector: Additive{}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := p.FaultySensors()
-	if len(got) != 2 || got[0] != 6 || got[1] != 7 {
-		t.Errorf("FaultySensors = %v, want [6 7]", got)
-	}
-}
-
 func TestOutageDropsEveryMessageWhileActive(t *testing.T) {
 	p, err := NewPlan(
 		Schedule{Sensor: 2, Injector: Outage{}, Start: time.Hour, End: 2 * time.Hour},

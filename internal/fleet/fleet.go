@@ -137,6 +137,31 @@ type Config struct {
 	stallOn func(ingest.Reading) <-chan struct{}
 }
 
+// validate rejects the negative sizes and durations that withDefaults would
+// otherwise turn into defaults: zero means "default", a negative value is a
+// mistake the caller should hear about.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		neg  bool
+		v    any
+	}{
+		{"Shards", c.Shards < 0, c.Shards},
+		{"QueueLen", c.QueueLen < 0, c.QueueLen},
+		{"Window", c.Window < 0, c.Window},
+		{"Lateness", c.Lateness < 0, c.Lateness},
+		{"Bootstrap", c.Bootstrap < 0, c.Bootstrap},
+		{"States", c.States < 0, c.States},
+		{"Durability.Interval", c.Durability.Interval < 0, c.Durability.Interval},
+		{"Durability.EveryN", c.Durability.EveryN < 0, c.Durability.EveryN},
+	} {
+		if f.neg {
+			return fmt.Errorf("fleet: %s must not be negative, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
@@ -267,10 +292,10 @@ type Pool struct {
 // pool is always consistent; a failed recovery leaves the directory as it
 // was.
 func New(cfg Config) (*Pool, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Lateness < 0 {
-		return nil, errors.New("fleet: lateness must be non-negative")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	p := &Pool{cfg: cfg, drained: make(chan struct{})}
 	p.scratch.New = func() any {
 		return &admitScratch{open: make([]*run, cfg.Shards), budget: make([]int, cfg.Shards)}

@@ -398,3 +398,28 @@ func TestDeploymentsRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsNegativeConfig checks that New refuses a negative size or
+// duration and names the field, instead of serving with its default.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	for field, cfg := range map[string]Config{
+		"Shards":              {Shards: -1},
+		"QueueLen":            {QueueLen: -1},
+		"Window":              {Window: -time.Hour},
+		"Lateness":            {Lateness: -time.Minute},
+		"Bootstrap":           {Bootstrap: -time.Hour},
+		"States":              {States: -1},
+		"Durability.Interval": {Durability: Durability{Dir: t.TempDir(), Interval: -time.Second}},
+		"Durability.EveryN":   {Durability: Durability{Dir: t.TempDir(), EveryN: -1}},
+	} {
+		pool, err := New(cfg)
+		if err == nil {
+			pool.Drain()
+			t.Errorf("%s: New accepted a negative value", field)
+			continue
+		}
+		if !strings.Contains(err.Error(), field+" must not be negative") {
+			t.Errorf("%s: error %q does not name the field", field, err)
+		}
+	}
+}

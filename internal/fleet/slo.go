@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"log/slog"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -327,7 +326,3 @@ func Build() BuildInfo {
 	})
 	return buildInfo
 }
-
-// Logger returns the pool's structured logger (nil when logging is off);
-// exported so handlers and callers can share the pool's log stream.
-func (p *Pool) Logger() *slog.Logger { return p.cfg.Logger }

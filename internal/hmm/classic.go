@@ -144,57 +144,6 @@ func (m *Model) backward(obs []int, alpha [][]float64) [][]float64 {
 	return beta
 }
 
-// Viterbi returns the most likely hidden-state sequence for obs and its log
-// probability.
-func (m *Model) Viterbi(obs []int) ([]int, float64, error) {
-	if len(obs) == 0 {
-		return nil, 0, ErrNoObservations
-	}
-	states := m.States()
-	delta := make([]float64, states)
-	psi := make([][]int, len(obs))
-	for j := 0; j < states; j++ {
-		delta[j] = logOf(m.Pi[j]) + logOf(m.B.At(j, obs[0]))
-	}
-	for t := 1; t < len(obs); t++ {
-		if obs[t] < 0 || obs[t] >= m.Symbols() {
-			return nil, 0, fmt.Errorf("hmm: symbol %d out of range [0,%d)", obs[t], m.Symbols())
-		}
-		psi[t] = make([]int, states)
-		next := make([]float64, states)
-		for j := 0; j < states; j++ {
-			best, bestI := math.Inf(-1), 0
-			for i := 0; i < states; i++ {
-				if v := delta[i] + logOf(m.A.At(i, j)); v > best {
-					best, bestI = v, i
-				}
-			}
-			next[j] = best + logOf(m.B.At(j, obs[t]))
-			psi[t][j] = bestI
-		}
-		delta = next
-	}
-	best, bestJ := math.Inf(-1), 0
-	for j, v := range delta {
-		if v > best {
-			best, bestJ = v, j
-		}
-	}
-	path := make([]int, len(obs))
-	path[len(obs)-1] = bestJ
-	for t := len(obs) - 1; t > 0; t-- {
-		path[t-1] = psi[t][path[t]]
-	}
-	return path, best, nil
-}
-
-func logOf(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(p)
-}
-
 // BaumWelch re-estimates the model in place from an observation sequence,
 // running up to maxIter EM iterations or until the log-likelihood improves
 // by less than tol. It returns the final log-likelihood and the number of

@@ -91,39 +91,6 @@ func TestLogLikelihoodErrors(t *testing.T) {
 	}
 }
 
-func TestViterbiRecoversPlantedPath(t *testing.T) {
-	// A near-deterministic model: Viterbi must recover the hidden path.
-	a := vecmat.NewMatrix(2, 2)
-	a.SetRow(0, vecmat.Vector{0.95, 0.05})
-	a.SetRow(1, vecmat.Vector{0.05, 0.95})
-	b := vecmat.NewMatrix(2, 2)
-	b.SetRow(0, vecmat.Vector{0.99, 0.01})
-	b.SetRow(1, vecmat.Vector{0.01, 0.99})
-	m, err := NewModel(a, b, vecmat.Vector{0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := []int{0, 0, 0, 1, 1, 1, 0, 0}
-	path, logp, err := m.Viterbi(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range obs {
-		if path[i] != o {
-			t.Errorf("path[%d] = %d, want %d", i, path[i], o)
-		}
-	}
-	if math.IsInf(logp, -1) {
-		t.Error("viterbi log probability is -inf for a feasible path")
-	}
-	if _, _, err := m.Viterbi(nil); !errors.Is(err, ErrNoObservations) {
-		t.Errorf("empty obs err = %v", err)
-	}
-	if _, _, err := m.Viterbi([]int{0, 9}); err == nil {
-		t.Error("out-of-range symbol accepted")
-	}
-}
-
 func TestBaumWelchImprovesLikelihood(t *testing.T) {
 	truth := weatherModel(t)
 	rng := rand.New(rand.NewSource(42))

@@ -8,10 +8,10 @@
 //     set evolves (states spawn and merge), Online works over a *dynamic*
 //     alphabet of stable integer IDs.
 //
-//   - Model + Forward/Viterbi/BaumWelch, the classical batch machinery the
+//   - Model + forward/backward/BaumWelch, the classical batch machinery the
 //     paper contrasts against (§2: the standard identification problem is what
-//     makes prior HMM-based detectors impractical). It backs the ablation
-//     benchmarks.
+//     makes prior HMM-based detectors impractical). It backs the on-line vs
+//     Baum-Welch ablation.
 package hmm
 
 import (

@@ -23,6 +23,23 @@ func frameReadings() []Reading {
 	}
 }
 
+// readingEqual reports semantic equality of two readings (used by the fuzz
+// round-trip; NaN-free by construction since CheckFrameReading already ran).
+func readingEqual(a, b Reading) bool {
+	if a.Deployment != b.Deployment || a.Seq != b.Seq || a.Sensor != b.Sensor || a.Time != b.Time {
+		return false
+	}
+	if len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Values {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func assertRoundTrip(t *testing.T, in []Reading) {
 	t.Helper()
 	frame, err := EncodeFrame(in)

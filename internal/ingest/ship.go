@@ -153,9 +153,6 @@ func (s *Shipper) Flush(ctx context.Context) error {
 // Shipped returns the number of readings acknowledged by the collector.
 func (s *Shipper) Shipped() int { return s.shipped }
 
-// Pending returns the number of readings staged but not yet acknowledged.
-func (s *Shipper) Pending() int { return s.pending }
-
 // postBatch POSTs one NDJSON batch stamped with the batch's trace context,
 // retrying transient failures with exponential backoff and jitter until the
 // retry budget runs out or ctx is cancelled.

@@ -213,131 +213,6 @@ func (c *Chain) StationaryOccupancy() map[int]float64 {
 	return out
 }
 
-// Stationary returns the stationary distribution of the estimated
-// transition probabilities via power iteration, keyed by state ID. It
-// returns nil when the iteration does not converge within maxIter.
-func (c *Chain) Stationary(maxIter int, tol float64) map[int]float64 {
-	n := len(c.ids)
-	if n == 0 {
-		return nil
-	}
-	pi := make([]float64, n)
-	for i := range pi {
-		pi[i] = 1 / float64(n)
-	}
-	next := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		for j := range next {
-			next[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				next[j] += pi[i] * c.p.At(i, j)
-			}
-		}
-		var delta float64
-		for j := range next {
-			delta += absFloat(next[j] - pi[j])
-		}
-		copy(pi, next)
-		if delta < tol {
-			out := make(map[int]float64, n)
-			for i, id := range c.ids {
-				out[id] = pi[i]
-			}
-			return out
-		}
-	}
-	return nil
-}
-
-func absFloat(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// StructuralDiff compares the transition structure of two chains: edges
-// (with count support above minCount) present in one chain but not the
-// other. The §3.4 intuition says errors leave the structure unchanged while
-// Creation/Deletion attacks add/remove states or transitions.
-type StructuralDiff struct {
-	// OnlyInA and OnlyInB list edges supported in one chain only.
-	OnlyInA, OnlyInB []Transition
-	// StatesOnlyInA and StatesOnlyInB list visited states unique to one
-	// chain.
-	StatesOnlyInA, StatesOnlyInB []int
-}
-
-// Equivalent reports whether the two chains share states and transitions.
-func (d StructuralDiff) Equivalent() bool {
-	return len(d.OnlyInA) == 0 && len(d.OnlyInB) == 0 &&
-		len(d.StatesOnlyInA) == 0 && len(d.StatesOnlyInB) == 0
-}
-
-// Compare computes the structural difference between chains a and b,
-// considering only transitions supported by more than minCount raw
-// observations and states with more than minVisits visits.
-func Compare(a, b *Chain, minCount, minVisits float64) StructuralDiff {
-	var d StructuralDiff
-	edges := func(c *Chain) map[[2]int]Transition {
-		out := make(map[[2]int]Transition)
-		for _, tr := range c.Transitions(2) { // minProb 2 => counts only
-			if tr.Count > minCount && tr.From != tr.To {
-				out[[2]int{tr.From, tr.To}] = tr
-			}
-		}
-		return out
-	}
-	ea, eb := edges(a), edges(b)
-	for k, tr := range ea {
-		if _, ok := eb[k]; !ok {
-			d.OnlyInA = append(d.OnlyInA, tr)
-		}
-	}
-	for k, tr := range eb {
-		if _, ok := ea[k]; !ok {
-			d.OnlyInB = append(d.OnlyInB, tr)
-		}
-	}
-	sortTransitions(d.OnlyInA)
-	sortTransitions(d.OnlyInB)
-
-	states := func(c *Chain) map[int]bool {
-		out := make(map[int]bool)
-		for id, v := range c.visits {
-			if v > minVisits {
-				out[id] = true
-			}
-		}
-		return out
-	}
-	sa, sb := states(a), states(b)
-	for id := range sa {
-		if !sb[id] {
-			d.StatesOnlyInA = append(d.StatesOnlyInA, id)
-		}
-	}
-	for id := range sb {
-		if !sa[id] {
-			d.StatesOnlyInB = append(d.StatesOnlyInB, id)
-		}
-	}
-	sort.Ints(d.StatesOnlyInA)
-	sort.Ints(d.StatesOnlyInB)
-	return d
-}
-
-func sortTransitions(ts []Transition) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].From != ts[j].From {
-			return ts[i].From < ts[j].From
-		}
-		return ts[i].To < ts[j].To
-	})
-}
-
 // Dot renders the chain in Graphviz dot syntax with the given state labels
 // (falling back to the numeric ID), for Fig. 7-style visualisation.
 func (c *Chain) Dot(labels map[int]string, minProb float64) string {

@@ -170,77 +170,6 @@ func TestStationaryOccupancy(t *testing.T) {
 	}
 }
 
-func TestStationary(t *testing.T) {
-	c := mustChain(t)
-	// An asymmetric two-state chain: long dwell in 0, short in 1. Feed
-	// enough transitions that the learned p's stabilise.
-	seq := []int{0, 0, 0, 1}
-	for i := 0; i < 200; i++ {
-		c.Observe(seq[i%len(seq)])
-	}
-	pi := c.Stationary(10000, 1e-12)
-	if pi == nil {
-		t.Fatal("stationary iteration did not converge")
-	}
-	var total float64
-	for _, p := range pi {
-		total += p
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("stationary sums to %v", total)
-	}
-	// Verify πP = π using the chain's learned probabilities.
-	for _, j := range c.IDs() {
-		var s float64
-		for _, i := range c.IDs() {
-			s += pi[i] * c.Prob(i, j)
-		}
-		if math.Abs(s-pi[j]) > 1e-9 {
-			t.Errorf("stationarity violated at %d", j)
-		}
-	}
-
-	if mustChain(t).Stationary(10, 1e-9) != nil {
-		t.Error("empty chain returned a stationary distribution")
-	}
-}
-
-func TestCompareIdenticalChains(t *testing.T) {
-	a, b := mustChain(t), mustChain(t)
-	for i := 0; i < 40; i++ {
-		a.Observe(i % 4)
-		b.Observe(i % 4)
-	}
-	d := Compare(a, b, 1, 1)
-	if !d.Equivalent() {
-		t.Errorf("identical chains differ: %+v", d)
-	}
-}
-
-func TestCompareDetectsExtraState(t *testing.T) {
-	a, b := mustChain(t), mustChain(t)
-	for i := 0; i < 40; i++ {
-		a.Observe(i % 3)
-		b.Observe(i % 4) // state 3 and extra transitions only in b
-	}
-	d := Compare(a, b, 1, 1)
-	if d.Equivalent() {
-		t.Fatal("structurally different chains compare equivalent")
-	}
-	foundState := false
-	for _, id := range d.StatesOnlyInB {
-		if id == 3 {
-			foundState = true
-		}
-	}
-	if !foundState {
-		t.Errorf("state 3 not reported: %+v", d)
-	}
-	if len(d.OnlyInB) == 0 {
-		t.Error("extra transitions not reported")
-	}
-}
-
 func TestDot(t *testing.T) {
 	c := mustChain(t)
 	c.Observe(0)

@@ -140,9 +140,6 @@ func New(cfg Config, field env.Field, opts ...Option) (*Deployment, error) {
 	return d, nil
 }
 
-// Sensors returns the number of nodes.
-func (d *Deployment) Sensors() int { return d.cfg.Sensors }
-
 // Round simulates one sampling instant: every device samples the
 // environment, scheduled faults corrupt their owners' readings, the attack
 // strategy (if any) rewrites malicious readings with full knowledge of the

@@ -12,9 +12,9 @@ import (
 func TestObserveExemplar(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", "", []float64{0.01, 0.1, 1})
-	h.ObserveExemplar(0.05, "trace-a") // bucket 1: (0.01, 0.1]
-	h.ObserveExemplar(5, "trace-inf")  // +Inf bucket
-	h.ObserveExemplar(0.5, "")         // no exemplar, still counted
+	h.ObserveN(0.05, 1, "trace-a") // bucket 1: (0.01, 0.1]
+	h.ObserveN(5, 1, "trace-inf")  // +Inf bucket
+	h.ObserveN(0.5, 1, "")         // no exemplar, still counted
 
 	snap := h.Snapshot()
 	if snap.Count != 3 {
@@ -30,13 +30,13 @@ func TestObserveExemplar(t *testing.T) {
 		t.Fatalf("bucket 2 exemplar = %+v, want nil (empty trace ID)", e)
 	}
 
-	h.ObserveExemplar(0.06, "trace-b")
+	h.ObserveN(0.06, 1, "trace-b")
 	if e := h.Snapshot().Exemplars[1]; e == nil || e.TraceID != "trace-b" {
 		t.Fatalf("exemplar not replaced: %+v", e)
 	}
 
 	var nilH *Histogram
-	nilH.ObserveExemplar(1, "x") // nil-safe
+	nilH.ObserveN(1, 1, "x") // nil-safe
 }
 
 // TestObserveN checks the weighted observe: n samples of one value land in
@@ -87,7 +87,7 @@ func TestObserveN(t *testing.T) {
 func TestPrometheusExemplarSuffix(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", "", []float64{0.01, 0.1})
-	h.ObserveExemplar(0.05, "abc123")
+	h.ObserveN(0.05, 1, "abc123")
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestPrometheusExemplarSuffix(t *testing.T) {
 func TestMetricsJSONExemplar(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", "", []float64{0.01, 0.1})
-	h.ObserveExemplar(0.05, "abc123")
+	h.ObserveN(0.05, 1, "abc123")
 	data, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -1,72 +1,15 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"log/slog"
 )
 
-// This file is the structured-logging corner of the observability layer: a
-// log/slog JSON handler that stamps every record with the trace and span IDs
-// carried in its context, so a log line emitted while handling a traced batch
-// joins the same trace the /debug/traces spans belong to. Zero dependencies —
-// slog is the standard library.
-
-// spanCtxKey carries a SpanContext through a context.Context.
-type spanCtxKey struct{}
-
-// ContextWithSpan returns ctx carrying sc, for handlers and workers that log
-// while processing traced work.
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	if !sc.Valid() {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, sc)
-}
-
-// SpanFromContext extracts the SpanContext stored by ContextWithSpan.
-func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok
-}
-
-// correlatedHandler decorates a slog.Handler with trace/span attributes
-// pulled from the record's context.
-type correlatedHandler struct {
-	slog.Handler
-}
-
-func (h correlatedHandler) Handle(ctx context.Context, r slog.Record) error {
-	if ctx != nil {
-		if sc, ok := SpanFromContext(ctx); ok && sc.Valid() {
-			r.AddAttrs(
-				slog.String("trace_id", sc.Trace.String()),
-				slog.String("span_id", sc.Span.String()),
-			)
-		}
-	}
-	return h.Handler.Handle(ctx, r)
-}
-
-func (h correlatedHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return correlatedHandler{h.Handler.WithAttrs(attrs)}
-}
-
-func (h correlatedHandler) WithGroup(name string) slog.Handler {
-	return correlatedHandler{h.Handler.WithGroup(name)}
-}
-
-// NewLogHandler returns a JSON slog handler writing to w at the given level
-// that injects trace_id/span_id from record contexts (see ContextWithSpan).
-func NewLogHandler(w io.Writer, level slog.Leveler) slog.Handler {
-	return correlatedHandler{slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})}
-}
-
-// NewLogger returns a trace-correlated JSON logger writing to w, tagged with
-// a component attribute when component is non-empty. The conventional entry
-// point for the cmd binaries and the fleet.
+// NewLogger returns a JSON logger writing to w at the given level, tagged
+// with a component attribute when component is non-empty. The conventional
+// entry point for the cmd binaries and the fleet.
 func NewLogger(w io.Writer, level slog.Leveler, component string) *slog.Logger {
-	l := slog.New(NewLogHandler(w, level))
+	l := slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
 	if component != "" {
 		l = l.With(slog.String("component", component))
 	}

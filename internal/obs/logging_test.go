@@ -2,10 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
-	"strings"
 	"testing"
 )
 
@@ -22,53 +20,6 @@ func TestLoggerEmitsJSONWithComponent(t *testing.T) {
 	}
 	if rec["level"] != "INFO" {
 		t.Fatalf("level = %v", rec["level"])
-	}
-}
-
-func TestLoggerInjectsTraceContext(t *testing.T) {
-	var buf bytes.Buffer
-	log := NewLogger(&buf, slog.LevelInfo, "")
-	sc := NewRootContext()
-	ctx := ContextWithSpan(context.Background(), sc)
-	log.InfoContext(ctx, "traced work")
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("log line not JSON: %v", err)
-	}
-	if rec["trace_id"] != sc.Trace.String() || rec["span_id"] != sc.Span.String() {
-		t.Fatalf("trace correlation missing: %v", rec)
-	}
-
-	// Uncorrelated context: no trace fields.
-	buf.Reset()
-	log.InfoContext(context.Background(), "plain work")
-	if strings.Contains(buf.String(), "trace_id") {
-		t.Fatalf("trace_id on untraced record: %s", buf.String())
-	}
-
-	// Invalid contexts are not stored.
-	if c2 := ContextWithSpan(context.Background(), SpanContext{}); c2 != context.Background() {
-		t.Fatal("invalid span context stored")
-	}
-}
-
-func TestLoggerCorrelationSurvivesWithAttrsAndGroups(t *testing.T) {
-	var buf bytes.Buffer
-	log := NewLogger(&buf, slog.LevelInfo, "c")
-	sc := NewRootContext()
-	ctx := ContextWithSpan(context.Background(), sc)
-	log.With("k", "v").WithGroup("g").InfoContext(ctx, "nested", "x", 1)
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("log line not JSON: %v", err)
-	}
-	// Record attrs (including the injected correlation) nest under the
-	// open group; the IDs must still be present somewhere in the line.
-	if !strings.Contains(buf.String(), sc.Trace.String()) {
-		t.Fatalf("trace_id lost through WithAttrs/WithGroup: %v", rec)
-	}
-	if rec["k"] != "v" {
-		t.Fatalf("attrs lost: %v", rec)
 	}
 }
 

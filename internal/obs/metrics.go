@@ -112,19 +112,13 @@ func (h *Histogram) Observe(v float64) {
 	h.ObserveN(v, 1, "")
 }
 
-// ObserveExemplar is Observe plus an exemplar: the bucket the sample lands in
-// retains (value, traceID, now), replacing that bucket's previous exemplar.
-// An empty traceID degrades to a plain Observe, so callers can pass the
-// sampled trace ID unconditionally and pay the pointer store only for the
-// (rare) traced observations.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.ObserveN(v, 1, traceID)
-}
-
 // ObserveN folds n samples of the same value v into the distribution in one
 // step: the bucket count rises by n and the sum by n·v, exactly as n Observe
-// calls would leave them. A non-empty traceID also stores one exemplar, as
-// ObserveExemplar does. n == 0 is a no-op.
+// calls would leave them. A non-empty traceID also stores one exemplar: the
+// bucket the samples land in retains (v, traceID, now), replacing that
+// bucket's previous exemplar. An empty traceID stores none, so callers can
+// pass the sampled trace ID unconditionally and pay the pointer store only
+// for the (rare) traced observations. n == 0 is a no-op.
 func (h *Histogram) ObserveN(v float64, n uint64, traceID string) {
 	if h == nil || n == 0 {
 		return

@@ -27,17 +27,6 @@ func (c *StageClock) Observe(d time.Duration, n uint64) {
 	c.units.Add(n)
 }
 
-// Time runs fn and attributes its wall time to the stage as one unit.
-func (c *StageClock) Time(fn func()) {
-	if c == nil {
-		fn()
-		return
-	}
-	start := time.Now()
-	fn()
-	c.Observe(time.Since(start), 1)
-}
-
 // StageUtilization is one stage's share of wall time over a sampling window:
 // Utilization 1.0 means one core's worth of busy time; parallel stages can
 // exceed 1.0.

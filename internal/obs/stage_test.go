@@ -22,21 +22,6 @@ func TestStageClockObserve(t *testing.T) {
 	s.Clock("nope").Observe(time.Second, 1)
 	var nilClock *StageClock
 	nilClock.Observe(time.Second, 1)
-	nilClock.Time(func() {})
-}
-
-func TestStageClockTime(t *testing.T) {
-	reg := NewRegistry()
-	s := NewStageSet(reg, "ckpt")
-	ran := false
-	s.Clock("ckpt").Time(func() { ran = true; time.Sleep(time.Millisecond) })
-	if !ran {
-		t.Fatal("Time did not run fn")
-	}
-	snap := s.Snapshot(time.Now())
-	if snap.BusyNS["ckpt"] == 0 || snap.Units["ckpt"] != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
 }
 
 // TestStageUtilization pins the delta computation: busy seconds between two

@@ -6,8 +6,6 @@ package scenario
 // regression suite — BENCH_scenarios.json is a CorpusReport.
 
 import (
-	"time"
-
 	"sensorguard/internal/classify"
 	"sensorguard/internal/core"
 )
@@ -245,9 +243,4 @@ func Summarize(scores []Score) CorpusSummary {
 		sum.MeanDetectionLatencySec = lat / float64(sum.Detected)
 	}
 	return sum
-}
-
-// Latency converts a window-count latency into event time for a run.
-func Latency(run *Run, windows int) time.Duration {
-	return time.Duration(windows) * run.Window
 }

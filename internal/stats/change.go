@@ -93,9 +93,6 @@ func (s *SPRT) Observe(alarm bool) Decision {
 // Evidence returns the current log-likelihood ratio.
 func (s *SPRT) Evidence() float64 { return s.llr }
 
-// Reset clears accumulated evidence.
-func (s *SPRT) Reset() { s.llr = 0 }
-
 // SetEvidence overwrites the accumulated log-likelihood ratio — the restore
 // half of Evidence, used when reloading filter state from a checkpoint.
 func (s *SPRT) SetEvidence(llr float64) { s.llr = llr }

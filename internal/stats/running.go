@@ -1,7 +1,7 @@
 // Package stats provides the streaming statistics and sequential
 // change-detection procedures the detector relies on: running moments
-// (Welford), exponentially-weighted averages, and the SPRT and CUSUM
-// procedures the paper's Alarm Filtering module cites (§3.1, [9]).
+// (Welford), batch summaries, and the SPRT and CUSUM procedures the
+// paper's Alarm Filtering module cites (§3.1, [9]).
 package stats
 
 import "math"
@@ -79,37 +79,6 @@ func (r *Running) Merge(other Running) {
 	r.m2 += other.m2 + delta*delta*na*nb/total
 	r.n += other.n
 }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0,1]: v ← (1-α)·v + α·x, the same update shape the paper uses
-// for model states (Eq. 6) and HMM rows (§3.2).
-type EWMA struct {
-	alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. The first Add
-// seeds the value directly.
-func NewEWMA(alpha float64) *EWMA {
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds one observation in and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.primed {
-		e.value, e.primed = x, true
-		return x
-	}
-	e.value = (1-e.alpha)*e.value + e.alpha*x
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation has been folded in.
-func (e *EWMA) Primed() bool { return e.primed }
 
 // Summary holds batch statistics of a sample.
 type Summary struct {

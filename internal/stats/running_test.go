@@ -106,32 +106,6 @@ func TestRunningMerge(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Primed() {
-		t.Error("fresh EWMA reports primed")
-	}
-	if got := e.Add(10); got != 10 {
-		t.Errorf("first Add = %v, want 10 (seeding)", got)
-	}
-	if got := e.Add(0); math.Abs(got-5) > 1e-12 {
-		t.Errorf("second Add = %v, want 5", got)
-	}
-	if math.Abs(e.Value()-5) > 1e-12 {
-		t.Errorf("Value = %v, want 5", e.Value())
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.1)
-	for i := 0; i < 500; i++ {
-		e.Add(7)
-	}
-	if math.Abs(e.Value()-7) > 1e-9 {
-		t.Errorf("EWMA of constant stream = %v, want 7", e.Value())
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{3, 1, 2})
 	if s.N != 3 || s.Min != 1 || s.Max != 3 || math.Abs(s.Mean-2) > 1e-12 {

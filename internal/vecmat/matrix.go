@@ -127,19 +127,6 @@ func (m *Matrix) RemoveCol(j int) {
 	m.cols--
 }
 
-// FoldRowInto adds row src into row dst and removes row src. The registry
-// uses it when two model states merge: the merged state inherits the
-// accumulated probability mass of both.
-func (m *Matrix) FoldRowInto(dst, src int) {
-	if dst == src {
-		return
-	}
-	for j := 0; j < m.cols; j++ {
-		m.Set(dst, j, m.At(dst, j)+m.At(src, j))
-	}
-	m.RemoveRow(src)
-}
-
 // FoldColInto adds column src into column dst and removes column src.
 func (m *Matrix) FoldColInto(dst, src int) {
 	if dst == src {

@@ -78,25 +78,6 @@ func TestMatrixAppendRemove(t *testing.T) {
 	}
 }
 
-func TestMatrixFoldRowInto(t *testing.T) {
-	m := NewMatrix(3, 2)
-	m.SetRow(0, Vector{1, 0})
-	m.SetRow(1, Vector{0, 1})
-	m.SetRow(2, Vector{2, 3})
-	m.FoldRowInto(0, 2)
-	if m.Rows() != 2 {
-		t.Fatalf("rows = %d, want 2", m.Rows())
-	}
-	if got := m.Row(0); !got.Equal(Vector{3, 3}, 0) {
-		t.Errorf("folded row = %v, want (3,3)", got)
-	}
-	// Folding a row into itself is a no-op.
-	m.FoldRowInto(1, 1)
-	if m.Rows() != 2 {
-		t.Errorf("self-fold changed row count to %d", m.Rows())
-	}
-}
-
 func TestMatrixFoldColInto(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.SetRow(0, Vector{1, 2, 4})

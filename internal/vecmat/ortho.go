@@ -1,7 +1,5 @@
 package vecmat
 
-import "math"
-
 // The structural classifier of the paper (§3.4) decides between error and
 // attack types by testing whether the rows and columns of an HMM emission
 // matrix B are (approximately) orthogonal:
@@ -116,15 +114,6 @@ func (m *Matrix) DominantCol(i int) (col int, mass float64) {
 	return col, mass
 }
 
-// ColMass returns the total probability mass of column j, i.e. Σ_i b_ij.
-func (m *Matrix) ColMass(j int) float64 {
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		s += m.At(i, j)
-	}
-	return s
-}
-
 // AllOnesColumn tests the stuck-at signature of Eq. (7): a single column k
 // whose entries are ~1 on every active row while all other columns are ~0.
 // It returns the column index and true when such a column exists. minOne is
@@ -150,15 +139,4 @@ func (m *Matrix) AllOnesColumn(active []int, minOne float64) (int, bool) {
 		}
 	}
 	return col, true
-}
-
-// MaxAbs returns the largest absolute entry of the matrix.
-func (m *Matrix) MaxAbs() float64 {
-	var s float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
 }

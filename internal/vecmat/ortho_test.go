@@ -144,20 +144,8 @@ func TestDominantColAndColMass(t *testing.T) {
 	if c, mass := m.DominantCol(0); c != 1 || math.Abs(mass-0.7) > 1e-12 {
 		t.Errorf("DominantCol(0) = (%d,%v)", c, mass)
 	}
-	if got := m.ColMass(2); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("ColMass(2) = %v, want 0.2", got)
-	}
 	zero := NewMatrix(2, 2)
 	if c, _ := zero.DominantCol(0); c != -1 {
 		t.Errorf("DominantCol on zero row = %d, want -1", c)
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 1, -3)
-	m.Set(1, 0, 2)
-	if got := m.MaxAbs(); got != 3 {
-		t.Errorf("MaxAbs = %v, want 3", got)
 	}
 }

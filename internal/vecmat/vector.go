@@ -93,15 +93,6 @@ func (v Vector) Dot(w Vector) (float64, error) {
 	return s, nil
 }
 
-// Norm returns the Euclidean norm ‖v‖₂.
-func (v Vector) Norm() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Distance returns the Euclidean distance ‖v - w‖₂, the metric used by the
 // nearest-state queries of Eqs. (2) and (3).
 func (v Vector) Distance(w Vector) (float64, error) {

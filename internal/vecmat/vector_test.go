@@ -50,9 +50,6 @@ func TestVectorDimensionMismatch(t *testing.T) {
 
 func TestVectorScaleNormDistance(t *testing.T) {
 	v := Vector{3, 4}
-	if got := v.Norm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 	if got := v.Scale(2); !got.Equal(Vector{6, 8}, 1e-12) {
 		t.Errorf("Scale = %v, want (6,8)", got)
 	}

@@ -156,9 +156,9 @@ func NewDecisionLog(w io.Writer) *DecisionLog { return core.NewDecisionLog(w) }
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewLogger returns a trace-correlated JSON slog logger writing to w, tagged
-// with a component attribute when component is non-empty — the structured
-// logging entry point the cmd binaries and the fleet share (see
+// NewLogger returns a JSON slog logger writing to w, tagged with a
+// component attribute when component is non-empty — the structured logging
+// entry point the cmd binaries and the fleet share (see
 // docs/OBSERVABILITY.md).
 func NewLogger(w io.Writer, level slog.Leveler, component string) *slog.Logger {
 	return obs.NewLogger(w, level, component)

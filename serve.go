@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"time"
 
 	"sensorguard/internal/fleet"
 	"sensorguard/internal/ingest"
@@ -25,9 +24,6 @@ type (
 	IngestConsumer = ingest.Consumer
 	// IngestStats counts the outcome of one ingest stream (either codec).
 	IngestStats = ingest.StreamStats
-	// StreamWindower assembles windows from out-of-order arrival using
-	// watermarks with bounded lateness.
-	StreamWindower = ingest.Windower
 	// Fleet is the sharded collector pool: one detector worker per shard,
 	// deployments routed by key.
 	Fleet = fleet.Pool
@@ -44,8 +40,6 @@ type (
 	FleetDurability = fleet.Durability
 	// FleetHealth is the pool's readiness verdict, served on /healthz.
 	FleetHealth = fleet.Health
-	// FleetBuildInfo is the binary's build identity, served inside /status.
-	FleetBuildInfo = fleet.BuildInfo
 	// FleetBottleneck is the pool's live per-stage bottleneck attribution,
 	// served inside /status (see docs/OBSERVABILITY.md).
 	FleetBottleneck = fleet.Bottleneck
@@ -69,14 +63,6 @@ func NewMetricsTSDB(cfg MetricsTSDBConfig) *MetricsTSDB { return tsdb.New(cfg) }
 // capture and Close to stop. Hand it to FleetConfig.Profiles so firing SLO
 // alerts capture incident profiles.
 func NewProfileCapturer(cfg ProfileConfig) (*ProfileCapturer, error) { return profiles.New(cfg) }
-
-// FleetBuild reports the running binary's build identity (module version,
-// VCS revision, and dirty flag) read from runtime/debug build info.
-func FleetBuild() FleetBuildInfo { return fleet.Build() }
-
-// DefaultFleetSLOs returns the stock SLO specs a pool binds when
-// FleetConfig.SLOs is nil (see docs/OBSERVABILITY.md).
-func DefaultFleetSLOs() []SLOSpec { return fleet.DefaultSLOs() }
 
 // Deployment lifecycle states reported in FleetStatus.State.
 const (
@@ -165,18 +151,8 @@ const IngestFrameContentType = ingest.FrameContentType
 // EncodeIngestFrame renders a batch of readings as one binary wire frame.
 func EncodeIngestFrame(rs []IngestReading) ([]byte, error) { return ingest.EncodeFrame(rs) }
 
-// DecodeIngestFrame parses one binary wire frame, returning its readings and
-// the count of semantically invalid ones it skipped.
-func DecodeIngestFrame(frame []byte) ([]IngestReading, int, error) { return ingest.DecodeFrame(frame) }
-
 // EncodeIngestLine renders a reading as one NDJSON line (no newline).
 func EncodeIngestLine(r IngestReading) ([]byte, error) { return ingest.EncodeLine(r) }
 
 // DecodeIngestLine parses one NDJSON line into a reading.
 func DecodeIngestLine(line []byte) (IngestReading, error) { return ingest.DecodeLine(line) }
-
-// NewStreamWindower builds a streaming windower with the given window
-// duration and lateness bound.
-func NewStreamWindower(width, lateness time.Duration) (*StreamWindower, error) {
-	return ingest.NewWindower(width, lateness)
-}
