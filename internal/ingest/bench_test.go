@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,6 +89,31 @@ func BenchmarkReadStreamNDJSON(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/reading")
+}
+
+// BenchmarkReadStreamBinary is BenchmarkReadStreamNDJSON for the binary
+// codec: a stream of decodeBatch frames through ReadWireStream, reported
+// per reading. frames=1 is the shape of an HTTP POST from the shipper,
+// frames=200 that of a long TCP stream or source file.
+func BenchmarkReadStreamBinary(b *testing.B) {
+	rs := decodeBatch()
+	frame := encodeFrame(b, rs)
+	for _, frames := range []int{1, 200} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			body := bytes.Repeat(frame, frames)
+			n := frames * len(rs)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := ReadWireStream(bytes.NewReader(body), discardBatches{}, StreamOptions{})
+				if err != nil || st.Accepted != n {
+					b.Fatalf("accepted %d of %d: %v", st.Accepted, n, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/reading")
+		})
+	}
 }
 
 // BenchmarkDecodeFrame measures the binary codec on the same readings as

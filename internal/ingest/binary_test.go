@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,14 +19,14 @@ import (
 	"sensorguard/internal/vecmat"
 )
 
-// batchConsumer is a collectConsumer that also counts its SubmitBatch
+// countingConsumer is a collectConsumer that also counts its SubmitBatch
 // calls.
-type batchConsumer struct {
+type countingConsumer struct {
 	collectConsumer
 	batches int
 }
 
-func (c *batchConsumer) SubmitBatch(rs []Reading) (int, int, error) {
+func (c *countingConsumer) SubmitBatch(rs []Reading) (int, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.readings = append(c.readings, rs...)
@@ -67,9 +68,9 @@ func encodeFrames(t *testing.T, n, batch int) ([]byte, []Reading) {
 	return buf.Bytes(), all
 }
 
-// TestReadBinaryStreamPreservesOrder is the ordering contract of the
-// parallel decoder: frames decode concurrently, but readings reach the
-// consumer in exact arrival order.
+// TestReadBinaryStreamPreservesOrder is the binary reader's ordering
+// contract: readings reach the consumer in exact arrival order, across
+// frames and within each frame.
 func TestReadBinaryStreamPreservesOrder(t *testing.T) {
 	const n = 5000
 	stream, want := encodeFrames(t, n, 100) // 50 frames in flight
@@ -92,11 +93,11 @@ func TestReadBinaryStreamPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestReadBinaryStreamPrefersBatchConsumer: each frame reaches the consumer
-// in one SubmitBatch call.
-func TestReadBinaryStreamPrefersBatchConsumer(t *testing.T) {
+// TestReadBinaryStreamOneBatchPerFrame: each frame reaches the consumer in
+// one SubmitBatch call.
+func TestReadBinaryStreamOneBatchPerFrame(t *testing.T) {
 	stream, want := encodeFrames(t, 1000, 250)
-	sink := &batchConsumer{}
+	sink := &countingConsumer{}
 	st, err := ReadWireStream(bytes.NewReader(stream), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +107,49 @@ func TestReadBinaryStreamPrefersBatchConsumer(t *testing.T) {
 	}
 	if sink.batches != 4 {
 		t.Fatalf("submitted in %d batches, want 4", sink.batches)
+	}
+}
+
+// goroutineConsumer records the process's goroutine count inside every
+// SubmitBatch call.
+type goroutineConsumer struct {
+	peak, batches int
+}
+
+func (c *goroutineConsumer) SubmitBatch(rs []Reading) (int, int, error) {
+	c.peak = max(c.peak, runtime.NumGoroutine())
+	c.batches++
+	return len(rs), 0, nil
+}
+
+// TestReadBinaryStreamRunsOnCallerGoroutine pins the stream readers'
+// design: both codecs read, decode and submit on the goroutine that called
+// ReadWireStream and start no goroutine of their own, so no SubmitBatch
+// call sees more goroutines than were running before the stream began.
+func TestReadBinaryStreamRunsOnCallerGoroutine(t *testing.T) {
+	frames, _ := encodeFrames(t, 64*50, 50)
+	var ndjson []byte
+	for i := 0; i < 2000; i++ {
+		ndjson = append(ndjson, ingestLine(t, i)...)
+	}
+	for _, tc := range []struct {
+		codec  string
+		stream []byte
+		n      int
+	}{
+		{"binary", frames, 64 * 50},
+		{"ndjson", ndjson, 2000},
+	} {
+		sink := &goroutineConsumer{}
+		before := runtime.NumGoroutine()
+		st, err := ReadWireStream(bytes.NewReader(tc.stream), sink, StreamOptions{})
+		if err != nil || st.Accepted != tc.n {
+			t.Fatalf("%s: accepted %d of %d: %v", tc.codec, st.Accepted, tc.n, err)
+		}
+		if sink.batches == 0 || sink.peak > before {
+			t.Fatalf("%s: %d goroutines inside SubmitBatch (over %d batches), %d before the stream: the reader started goroutines",
+				tc.codec, sink.peak, sink.batches, before)
+		}
 	}
 }
 
@@ -183,7 +227,7 @@ func TestTCPServerAcceptsBinaryFrames(t *testing.T) {
 // frame content type selects the binary codec, and the response carries the
 // split rejection stats.
 func TestIngestHandlerBinaryContentType(t *testing.T) {
-	sink := &batchConsumer{}
+	sink := &countingConsumer{}
 	srv := httptest.NewServer(IngestHandlerStaged(sink, nil, nil))
 	defer srv.Close()
 	stream, want := encodeFrames(t, 800, 200)
@@ -287,7 +331,7 @@ func TestIngestHandlerConsumerErrorIs503(t *testing.T) {
 // the real handler: one frame per flush, the frame content type on the
 // request, order preserved.
 func TestShipperBinaryWire(t *testing.T) {
-	sink := &batchConsumer{}
+	sink := &countingConsumer{}
 	var mu sync.Mutex
 	contentTypes := map[string]int{}
 	handler := IngestHandlerStaged(sink, nil, nil)

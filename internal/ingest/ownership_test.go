@@ -34,7 +34,7 @@ func (c *keepingConsumer) SubmitBatch(rs []Reading) (int, int, error) {
 	defer c.mu.Unlock()
 	start := len(c.kept)
 	c.kept = append(c.kept, rs...)
-	runtime.Gosched() // let the decode workers run ahead
+	runtime.Gosched() // let any goroutine that could still write rs run
 	for i := range rs {
 		if !readingEqual(rs[i], c.kept[start+i]) {
 			c.changed++

@@ -48,18 +48,6 @@ func (v Vector) Add(w Vector) (Vector, error) {
 	return out, nil
 }
 
-// Sub returns v - w.
-func (v Vector) Sub(w Vector) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, fmt.Errorf("subtract %d-vector from %d-vector: %w", len(w), len(v), ErrDimensionMismatch)
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out, nil
-}
-
 // Scale returns k·v.
 func (v Vector) Scale(k float64) Vector {
 	out := make(Vector, len(v))
@@ -79,18 +67,6 @@ func (v Vector) AddInPlace(w Vector) error {
 		v[i] += w[i]
 	}
 	return nil
-}
-
-// Dot returns the inner product ⟨v, w⟩.
-func (v Vector) Dot(w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("dot %d-vector with %d-vector: %w", len(w), len(v), ErrDimensionMismatch)
-	}
-	var s float64
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s, nil
 }
 
 // Distance returns the Euclidean distance ‖v - w‖₂, the metric used by the
