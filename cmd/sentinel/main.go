@@ -94,6 +94,24 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 		if *profileDir == "" && *profileInterval != 0 {
 			return fmt.Errorf("-profile-interval needs -profile-dir")
 		}
+		// Zero means "default" or "off" for these; a negative value would
+		// silently mean the same, so it is refused by name.
+		for _, f := range []struct {
+			name string
+			neg  bool
+			v    any
+		}{
+			{"traces", *traces < 0, *traces},
+			{"trace-sample", *traceSample < 0, *traceSample},
+			{"decisions", *decisions < 0, *decisions},
+			{"tsdb-retention", *tsdbRetention < 0, *tsdbRetention},
+			{"tsdb-resolution", *tsdbResolution < 0, *tsdbResolution},
+			{"profile-interval", *profileInterval < 0, *profileInterval},
+		} {
+			if f.neg {
+				return fmt.Errorf("-%s must not be negative, got %v", f.name, f.v)
+			}
+		}
 		return runServe(serveOptions{
 			listen:       *listen,
 			tcp:          *tcpAddr,

@@ -102,6 +102,22 @@ func TestServeErrors(t *testing.T) {
 			t.Errorf("%s: run succeeded, want error", name)
 		}
 	}
+	// A negative value of a flag whose zero means "default" or "off" is
+	// refused with an error naming the flag, not rewritten.
+	for _, flag := range []string{"traces", "trace-sample", "decisions", "tsdb-retention", "tsdb-resolution", "profile-interval"} {
+		v := "-1"
+		if strings.HasPrefix(flag, "tsdb") || flag == "profile-interval" {
+			v = "-1s"
+		}
+		args := []string{"-listen", "127.0.0.1:0", "-" + flag, v, "-"}
+		if flag == "profile-interval" {
+			args = append([]string{"-profile-dir", t.TempDir()}, args...)
+		}
+		err := run(args, strings.NewReader(""), io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-"+flag+" ") {
+			t.Errorf("-%s %s: run = %v, want an error naming the flag", flag, v, err)
+		}
+	}
 }
 
 // TestServeAuditLogFailureFailsRun checks that a serve run whose audit log

@@ -4,29 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"sensorguard/internal/stats"
-)
-
-// Snapshotter is a Filter whose per-sensor state can be exported and
-// restored. The checkpointing layer requires the detector's filter to
-// implement it; all three built-in filters do. State travels as JSON so a
-// filter can evolve its own schema independently of the snapshot envelope.
-type Snapshotter interface {
-	Filter
-	// ExportState returns the filter's serializable per-sensor state.
-	ExportState() (json.RawMessage, error)
-	// RestoreState replaces the filter's per-sensor state with a previously
-	// exported one. The filter's own parameters (k, n, p0, ...) must match
-	// the ones recorded at export time; a mismatch is an error, because the
-	// recorded evidence is only meaningful under the same parameters.
-	RestoreState(raw json.RawMessage) error
-}
-
-var (
-	_ Snapshotter = (*KOfN)(nil)
-	_ Snapshotter = (*SPRTFilter)(nil)
-	_ Snapshotter = (*CUSUMFilter)(nil)
 )
 
 type kofnState struct {
@@ -44,7 +21,8 @@ type kofnRingExport struct {
 	Fill   int    `json:"fill"`
 }
 
-// ExportState implements Snapshotter.
+// ExportState returns the filter's per-sensor rings as JSON, sorted by
+// sensor ID, so a checkpoint can carry them.
 func (f *KOfN) ExportState() (json.RawMessage, error) {
 	st := kofnState{Kind: "k-of-n", K: f.k, N: f.n}
 	for id, r := range f.history {
@@ -60,7 +38,9 @@ func (f *KOfN) ExportState() (json.RawMessage, error) {
 	return json.Marshal(st)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState replaces the filter's rings with exported ones. The state
+// must have been recorded under the same k and n: a ring of a different
+// length means something else.
 func (f *KOfN) RestoreState(raw json.RawMessage) error {
 	var st kofnState
 	if err := json.Unmarshal(raw, &st); err != nil {
@@ -103,130 +83,6 @@ func (f *KOfN) RestoreState(raw json.RawMessage) error {
 		}
 	}
 	f.history = history
-	return nil
-}
-
-type sprtState struct {
-	Kind    string             `json:"kind"`
-	P0      float64            `json:"p0"`
-	P1      float64            `json:"p1"`
-	Alpha   float64            `json:"alpha"`
-	Beta    float64            `json:"beta"`
-	Sensors []sprtSensorExport `json:"sensors,omitempty"`
-}
-
-type sprtSensorExport struct {
-	Sensor int     `json:"sensor"`
-	LLR    float64 `json:"llr"`
-	Level  bool    `json:"level"`
-}
-
-// ExportState implements Snapshotter.
-func (f *SPRTFilter) ExportState() (json.RawMessage, error) {
-	st := sprtState{Kind: "sprt", P0: f.p0, P1: f.p1, Alpha: f.alpha, Beta: f.beta}
-	for id, test := range f.tests {
-		st.Sensors = append(st.Sensors, sprtSensorExport{Sensor: id, LLR: test.Evidence(), Level: f.level[id]})
-	}
-	sort.Slice(st.Sensors, func(i, j int) bool { return st.Sensors[i].Sensor < st.Sensors[j].Sensor })
-	return json.Marshal(st)
-}
-
-// RestoreState implements Snapshotter.
-func (f *SPRTFilter) RestoreState(raw json.RawMessage) error {
-	var st sprtState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("alarm: sprt state: %w", err)
-	}
-	if st.Kind != "sprt" {
-		return fmt.Errorf("alarm: filter state kind %q, want sprt", st.Kind)
-	}
-	if st.P0 != f.p0 || st.P1 != f.p1 || st.Alpha != f.alpha || st.Beta != f.beta {
-		return fmt.Errorf("alarm: sprt state recorded under different parameters (p0=%v p1=%v α=%v β=%v)", st.P0, st.P1, st.Alpha, st.Beta)
-	}
-	tests := make(map[int]*stats.SPRT, len(st.Sensors))
-	level := make(map[int]bool, len(st.Sensors))
-	for _, s := range st.Sensors {
-		if _, dup := tests[s.Sensor]; dup {
-			return fmt.Errorf("alarm: sprt state lists sensor %d twice", s.Sensor)
-		}
-		test, err := stats.NewSPRT(f.p0, f.p1, f.alpha, f.beta)
-		if err != nil {
-			return err
-		}
-		test.SetEvidence(s.LLR)
-		tests[s.Sensor] = test
-		if s.Level {
-			level[s.Sensor] = true
-		}
-	}
-	f.tests, f.level = tests, level
-	return nil
-}
-
-type cusumState struct {
-	Kind       string              `json:"kind"`
-	P0         float64             `json:"p0"`
-	P1         float64             `json:"p1"`
-	H          float64             `json:"h"`
-	ClearAfter int                 `json:"clear_after"`
-	Sensors    []cusumSensorExport `json:"sensors,omitempty"`
-}
-
-type cusumSensorExport struct {
-	Sensor int     `json:"sensor"`
-	G      float64 `json:"g"`
-	Level  bool    `json:"level"`
-	Quiet  int     `json:"quiet"`
-}
-
-// ExportState implements Snapshotter.
-func (f *CUSUMFilter) ExportState() (json.RawMessage, error) {
-	st := cusumState{Kind: "cusum", P0: f.p0, P1: f.p1, H: f.h, ClearAfter: f.clearAfter}
-	for id, test := range f.tests {
-		st.Sensors = append(st.Sensors, cusumSensorExport{
-			Sensor: id, G: test.Statistic(), Level: f.level[id], Quiet: f.quiet[id],
-		})
-	}
-	sort.Slice(st.Sensors, func(i, j int) bool { return st.Sensors[i].Sensor < st.Sensors[j].Sensor })
-	return json.Marshal(st)
-}
-
-// RestoreState implements Snapshotter.
-func (f *CUSUMFilter) RestoreState(raw json.RawMessage) error {
-	var st cusumState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("alarm: cusum state: %w", err)
-	}
-	if st.Kind != "cusum" {
-		return fmt.Errorf("alarm: filter state kind %q, want cusum", st.Kind)
-	}
-	if st.P0 != f.p0 || st.P1 != f.p1 || st.H != f.h || st.ClearAfter != f.clearAfter {
-		return fmt.Errorf("alarm: cusum state recorded under different parameters (p0=%v p1=%v h=%v clearAfter=%d)", st.P0, st.P1, st.H, st.ClearAfter)
-	}
-	tests := make(map[int]*stats.CUSUM, len(st.Sensors))
-	level := make(map[int]bool, len(st.Sensors))
-	quiet := make(map[int]int, len(st.Sensors))
-	for _, s := range st.Sensors {
-		if _, dup := tests[s.Sensor]; dup {
-			return fmt.Errorf("alarm: cusum state lists sensor %d twice", s.Sensor)
-		}
-		if s.Quiet < 0 {
-			return fmt.Errorf("alarm: cusum state for sensor %d has negative quiet streak", s.Sensor)
-		}
-		test, err := stats.NewCUSUM(f.p0, f.p1, f.h)
-		if err != nil {
-			return err
-		}
-		test.SetStatistic(s.G)
-		tests[s.Sensor] = test
-		if s.Level {
-			level[s.Sensor] = true
-		}
-		if s.Quiet != 0 {
-			quiet[s.Sensor] = s.Quiet
-		}
-	}
-	f.tests, f.level, f.quiet = tests, level, quiet
 	return nil
 }
 

@@ -72,7 +72,7 @@ func BenchmarkStepHealthTracker(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.SetHealthTracker(obs.NewHealthTracker(obs.HealthConfig{}))
+	d.SetHealthTracker(obs.NewHealthTracker())
 	wins := benchWindows(10)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -197,7 +197,7 @@ func BenchmarkStepServing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.SetHealthTracker(obs.NewHealthTracker(obs.HealthConfig{}))
+	d.SetHealthTracker(obs.NewHealthTracker())
 	d.SetStepClock(obs.NewStageSet(obs.NewRegistry(), "detector_step").Clock("detector_step"))
 	wins := benchWindows(10)
 	b.ReportAllocs()

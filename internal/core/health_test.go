@@ -18,7 +18,7 @@ import (
 // path the bare-Step pin protects.
 func TestStepZeroAllocWithHealthTracker(t *testing.T) {
 	d := mustDetector(t)
-	tracker := obs.NewHealthTracker(obs.HealthConfig{})
+	tracker := obs.NewHealthTracker()
 	d.SetHealthTracker(tracker)
 	points := keyStates()
 	wins := make([]network.Window, 4)
@@ -51,7 +51,7 @@ func TestStepZeroAllocWithHealthTracker(t *testing.T) {
 // detector reports.
 func TestObserveHealthFeedsTracker(t *testing.T) {
 	d := mustDetector(t)
-	tracker := obs.NewHealthTracker(obs.HealthConfig{})
+	tracker := obs.NewHealthTracker()
 	d.SetHealthTracker(tracker)
 	points := keyStates()
 
@@ -231,7 +231,7 @@ func TestSharedRefreshDrift(t *testing.T) {
 		t.Fatal("RefreshDrift published without a tracker")
 	}
 
-	tracker := obs.NewHealthTracker(obs.HealthConfig{})
+	tracker := obs.NewHealthTracker()
 	d.SetHealthTracker(tracker)
 	if _, ok := s.RefreshDrift(now); ok {
 		t.Fatal("RefreshDrift published before any window")
@@ -279,7 +279,7 @@ func TestStepHealthOverhead(t *testing.T) {
 		wins[i] = uniformWindow(i, 10, points[i])
 	}
 	d := mustDetector(t)
-	tracker := obs.NewHealthTracker(obs.HealthConfig{})
+	tracker := obs.NewHealthTracker()
 	d.SetHealthTracker(tracker)
 	next := 0
 	run := func(n int) time.Duration {

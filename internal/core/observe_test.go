@@ -72,7 +72,7 @@ func newHooked(t testing.TB, h hooks) *hooked {
 		t.Fatal(err)
 	}
 	if h.health {
-		out.health = obs.NewHealthTracker(obs.HealthConfig{})
+		out.health = obs.NewHealthTracker()
 		d.SetHealthTracker(out.health)
 	}
 	out.d = d

@@ -38,8 +38,8 @@ type Snapshot struct {
 	MC      markov.ChainState       `json:"m_c"`
 	MO      markov.ChainState       `json:"m_o"`
 
-	// Filter is the alarm filter's own serialized state (schema owned by
-	// the filter implementation, see alarm.Snapshotter).
+	// Filter is the k-of-n alarm filter's own serialized state (schema
+	// owned by alarm.KOfN).
 	Filter     json.RawMessage    `json:"filter"`
 	AlarmStats alarm.StatsState   `json:"alarm_stats"`
 	Tracks     track.ManagerState `json:"tracks"`
@@ -53,14 +53,15 @@ type Snapshot struct {
 }
 
 // Snapshot exports the detector's complete state. It fails only when the
-// configured alarm filter does not implement alarm.Snapshotter (custom
-// FilterFactory filters must, if the deployment is to be checkpointed).
+// alarm filter is not the k-of-n filter: the sequential filters a
+// FilterFactory can install are an offline ablation and are never
+// checkpointed.
 func (d *Detector) Snapshot() (*Snapshot, error) {
-	snapper, ok := d.filter.(alarm.Snapshotter)
+	kofn, ok := d.filter.(*alarm.KOfN)
 	if !ok {
 		return nil, fmt.Errorf("core: alarm filter %T does not support state export", d.filter)
 	}
-	filterState, err := snapper.ExportState()
+	filterState, err := kofn.ExportState()
 	if err != nil {
 		return nil, fmt.Errorf("core: export filter state: %w", err)
 	}
@@ -162,11 +163,11 @@ func RestoreDetector(cfg Config, snap *Snapshot) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapper, ok := filter.(alarm.Snapshotter)
+	kofn, ok := filter.(*alarm.KOfN)
 	if !ok {
 		return nil, fmt.Errorf("core: alarm filter %T does not support state restore", filter)
 	}
-	if err := snapper.RestoreState(snap.Filter); err != nil {
+	if err := kofn.RestoreState(snap.Filter); err != nil {
 		return nil, fmt.Errorf("core: restore filter state: %w", err)
 	}
 

@@ -19,9 +19,9 @@ import (
 func chaosConfig(dir string, recover bool, ffs *chaos.FaultFS) Config {
 	cfg := durableConfig(dir, recover)
 	cfg.Durability.FS = ffs
-	cfg.Durability.BreakerBase = 5 * time.Millisecond
-	cfg.Durability.BreakerMax = 50 * time.Millisecond
-	cfg.Durability.CheckpointCooldown = 20 * time.Millisecond
+	cfg.Durability.breakerBase = 5 * time.Millisecond
+	cfg.Durability.breakerMax = 50 * time.Millisecond
+	cfg.Durability.checkpointCooldown = 20 * time.Millisecond
 	return cfg
 }
 

@@ -46,27 +46,29 @@ type Durability struct {
 	// written unless every shard loads. Without it, existing state in Dir
 	// is ignored (and will be overwritten).
 	Recover bool
-	// RestoreDetector rebuilds a deployment's detector from its snapshot;
-	// it must mirror Config.NewDetector's parameters and, since shards
-	// recover in parallel, be safe for concurrent use. Default:
-	// core.RestoreDetector over core.DefaultConfig with Window installed.
-	RestoreDetector func(*core.Snapshot) (*core.Detector, error)
 	// FS is the filesystem every journal and checkpoint operation goes
 	// through (default chaos.OS). The chaos harness swaps in a
 	// chaos.FaultFS to inject disk faults.
 	FS chaos.FS
-	// BreakerBase is the first retry delay after a journal write failure
-	// flips the shard to degraded; each failed reopen probe doubles it up
-	// to BreakerMax (defaults 500ms / 30s).
-	BreakerBase time.Duration
-	// BreakerMax caps the breaker's probe backoff.
-	BreakerMax time.Duration
-	// CheckpointCooldown is the first wait after a failed checkpoint
-	// before another attempt; consecutive failures double it up to 10x
-	// (default 10s). Without it a failed checkpoint would re-attempt on
-	// every due trigger — a tight retry loop against a broken disk.
-	CheckpointCooldown time.Duration
+
+	// breakerBase, breakerMax and checkpointCooldown, when set, replace
+	// the constants of the same names — the hooks the chaos tests run the
+	// breaker and the cooldown at test speed with.
+	breakerBase, breakerMax, checkpointCooldown time.Duration
 }
+
+const (
+	// breakerBase is the first retry delay after a journal write failure
+	// flips a shard to degraded; each failed reopen probe doubles it up to
+	// breakerMax.
+	breakerBase = 500 * time.Millisecond
+	breakerMax  = 30 * time.Second
+	// checkpointCooldown is the first wait after a failed checkpoint before
+	// another attempt; consecutive failures double it up to 16x. Without it
+	// a failed checkpoint would re-attempt on every due trigger — a tight
+	// retry loop against a broken disk.
+	checkpointCooldown = 10 * time.Second
+)
 
 // durableShard is one shard's journal handle. nextSeq and the writer are
 // shared between the submit path (producer goroutines) and the worker
@@ -364,8 +366,8 @@ func (p *Pool) initDurability() error {
 			fs:          cfg.FS,
 			shard:       s.id,
 			shards:      len(p.shards),
-			breakerBase: cfg.BreakerBase,
-			breakerMax:  cfg.BreakerMax,
+			breakerBase: cfg.breakerBase,
+			breakerMax:  cfg.breakerMax,
 			log:         p.cfg.Logger,
 			degradeEdge: p.degradeEdges,
 			enqueue:     s.enqueue,
@@ -603,7 +605,7 @@ func (s *shard) restoreDeployment(rec deploymentCheckpoint) (*deployment, error)
 		d.wd = wd
 	}
 	if rec.Detector != nil {
-		det, err := cfg.Durability.RestoreDetector(rec.Detector)
+		det, err := cfg.restoreDeploymentDetector(rec.Detector)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: deployment %s: %w", rec.Name, err)
 		}
@@ -648,7 +650,7 @@ func (s *shard) maybeCheckpoint() {
 
 // runCheckpoint attempts a checkpoint and does the failure bookkeeping: the
 // error counter, the sticky last-error record /status serves, and an
-// exponentially growing cooldown (base CheckpointCooldown, capped at 16x).
+// exponentially growing cooldown (base checkpointCooldown, capped at 16x).
 // Success resets all of it.
 func (s *shard) runCheckpoint() error {
 	var ckptStart time.Time
@@ -668,7 +670,7 @@ func (s *shard) runCheckpoint() error {
 	}
 	s.m.ckptErrors.Inc()
 	s.ckptFailures++
-	wait := s.pool.cfg.Durability.CheckpointCooldown << min(s.ckptFailures-1, 4)
+	wait := s.pool.cfg.Durability.checkpointCooldown << min(s.ckptFailures-1, 4)
 	s.ckptCooldownUntil = now.Add(wait)
 	s.ckptErr.Store(&checkpointError{Err: err.Error(), At: now})
 	if log := s.pool.cfg.Logger; log != nil {

@@ -83,10 +83,6 @@ type Config struct {
 	States int
 	// Seed freezes the bootstrap clustering.
 	Seed int64
-	// NewDetector builds a deployment's detector from its bootstrap
-	// seeds. Default: core.NewDetector(core.DefaultConfig(seeds)) with
-	// Window installed.
-	NewDetector func(seeds []vecmat.Vector) (*core.Detector, error)
 	// Metrics, when non-nil, receives the pool and per-shard metrics.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records spans for sampled readings end to end:
@@ -113,21 +109,18 @@ type Config struct {
 	// index on /debug/profiles. Lifecycle is the caller's, like TSDB.
 	Profiles *profiles.Capturer
 
-	// Health tunes the per-deployment drift telemetry (zero value =
-	// defaults).
-	Health obs.HealthConfig
-	// SLOs overrides the burn-rate specs the pool evaluates (nil =
-	// DefaultSLOs). Specs bind to their measurement source by Name, so an
-	// override may only rename thresholds/windows, not invent new sources;
-	// an unknown name fails New.
-	SLOs []obs.SLOSpec
-	// SLOTick is the burn-rate evaluation cadence (default 5s). Drift
-	// polling and per-deployment health gauges ride the same tick.
-	SLOTick time.Duration
 	// Logger, when non-nil, receives structured operational logs: alert
 	// transitions, recovered panics, drift verdicts.
 	Logger *slog.Logger
 
+	// newDetector, when set, replaces newDeploymentDetector — the hook the
+	// saturation tests wedge a shard worker inside a bootstrap with.
+	newDetector func(seeds []vecmat.Vector) (*core.Detector, error)
+	// sloTick and slos, when set, replace the constant sloTick and
+	// defaultSLOs — the hooks the alert tests run the burn-rate lifecycle
+	// in milliseconds with. An unknown SLO name fails New.
+	sloTick time.Duration
+	slos    []obs.SLOSpec
 	// panicOn, when set, makes the shard worker panic while handling a
 	// matching reading — the hook the supervision tests inject faults with.
 	panicOn func(ingest.Reading) bool
@@ -152,6 +145,7 @@ func (c Config) validate() error {
 		{"Lateness", c.Lateness < 0, c.Lateness},
 		{"Bootstrap", c.Bootstrap < 0, c.Bootstrap},
 		{"States", c.States < 0, c.States},
+		{"DecisionBuffer", c.DecisionBuffer < 0, c.DecisionBuffer},
 		{"Durability.Interval", c.Durability.Interval < 0, c.Durability.Interval},
 		{"Durability.EveryN", c.Durability.EveryN < 0, c.Durability.EveryN},
 	} {
@@ -181,19 +175,11 @@ func (c Config) withDefaults() Config {
 	if c.States <= 0 {
 		c.States = 6
 	}
-	if c.SLOTick <= 0 {
-		c.SLOTick = 5 * time.Second
+	if c.sloTick <= 0 {
+		c.sloTick = sloTick
 	}
-	if c.SLOs == nil {
-		c.SLOs = DefaultSLOs()
-	}
-	if c.NewDetector == nil {
-		window := c.Window
-		c.NewDetector = func(seeds []vecmat.Vector) (*core.Detector, error) {
-			cfg := core.DefaultConfig(seeds)
-			cfg.Window = window
-			return core.NewDetector(cfg)
-		}
+	if c.slos == nil {
+		c.slos = defaultSLOs()
 	}
 	if c.Durability.Dir != "" {
 		if c.Durability.Interval <= 0 && c.Durability.EveryN <= 0 {
@@ -202,25 +188,37 @@ func (c Config) withDefaults() Config {
 		if c.Durability.FS == nil {
 			c.Durability.FS = chaos.OS
 		}
-		if c.Durability.BreakerBase <= 0 {
-			c.Durability.BreakerBase = 500 * time.Millisecond
+		if c.Durability.breakerBase <= 0 {
+			c.Durability.breakerBase = breakerBase
 		}
-		if c.Durability.BreakerMax <= 0 {
-			c.Durability.BreakerMax = 30 * time.Second
+		if c.Durability.breakerMax <= 0 {
+			c.Durability.breakerMax = breakerMax
 		}
-		if c.Durability.CheckpointCooldown <= 0 {
-			c.Durability.CheckpointCooldown = 10 * time.Second
-		}
-		if c.Durability.RestoreDetector == nil {
-			window := c.Window
-			c.Durability.RestoreDetector = func(snap *core.Snapshot) (*core.Detector, error) {
-				cfg := core.DefaultConfig(nil)
-				cfg.Window = window
-				return core.RestoreDetector(cfg, snap)
-			}
+		if c.Durability.checkpointCooldown <= 0 {
+			c.Durability.checkpointCooldown = checkpointCooldown
 		}
 	}
 	return c
+}
+
+// newDeploymentDetector builds a deployment's detector from its bootstrap
+// seeds: the paper's parameters (core.DefaultConfig) with Window installed.
+func (c Config) newDeploymentDetector(seeds []vecmat.Vector) (*core.Detector, error) {
+	if c.newDetector != nil {
+		return c.newDetector(seeds)
+	}
+	cfg := core.DefaultConfig(seeds)
+	cfg.Window = c.Window
+	return core.NewDetector(cfg)
+}
+
+// restoreDeploymentDetector rebuilds a deployment's detector from its
+// checkpointed snapshot under the same parameters newDeploymentDetector
+// uses. Shards recover in parallel; it shares nothing.
+func (c Config) restoreDeploymentDetector(snap *core.Snapshot) (*core.Detector, error) {
+	cfg := core.DefaultConfig(nil)
+	cfg.Window = c.Window
+	return core.RestoreDetector(cfg, snap)
 }
 
 // Errors a Report caller distinguishes.
@@ -1373,7 +1371,7 @@ func (s *shard) bootstrap(d *deployment) error {
 	if err != nil {
 		return fmt.Errorf("seed states: %w", err)
 	}
-	det, err := cfg.NewDetector(seeds)
+	det, err := cfg.newDeploymentDetector(seeds)
 	if err != nil {
 		return err
 	}
@@ -1457,7 +1455,7 @@ func (s *shard) wire(name string, det *core.Detector) (*core.DecisionRing, *obs.
 	if ring != nil || s.pool.audit != nil {
 		det.SetDecisionSink(&namedSink{deployment: name, ring: ring, log: s.pool.audit})
 	}
-	ht := obs.NewHealthTracker(cfg.Health)
+	ht := obs.NewHealthTracker()
 	det.SetHealthTracker(ht)
 	return ring, ht
 }

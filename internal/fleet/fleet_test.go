@@ -276,7 +276,7 @@ func TestDropNewestPolicy(t *testing.T) {
 		Bootstrap: time.Nanosecond,
 		States:    1,
 		Metrics:   reg,
-		NewDetector: func(seeds []vecmat.Vector) (*core.Detector, error) {
+		newDetector: func(seeds []vecmat.Vector) (*core.Detector, error) {
 			close(entered)
 			<-release // hold the worker here while the test floods the queue
 			return core.NewDetector(core.DefaultConfig([]vecmat.Vector{{15, 80}}))
@@ -337,7 +337,7 @@ func TestLateReadingsCounted(t *testing.T) {
 		Bootstrap: time.Nanosecond,
 		Lateness:  time.Minute,
 		States:    1,
-		NewDetector: func(seeds []vecmat.Vector) (*core.Detector, error) {
+		newDetector: func(seeds []vecmat.Vector) (*core.Detector, error) {
 			return core.NewDetector(core.DefaultConfig([]vecmat.Vector{{15, 80}}))
 		},
 		Metrics: reg,
@@ -409,6 +409,7 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 		"Lateness":            {Lateness: -time.Minute},
 		"Bootstrap":           {Bootstrap: -time.Hour},
 		"States":              {States: -1},
+		"DecisionBuffer":      {DecisionBuffer: -1},
 		"Durability.Interval": {Durability: Durability{Dir: t.TempDir(), Interval: -time.Second}},
 		"Durability.EveryN":   {Durability: Durability{Dir: t.TempDir(), EveryN: -1}},
 	} {

@@ -89,8 +89,8 @@ func TestE2EQueueSaturationAlertLifecycle(t *testing.T) {
 		Policy:   DropNewest,
 		Seed:     1,
 		Metrics:  obs.NewRegistry(),
-		SLOTick:  5 * time.Millisecond,
-		SLOs:     fastSLOs("queue-saturation"),
+		sloTick:  5 * time.Millisecond,
+		slos:     fastSLOs("queue-saturation"),
 		stallOn: func(r ingest.Reading) <-chan struct{} {
 			if r.Deployment != "stall" {
 				return nil
@@ -188,11 +188,8 @@ func TestE2EDetectorDriftAlert(t *testing.T) {
 		Window:    time.Hour,
 		Bootstrap: 4 * time.Hour,
 		Metrics:   obs.NewRegistry(),
-		SLOTick:   5 * time.Millisecond,
-		SLOs:      fastSLOs("detector-drift"),
-		// A hotter EWMA makes the drift verdict land within tens of
-		// windows instead of hundreds.
-		Health: obs.HealthConfig{Alpha: 0.2},
+		sloTick:   5 * time.Millisecond,
+		slos:      fastSLOs("detector-drift"),
 	}
 	p, err := New(cfg)
 	if err != nil {
@@ -336,8 +333,8 @@ func TestDashboardAndAlertsSmoke(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/alerts", &alerts); code != 200 {
 		t.Fatalf("/alerts = %d", code)
 	}
-	if len(alerts.Alerts) != len(DefaultSLOs()) {
-		t.Fatalf("/alerts has %d entries, want %d", len(alerts.Alerts), len(DefaultSLOs()))
+	if len(alerts.Alerts) != len(defaultSLOs()) {
+		t.Fatalf("/alerts has %d entries, want %d", len(alerts.Alerts), len(defaultSLOs()))
 	}
 	for _, a := range alerts.Alerts {
 		if a.State != obs.AlertOK {
@@ -360,7 +357,7 @@ func TestDashboardAndAlertsSmoke(t *testing.T) {
 // no measurement source fails pool construction instead of silently never
 // firing.
 func TestSLOUnknownNameRejected(t *testing.T) {
-	_, err := New(Config{SLOs: fastSLOs("made-up-slo")})
+	_, err := New(Config{slos: fastSLOs("made-up-slo")})
 	if err == nil || !strings.Contains(err.Error(), "made-up-slo") {
 		t.Fatalf("unknown SLO name accepted: %v", err)
 	}

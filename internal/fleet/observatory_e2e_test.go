@@ -32,7 +32,7 @@ func TestE2EDecodeBottleneckAttribution(t *testing.T) {
 		Seed:      1,
 		Bootstrap: 1000 * time.Hour, // never bootstraps: pure decode+admit load
 		Metrics:   reg,
-		SLOTick:   25 * time.Millisecond,
+		sloTick:   25 * time.Millisecond,
 		TSDB:      db,
 	}
 	p, err := New(cfg)
@@ -136,7 +136,7 @@ func TestE2EDecodeBottleneckAttribution(t *testing.T) {
 // as its reason) on /debug/profiles.
 func TestE2EAlertTriggersProfileCapture(t *testing.T) {
 	profDir := t.TempDir()
-	cap, err := profiles.New(profiles.Config{Dir: profDir, CPUDuration: 50 * time.Millisecond})
+	cap, err := profiles.New(profiles.Config{Dir: profDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func TestE2EAlertTriggersProfileCapture(t *testing.T) {
 		Policy:   DropNewest,
 		Seed:     1,
 		Metrics:  obs.NewRegistry(),
-		SLOTick:  5 * time.Millisecond,
-		SLOs:     fastSLOs("queue-saturation"),
+		sloTick:  5 * time.Millisecond,
+		slos:     fastSLOs("queue-saturation"),
 		Profiles: cap,
 		stallOn: func(r ingest.Reading) <-chan struct{} {
 			if r.Deployment != "stall" {

@@ -19,11 +19,13 @@ import (
 // "fraction of recent time spent over the line" — the natural reading for
 // conditions that degrade by lingering rather than by failing requests.
 
-// DefaultSLOs returns the burn-rate specs a pool evaluates when Config.SLOs
-// is nil. Names are the binding contract: each maps to a source wired inside
-// the pool, so overrides may retune budgets/windows/thresholds per name but
-// cannot invent new names.
-func DefaultSLOs() []obs.SLOSpec {
+// sloTick is the burn-rate evaluation cadence. Drift polling and
+// per-deployment health gauges ride the same tick.
+const sloTick = 5 * time.Second
+
+// defaultSLOs returns the burn-rate specs a pool evaluates. Names are the
+// binding contract: each maps to a source wired inside the pool (bindSLO).
+func defaultSLOs() []obs.SLOSpec {
 	return []obs.SLOSpec{
 		{
 			Name:        "queue-saturation",
@@ -140,7 +142,7 @@ func (p *Pool) driftingDeployments() []string {
 // before the workers start.
 func (p *Pool) initSLO() error {
 	eng := obs.NewSLOEngine()
-	for _, spec := range p.cfg.SLOs {
+	for _, spec := range p.cfg.slos {
 		src, err := p.bindSLO(spec)
 		if err != nil {
 			return err
@@ -176,12 +178,12 @@ func (p *Pool) initSLO() error {
 	return nil
 }
 
-// runSLO is the pool's health ticker: every SLOTick it refreshes model-drift
+// runSLO is the pool's health ticker: every sloTick it refreshes model-drift
 // telemetry for each live deployment, evaluates the burn-rate alerts, and
 // republishes per-deployment health gauges.
 func (p *Pool) runSLO() {
 	defer close(p.sloDone)
-	t := time.NewTicker(p.cfg.SLOTick)
+	t := time.NewTicker(p.cfg.sloTick)
 	defer t.Stop()
 	for {
 		select {

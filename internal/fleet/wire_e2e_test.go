@@ -169,7 +169,7 @@ func TestE2EBinaryDecodeNotBottleneck(t *testing.T) {
 		Seed:      1,
 		Bootstrap: time.Minute, // bootstrap fast: admit+step compete with decode
 		Metrics:   reg,
-		SLOTick:   25 * time.Millisecond,
+		sloTick:   25 * time.Millisecond,
 	}
 	p, err := New(cfg)
 	if err != nil {

@@ -35,55 +35,27 @@ type ModelDrift struct {
 	BaselineWindow int `json:"baseline_window"`
 }
 
-// HealthConfig sets the tracker's smoothing and drift thresholds. The zero
-// value selects the defaults noted per field.
-type HealthConfig struct {
-	// Alpha is the EWMA smoothing factor for per-window rates (default
-	// 0.05 ≈ a 20-window memory).
-	Alpha float64
-	// ChurnWindow is the fixed window, in detector windows, over which
-	// cluster churn is counted (default 64).
-	ChurnWindow int
-	// MaxFilteredRate: EWMA filtered-alarm rate (alarms per sensor-window)
-	// above this is drift (default 0.25).
-	MaxFilteredRate float64
-	// MaxRawRate: EWMA raw-alarm rate above this is drift (default 0.5).
-	MaxRawRate float64
-	// MaxChurn: spawn+merge events per ChurnWindow above this is drift
-	// (default 6).
-	MaxChurn int
-	// MinOrthoMargin: polled orthogonality margin below this is drift
-	// (default 0.05).
-	MinOrthoMargin float64
-	// MaxShift: polled M_C/M_O transition-mass shift above this is drift
-	// (default 0.35).
-	MaxShift float64
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.05
-	}
-	if c.ChurnWindow <= 0 {
-		c.ChurnWindow = 64
-	}
-	if c.MaxFilteredRate <= 0 {
-		c.MaxFilteredRate = 0.25
-	}
-	if c.MaxRawRate <= 0 {
-		c.MaxRawRate = 0.5
-	}
-	if c.MaxChurn <= 0 {
-		c.MaxChurn = 6
-	}
-	if c.MinOrthoMargin <= 0 {
-		c.MinOrthoMargin = 0.05
-	}
-	if c.MaxShift <= 0 {
-		c.MaxShift = 0.35
-	}
-	return c
-}
+// The tracker's smoothing and drift thresholds.
+const (
+	// healthAlpha is the EWMA smoothing factor for per-window rates
+	// (≈ a 20-window memory).
+	healthAlpha = 0.05
+	// churnWindow is the fixed window, in detector windows, over which
+	// cluster churn is counted.
+	churnWindow = 64
+	// maxFilteredRate: an EWMA filtered-alarm rate (alarms per
+	// sensor-window) above this is drift.
+	maxFilteredRate = 0.25
+	// maxRawRate: an EWMA raw-alarm rate above this is drift.
+	maxRawRate = 0.5
+	// maxChurn: more spawn+merge events than this per churn window is
+	// drift.
+	maxChurn = 6
+	// minOrthoMargin: a polled orthogonality margin below this is drift.
+	minOrthoMargin = 0.05
+	// maxShift: a polled M_C/M_O transition-mass shift above this is drift.
+	maxShift = 0.35
+)
 
 // sparkLen is the number of recent windows retained for dashboard sparklines.
 const sparkLen = 64
@@ -92,8 +64,8 @@ const sparkLen = 64
 type ChurnStats struct {
 	Spawns int `json:"spawns"`
 	Merges int `json:"merges"`
-	// Windows is how many detector windows the counts cover (≤ the
-	// configured churn window until enough history accumulates).
+	// Windows is how many detector windows the counts cover (at most the
+	// churn window, fewer until enough history accumulates).
 	Windows int `json:"windows"`
 }
 
@@ -131,7 +103,9 @@ type HealthSnapshot struct {
 // for concurrent use: the step path calls ObserveWindow while pollers call
 // SetDrift and Snapshot. ObserveWindow allocates nothing.
 type HealthTracker struct {
-	cfg HealthConfig
+	// churnWindow and maxChurn start at the constants of the same names;
+	// the churn test shrinks them.
+	churnWindow, maxChurn int
 
 	mu           sync.Mutex
 	windows      int
@@ -153,9 +127,9 @@ type HealthTracker struct {
 	sparkN       int // total sparkline points written (ring position)
 }
 
-// NewHealthTracker builds a tracker with cfg (zero value = defaults).
-func NewHealthTracker(cfg HealthConfig) *HealthTracker {
-	return &HealthTracker{cfg: cfg.withDefaults()}
+// NewHealthTracker builds a tracker.
+func NewHealthTracker() *HealthTracker {
+	return &HealthTracker{churnWindow: churnWindow, maxChurn: maxChurn}
 }
 
 // ObserveWindow folds one window's stats into the rolling state. Nil-safe
@@ -171,7 +145,7 @@ func (t *HealthTracker) ObserveWindow(s WindowStats) {
 		return
 	}
 	t.windows++
-	a := t.cfg.Alpha
+	const a = healthAlpha
 	if s.Reporting > 0 {
 		raw := float64(s.RawAlarms) / float64(s.Reporting)
 		filtered := float64(s.FilteredAlarms) / float64(s.Reporting)
@@ -194,7 +168,7 @@ func (t *HealthTracker) ObserveWindow(s WindowStats) {
 	t.openTracks = int(s.OpenTracks)
 	t.churnSpawns += int(s.StateSpawns)
 	t.churnMerges += int(s.StateMerges)
-	if t.windows-t.churnStart >= t.cfg.ChurnWindow {
+	if t.windows-t.churnStart >= t.churnWindow {
 		t.prevSpawns, t.prevMerges = t.churnSpawns, t.churnMerges
 		t.prevWindows = t.windows - t.churnStart
 		t.churnSpawns, t.churnMerges = 0, 0
@@ -285,23 +259,23 @@ func (t *HealthTracker) reasons() []string {
 	if t.windows == 0 {
 		return nil
 	}
-	if t.filteredRate > t.cfg.MaxFilteredRate {
+	if t.filteredRate > maxFilteredRate {
 		out = append(out, "filtered alarm rate above threshold")
 	}
-	if t.rawRate > t.cfg.MaxRawRate {
+	if t.rawRate > maxRawRate {
 		out = append(out, "raw alarm rate above threshold")
 	}
-	if c := t.churn(); c.Spawns+c.Merges > t.cfg.MaxChurn {
+	if c := t.churn(); c.Spawns+c.Merges > t.maxChurn {
 		out = append(out, "cluster churn above threshold")
 	}
 	if t.drift.BaselineWindow > 0 {
-		if t.drift.OrthoMargin < t.cfg.MinOrthoMargin {
+		if t.drift.OrthoMargin < minOrthoMargin {
 			out = append(out, "B^CO orthogonality margin below threshold")
 		}
-		if t.drift.MCShift > t.cfg.MaxShift {
+		if t.drift.MCShift > maxShift {
 			out = append(out, "M_C transition mass shifted from baseline")
 		}
-		if t.drift.MOShift > t.cfg.MaxShift {
+		if t.drift.MOShift > maxShift {
 			out = append(out, "M_O transition mass shifted from baseline")
 		}
 	}

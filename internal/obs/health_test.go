@@ -18,7 +18,7 @@ func TestHealthTrackerNilSafe(t *testing.T) {
 }
 
 func TestHealthTrackerHealthySteadyState(t *testing.T) {
-	tr := NewHealthTracker(HealthConfig{})
+	tr := NewHealthTracker()
 	for w := 1; w <= 100; w++ {
 		// One raw alarm every 10th window, always filtered out.
 		raw := 0
@@ -52,7 +52,7 @@ func TestHealthTrackerHealthySteadyState(t *testing.T) {
 }
 
 func TestHealthTrackerAlarmRateDrift(t *testing.T) {
-	tr := NewHealthTracker(HealthConfig{})
+	tr := NewHealthTracker()
 	// Healthy prefix.
 	for w := 1; w <= 50; w++ {
 		tr.ObserveWindow(WindowStats{Window: w, Reporting: 10})
@@ -87,7 +87,8 @@ func TestHealthTrackerAlarmRateDrift(t *testing.T) {
 }
 
 func TestHealthTrackerChurnDrift(t *testing.T) {
-	tr := NewHealthTracker(HealthConfig{ChurnWindow: 16, MaxChurn: 3})
+	tr := NewHealthTracker()
+	tr.churnWindow, tr.maxChurn = 16, 3
 	for w := 1; w <= 10; w++ {
 		tr.ObserveWindow(WindowStats{Window: w, Reporting: 5, StateSpawns: 1})
 	}
@@ -108,7 +109,7 @@ func TestHealthTrackerChurnDrift(t *testing.T) {
 }
 
 func TestHealthTrackerModelDrift(t *testing.T) {
-	tr := NewHealthTracker(HealthConfig{})
+	tr := NewHealthTracker()
 	tr.ObserveWindow(WindowStats{Window: 1, Reporting: 5})
 	// Without a baseline, polled drift is ignored.
 	tr.SetDrift(ModelDrift{OrthoMargin: -0.2, MCShift: 0.9}, time.Now())
@@ -130,7 +131,7 @@ func TestHealthTrackerModelDrift(t *testing.T) {
 }
 
 func TestHealthTrackerSkippedWindows(t *testing.T) {
-	tr := NewHealthTracker(HealthConfig{})
+	tr := NewHealthTracker()
 	tr.ObserveWindow(WindowStats{Window: 1, Skipped: true})
 	tr.ObserveWindow(WindowStats{Window: 2, Reporting: 5})
 	snap := tr.Snapshot()
@@ -140,7 +141,7 @@ func TestHealthTrackerSkippedWindows(t *testing.T) {
 }
 
 func TestHealthTrackerObserveWindowNoAlloc(t *testing.T) {
-	tr := NewHealthTracker(HealthConfig{})
+	tr := NewHealthTracker()
 	sample := WindowStats{Window: 1, Reporting: 10, RawAlarms: 1, TrackSymbols: 3, TrackBottoms: 2, StateSpawns: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		sample.Window++

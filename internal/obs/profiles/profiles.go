@@ -29,15 +29,23 @@ type Config struct {
 	// Interval spaces periodic captures; 0 disables them (captures then only
 	// happen via TriggerCapture / CaptureNow).
 	Interval time.Duration
-	// CPUDuration is how long each CPU profile records. Default 2s.
-	CPUDuration time.Duration
-	// MaxFiles bounds the ring by file count. Default 64.
-	MaxFiles int
-	// MaxBytes bounds the ring by total size. Default 256 MiB.
-	MaxBytes int64
 	// Logger receives capture/prune events; nil discards them.
 	Logger *slog.Logger
+
+	// cpuDuration and maxFiles, when set, replace the constants of the
+	// same names — the hooks the tests capture quickly and prune early
+	// with.
+	cpuDuration time.Duration
+	maxFiles    int
 }
+
+const (
+	// cpuDuration is how long each CPU profile records.
+	cpuDuration = 2 * time.Second
+	// maxFiles and maxBytes bound the ring by file count and total size.
+	maxFiles = 64
+	maxBytes = 256 << 20
+)
 
 // Entry describes one captured profile file in the ring.
 type Entry struct {
@@ -68,14 +76,11 @@ func New(cfg Config) (*Capturer, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("profiles: Dir required")
 	}
-	if cfg.CPUDuration <= 0 {
-		cfg.CPUDuration = 2 * time.Second
+	if cfg.cpuDuration <= 0 {
+		cfg.cpuDuration = cpuDuration
 	}
-	if cfg.MaxFiles <= 0 {
-		cfg.MaxFiles = 64
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 256 << 20
+	if cfg.maxFiles <= 0 {
+		cfg.maxFiles = maxFiles
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
@@ -152,7 +157,7 @@ func (c *Capturer) TriggerCapture(reason string) {
 }
 
 // CaptureNow synchronously captures heap + goroutine profiles and, when no
-// other CPU profile is running process-wide, a CPU profile of CPUDuration.
+// other CPU profile is running process-wide, a CPU profile of cpuDuration.
 // Returns the entries written.
 func (c *Capturer) CaptureNow(reason string) []Entry {
 	if c == nil {
@@ -194,7 +199,7 @@ func (c *Capturer) captureCPU(nowMs int64, slug, reason string) (Entry, bool) {
 		c.log.Info("cpu profile skipped", "reason", reason, "err", err)
 		return Entry{}, false
 	}
-	time.Sleep(c.cfg.CPUDuration)
+	time.Sleep(c.cfg.cpuDuration)
 	pprof.StopCPUProfile()
 	info, _ := f.Stat()
 	f.Close()
@@ -261,7 +266,7 @@ func (c *Capturer) Index() []Entry {
 	return out
 }
 
-// prune drops the oldest entries until the ring fits MaxFiles and MaxBytes.
+// prune drops the oldest entries until the ring fits maxFiles and maxBytes.
 // Callers hold c.mu.
 func (c *Capturer) prune() {
 	idx := c.Index() // newest first
@@ -269,7 +274,7 @@ func (c *Capturer) prune() {
 	for _, e := range idx {
 		total += e.Bytes
 	}
-	for i := len(idx) - 1; i >= 0 && (len(idx[:i+1]) > c.cfg.MaxFiles || total > c.cfg.MaxBytes); i-- {
+	for i := len(idx) - 1; i >= 0 && (len(idx[:i+1]) > c.cfg.maxFiles || total > maxBytes); i-- {
 		if err := os.Remove(filepath.Join(c.cfg.Dir, idx[i].File)); err == nil {
 			c.log.Info("profile pruned", "file", idx[i].File)
 		}

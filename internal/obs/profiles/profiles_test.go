@@ -16,8 +16,8 @@ func newTestCapturer(t *testing.T, cfg Config) *Capturer {
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	if cfg.CPUDuration == 0 {
-		cfg.CPUDuration = 20 * time.Millisecond
+	if cfg.cpuDuration == 0 {
+		cfg.cpuDuration = 20 * time.Millisecond
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestPruneBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := newTestCapturer(t, Config{Dir: dir, MaxFiles: 4})
+	c := newTestCapturer(t, Config{Dir: dir, maxFiles: 4})
 	c.CaptureNow("fresh")
 	idx := c.Index()
 	if len(idx) > 4 {

@@ -206,10 +206,15 @@ type TracerConfig struct {
 	// MaxTraces bounds the retained trace ring (default 64). The oldest
 	// trace is evicted when a new trace arrives at capacity.
 	MaxTraces int
-	// MaxSpans caps spans retained per trace (default 256); overflow is
-	// counted, not stored.
-	MaxSpans int
+
+	// maxSpans, when set, replaces the constant of the same name — the hook
+	// the overflow test shrinks the cap with.
+	maxSpans int
 }
+
+// maxSpans caps the spans retained per trace; overflow is counted, not
+// stored.
+const maxSpans = 256
 
 func (c TracerConfig) withDefaults() TracerConfig {
 	if c.SampleEvery <= 0 {
@@ -218,8 +223,8 @@ func (c TracerConfig) withDefaults() TracerConfig {
 	if c.MaxTraces <= 0 {
 		c.MaxTraces = 64
 	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 256
+	if c.maxSpans <= 0 {
+		c.maxSpans = maxSpans
 	}
 	return c
 }
@@ -302,7 +307,7 @@ func (t *Tracer) record(id TraceID, data SpanData) {
 		t.traces[id] = e
 		t.order = append(t.order, id)
 	}
-	if len(e.spans) >= t.cfg.MaxSpans {
+	if len(e.spans) >= t.cfg.maxSpans {
 		e.dropped++
 		return
 	}

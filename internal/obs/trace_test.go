@@ -176,7 +176,7 @@ func TestTraceRingEvictsOldest(t *testing.T) {
 }
 
 func TestMaxSpansCountsOverflow(t *testing.T) {
-	tr := NewTracer(TracerConfig{MaxSpans: 2})
+	tr := NewTracer(TracerConfig{maxSpans: 2})
 	root := tr.Root("root")
 	for i := 0; i < 4; i++ {
 		tr.StartSpan("child", root.Context()).End()

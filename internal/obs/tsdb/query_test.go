@@ -15,7 +15,7 @@ import (
 func seedCounter(t *testing.T, name string, t0 time.Time, vals []float64) *DB {
 	t.Helper()
 	src := &fakeSource{}
-	db := New(Config{Source: src.get, Resolution: time.Second, Retention: time.Hour})
+	db := New(Config{source: src.get, Resolution: time.Second, Retention: time.Hour})
 	for i, v := range vals {
 		src.set(obs.Sample{Name: name, Kind: obs.KindCounter, Value: v})
 		db.Sample(t0.Add(time.Duration(i) * time.Second))
@@ -66,7 +66,7 @@ func TestRateGolden(t *testing.T) {
 func TestIncreaseAndGauge(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
 	src := &fakeSource{}
-	db := New(Config{Source: src.get, Resolution: time.Second, Retention: time.Hour})
+	db := New(Config{source: src.get, Resolution: time.Second, Retention: time.Hour})
 	vals := []float64{10, 20, 5, 8}
 	for i, v := range vals {
 		src.set(
@@ -160,7 +160,7 @@ func TestQuantileOverTime(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	db := New(Config{Source: func() []obs.Sample { return nil }})
+	db := New(Config{source: func() []obs.Sample { return nil }})
 	now := time.Now()
 	for _, q := range []RangeQuery{
 		{},                                    // no metric or prefix

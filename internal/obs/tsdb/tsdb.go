@@ -10,22 +10,25 @@ import (
 // Config sizes the store. The zero value of optional fields picks the
 // defaults noted per field.
 type Config struct {
-	// Registry is the metrics registry to sample. Required unless Source is
-	// set.
+	// Registry is the metrics registry to sample.
 	Registry *obs.Registry
-	// Source overrides the sample enumeration (tests). When nil, samples come
-	// from Registry.Samples().
-	Source func() []obs.Sample
 	// Resolution is the sampling interval. Default 1s.
 	Resolution time.Duration
 	// Retention is how far back queries can reach. Default 15m. Eviction is
 	// chunk-granular, so up to one chunk (~Resolution×240) beyond Retention
 	// may linger per series.
 	Retention time.Duration
-	// MaxSeries bounds the number of tracked series; new series beyond the
-	// cap are dropped (existing ones keep sampling). Default 4096.
-	MaxSeries int
+
+	// source and maxSeries, when set, replace Registry.Samples and the
+	// constant of the same name — the hooks the tests feed the store
+	// without a registry and shrink its cap with.
+	source    func() []obs.Sample
+	maxSeries int
 }
+
+// maxSeries bounds the number of tracked series; new series beyond the cap
+// are dropped (existing ones keep sampling).
+const maxSeries = 4096
 
 // series is the retained history of one metric name.
 type series struct {
@@ -45,7 +48,7 @@ type DB struct {
 	once    sync.Once
 	started bool
 
-	dropped int // series beyond MaxSeries, for Stats
+	dropped int // series beyond maxSeries, for Stats
 }
 
 // New builds a store. Start must be called to begin sampling; tests can call
@@ -57,12 +60,11 @@ func New(cfg Config) *DB {
 	if cfg.Retention <= 0 {
 		cfg.Retention = 15 * time.Minute
 	}
-	if cfg.MaxSeries <= 0 {
-		cfg.MaxSeries = 4096
+	if cfg.maxSeries <= 0 {
+		cfg.maxSeries = maxSeries
 	}
-	if cfg.Source == nil && cfg.Registry != nil {
-		reg := cfg.Registry
-		cfg.Source = reg.Samples
+	if cfg.source == nil && cfg.Registry != nil {
+		cfg.source = cfg.Registry.Samples
 	}
 	return &DB{
 		cfg:    cfg,
@@ -118,10 +120,10 @@ func (db *DB) Close() {
 // evicting chunks older than the retention horizon. Exported so tests (and
 // deterministic harnesses) can drive the clock themselves.
 func (db *DB) Sample(now time.Time) {
-	if db.cfg.Source == nil {
+	if db.cfg.source == nil {
 		return
 	}
-	samples := db.cfg.Source()
+	samples := db.cfg.source()
 	nowMs := now.UnixMilli()
 	cutMs := now.Add(-db.cfg.Retention).UnixMilli()
 
@@ -132,7 +134,7 @@ func (db *DB) Sample(now time.Time) {
 		seen[s.Name] = struct{}{}
 		sr := db.series[s.Name]
 		if sr == nil {
-			if len(db.series) >= db.cfg.MaxSeries {
+			if len(db.series) >= db.cfg.maxSeries {
 				db.dropped++
 				continue
 			}

@@ -33,7 +33,7 @@ func (f *fakeSource) get() []obs.Sample {
 // deleted entirely once its history decays.
 func TestRetentionEviction(t *testing.T) {
 	src := &fakeSource{}
-	db := New(Config{Source: src.get, Resolution: time.Second, Retention: time.Minute})
+	db := New(Config{source: src.get, Resolution: time.Second, Retention: time.Minute})
 
 	t0 := time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
 	// Sample two series for 2 minutes (well past retention + one chunk span).
@@ -90,7 +90,7 @@ func TestRetentionEviction(t *testing.T) {
 // while existing series keep sampling.
 func TestMaxSeriesCap(t *testing.T) {
 	src := &fakeSource{}
-	db := New(Config{Source: src.get, MaxSeries: 2})
+	db := New(Config{source: src.get, maxSeries: 2})
 	var samples []obs.Sample
 	for i := 0; i < 5; i++ {
 		samples = append(samples, obs.Sample{Name: fmt.Sprintf("s%d", i), Kind: obs.KindGauge, Value: 1})
@@ -110,7 +110,7 @@ func TestMaxSeriesCap(t *testing.T) {
 // TestCloseWithoutStart pins the lifecycle fix: Close must not hang when
 // Start was never called, and double Close is safe.
 func TestCloseWithoutStart(t *testing.T) {
-	db := New(Config{Source: func() []obs.Sample { return nil }})
+	db := New(Config{source: func() []obs.Sample { return nil }})
 	done := make(chan struct{})
 	go func() { db.Close(); db.Close(); close(done) }()
 	select {

@@ -93,10 +93,6 @@ func (s *SPRT) Observe(alarm bool) Decision {
 // Evidence returns the current log-likelihood ratio.
 func (s *SPRT) Evidence() float64 { return s.llr }
 
-// SetEvidence overwrites the accumulated log-likelihood ratio — the restore
-// half of Evidence, used when reloading filter state from a checkpoint.
-func (s *SPRT) SetEvidence(llr float64) { s.llr = llr }
-
 // CUSUM is a one-sided cumulative-sum detector on a Bernoulli alarm stream:
 // g ← max(0, g + z), where z is the log-likelihood-ratio increment of the
 // observation, and a change is declared when g exceeds threshold h.
@@ -142,7 +138,3 @@ func (c *CUSUM) Statistic() float64 { return c.g }
 
 // Reset clears the cumulative statistic.
 func (c *CUSUM) Reset() { c.g = 0 }
-
-// SetStatistic overwrites the cumulative statistic — the restore half of
-// Statistic, used when reloading filter state from a checkpoint.
-func (c *CUSUM) SetStatistic(g float64) { c.g = g }

@@ -119,13 +119,8 @@ type (
 	DecisionRing = core.DecisionRing
 	// DecisionLog streams records as NDJSON — the audit-log sink.
 	DecisionLog = core.DecisionLog
-	// SLOSpec defines one multi-window burn-rate SLO (FleetConfig.SLOs).
-	SLOSpec = obs.SLOSpec
 	// Alert is one live SLO evaluation, served on GET /alerts.
 	Alert = obs.Alert
-	// HealthConfig tunes a deployment's drift-telemetry tracker
-	// (FleetConfig.Health).
-	HealthConfig = obs.HealthConfig
 	// HealthSnapshot is a deployment's drift-telemetry snapshot, served on
 	// GET /debug/health/{deployment}.
 	HealthSnapshot = obs.HealthSnapshot

@@ -33,22 +33,73 @@ func TestNoTestOnlyCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed, err := readTestOnlyList(testOnlyList)
+	listed, err := readTestOnlyList(testOnlyList, testOnlyReasons)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range unreached {
+	checkListed(t, unreached, listed,
+		"%s is reached only from tests: delete it, call it from non-test code, or list it in %s with a reason",
+		"%s is listed in %s but is gone or has a non-test caller: remove its line", testOnlyList)
+}
+
+// testOnlyFieldList names every exported field of configTypes that no
+// non-test code outside its own package writes, one a line: the field, the
+// reason "seam", then a note.
+const testOnlyFieldList = "testdata/test_only_fields.txt"
+
+// configTypes are the option structs of the serving stack. An exported
+// field of one is a value a caller may set, so each must have a caller that
+// sets it.
+var configTypes = []string{
+	"sensorguard/internal/fleet.Config",
+	"sensorguard/internal/fleet.Durability",
+	"sensorguard/internal/ingest.ShipperConfig",
+	"sensorguard/internal/obs.TracerConfig",
+	"sensorguard/internal/obs/profiles.Config",
+	"sensorguard/internal/obs/tsdb.Config",
+}
+
+// TestNoTestOnlyConfigFields fails when an exported field of configTypes
+// has no non-test writer outside its declaring package and is not listed in
+// testOnlyFieldList as a seam, or when a listed field is gone or has gained
+// such a writer. An option only tests set is one value in use: make it a
+// constant, with an unexported field where a same-package test needs
+// another value.
+func TestNoTestOnlyConfigFields(t *testing.T) {
+	unwritten, err := scanTestOnlyFields(".", "perfbench", configTypes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed, err := readTestOnlyList(testOnlyFieldList, map[string]bool{"seam": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkListed(t, unwritten, listed,
+		"%s is set only by tests or its own package: make it a constant or an unexported field, or list it in %s as a seam",
+		"%s is listed in %s but is gone or has a non-test writer: remove its line", testOnlyFieldList)
+}
+
+// checkListed reports each name in found that listed lacks (unlisted) and
+// each listed name found lacks (stale). Both formats take the name and path.
+func checkListed(t *testing.T, found []string, listed map[string]string, unlisted, stale, path string) {
+	t.Helper()
+	for _, name := range found {
 		if _, ok := listed[name]; !ok {
-			t.Errorf("%s is reached only from tests: delete it, call it from non-test code, or list it in %s with a reason", name, testOnlyList)
+			t.Errorf(unlisted, name, path)
 		}
 		delete(listed, name)
 	}
 	for name := range listed {
-		t.Errorf("%s is listed in %s but is gone or has a non-test caller: remove its line", name, testOnlyList)
+		t.Errorf(stale, name, path)
 	}
 }
 
-func readTestOnlyList(path string) (map[string]string, error) {
+func readTestOnlyList(path string, reasons map[string]bool) (map[string]string, error) {
+	var want []string
+	for r := range reasons {
+		want = append(want, r)
+	}
+	sort.Strings(want)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -62,8 +113,8 @@ func readTestOnlyList(path string) (map[string]string, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) < 2 || !testOnlyReasons[fields[1]] {
-			return nil, fmt.Errorf("%s:%d: want \"<function> <seam|support|api|planned> [note]\", got %q", path, n, line)
+		if len(fields) < 2 || !reasons[fields[1]] {
+			return nil, fmt.Errorf("%s:%d: want \"<name> <%s> [note]\", got %q", path, n, strings.Join(want, "|"), line)
 		}
 		if _, dup := listed[fields[0]]; dup {
 			return nil, fmt.Errorf("%s:%d: %s listed twice", path, n, fields[0])
@@ -195,6 +246,83 @@ func scanTestOnlyFuncs(root, callersOnly string) ([]string, error) {
 	}
 	sort.Strings(unreached)
 	return unreached, nil
+}
+
+// scanTestOnlyFields returns the sorted names of the exported fields of
+// typeNames (each "<package path>.<type>") that no non-test code outside
+// the field's own package writes. A field is written where it is a key of
+// a composite literal or the selector on the left of an assignment or an
+// increment. Files under callersOnly count as writers.
+func scanTestOnlyFields(root, callersOnly string, typeNames []string) ([]string, error) {
+	s, err := loadTestOnlyScan(root, callersOnly)
+	if err != nil {
+		return nil, err
+	}
+	fields := make(map[*types.Var]string)
+	for _, name := range typeNames {
+		dot := strings.LastIndex(name, ".")
+		p, ok := s.pkgs[name[:dot]]
+		if !ok {
+			return nil, fmt.Errorf("%s: no such package", name)
+		}
+		tn, ok := p.pkg.Scope().Lookup(name[dot+1:]).(*types.TypeName)
+		if !ok {
+			return nil, fmt.Errorf("%s: no such type", name)
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			return nil, fmt.Errorf("%s: not a struct", name)
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				fields[f] = name + "." + f.Name()
+			}
+		}
+	}
+
+	written := make(map[*types.Var]bool)
+	for _, p := range s.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var keys []ast.Expr
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							keys = append(keys, kv.Key)
+						}
+					}
+				case *ast.AssignStmt:
+					keys = n.Lhs
+				case *ast.IncDecStmt:
+					keys = []ast.Expr{n.X}
+				}
+				for _, k := range keys {
+					k = ast.Unparen(k)
+					if sel, ok := k.(*ast.SelectorExpr); ok {
+						k = sel.Sel
+					}
+					id, ok := k.(*ast.Ident)
+					if !ok {
+						continue
+					}
+					if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != p.pkg {
+						written[v.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unwritten []string
+	for f, name := range fields {
+		if !written[f] {
+			unwritten = append(unwritten, name)
+		}
+	}
+	sort.Strings(unwritten)
+	return unwritten, nil
 }
 
 // loadTestOnlyScan parses the non-test files of every package under root
