@@ -173,6 +173,16 @@ func (s *Set) States() []State {
 	return out
 }
 
+// CentroidsInto clears dst and fills it with every state's centroid, keyed
+// by ID. Unlike States it copies nothing: the vectors are the set's own,
+// valid until the next Adapt moves or merges them, and must not be written.
+func (s *Set) CentroidsInto(dst map[int]vecmat.Vector) {
+	clear(dst)
+	for _, st := range s.states {
+		dst[st.ID] = st.Centroid
+	}
+}
+
 // ByID returns the state with the given ID.
 func (s *Set) ByID(id int) (State, bool) {
 	for _, st := range s.states {

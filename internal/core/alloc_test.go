@@ -65,11 +65,20 @@ func keyStateAllocInput(t *testing.T) (Config, []network.Window, int) {
 // trace: six k-means states (seed 1) over its first 24 h, hourly windows,
 // and one full replay of them as warm-up.
 func gdiDayAllocInput(t *testing.T) (Config, []network.Window, int) {
+	cfg, wins := gdiInput(t, 1, gdi.DefaultGenerateConfig().Seed)
+	return cfg, wins, len(wins)
+}
+
+// gdiInput generates a GDI trace of the given length and seed and sets a
+// detector up on it the way a serving deployment is bootstrapped: six
+// k-means states (k-means seed 1) over its first 24 h, hourly windows.
+func gdiInput(tb testing.TB, days int, seed int64) (Config, []network.Window) {
 	gcfg := gdi.DefaultGenerateConfig()
-	gcfg.Days = 1
+	gcfg.Days = days
+	gcfg.Seed = seed
 	tr, err := gdi.Generate(gcfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var points []vecmat.Vector
 	for _, r := range tr.Readings {
@@ -79,15 +88,15 @@ func gdiDayAllocInput(t *testing.T) (Config, []network.Window, int) {
 	}
 	seeds, err := cluster.KMeans(points, 6, rand.New(rand.NewSource(1)), 100)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig(seeds)
 	cfg.Window = time.Hour
 	wins, err := network.WindowAll(tr.Readings, time.Hour)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return cfg, wins, len(wins)
+	return cfg, wins
 }
 
 // TestStepResultCloneIndependent pins that Clone detaches a result from the

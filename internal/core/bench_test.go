@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"sensorguard/internal/network"
@@ -209,6 +210,57 @@ func BenchmarkStepServing(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecisionRingRetained prices the decision rings' memory on
+// perfbench's traffic shape: 64 generated GDI deployments of 6 days each
+// (seeds 1..64, bootstrapped as gdiInput does) step through detectors
+// that each record into a 256-record ring, the serving default. It reports
+// the live heap the rings keep once the detectors are gone, per retained
+// record and per deployment.
+func BenchmarkDecisionRingRetained(b *testing.B) {
+	const deployments = 64
+	cfgs := make([]Config, deployments)
+	wins := make([][]network.Window, deployments)
+	for dep := range cfgs {
+		cfgs[dep], wins[dep] = gdiInput(b, 6, int64(dep+1))
+	}
+	var perRecord, perDeployment float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rings := make([]*DecisionRing, deployments)
+		before := liveHeap()
+		records := 0
+		for dep := range rings {
+			rings[dep] = NewDecisionRing(256)
+			cfg := cfgs[dep]
+			cfg.Decisions = rings[dep]
+			d, err := NewDetector(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, w := range wins[dep] {
+				if _, err := d.Step(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			records += rings[dep].Len()
+		}
+		retained := float64(liveHeap() - before)
+		perRecord, perDeployment = retained/float64(records), retained/deployments
+		runtime.KeepAlive(rings)
+	}
+	b.ReportMetric(perRecord, "B/record")
+	b.ReportMetric(perDeployment/1024, "KiB/deployment")
+}
+
+// liveHeap returns the heap bytes still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkReport measures the full structural classification.

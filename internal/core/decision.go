@@ -174,50 +174,108 @@ type AttributeDivergence struct {
 
 // DecisionSink receives one record per window. Implementations must be safe
 // for use from the goroutine driving the detector.
+//
+// The record is borrowed, like StepResult: its slices and Evidence live in
+// the detector's reusable scratch space and are valid only during the
+// Record call, which the next window overwrites. A sink that keeps the
+// record past the call must keep rec.Clone(); one that consumes it in the
+// call (encodes, packs, or copies what it needs) reads it for free.
 type DecisionSink interface {
 	Record(DecisionRecord)
 }
 
+// Clone returns an independent deep copy of the record, safe to keep after
+// the Record call that delivered it. Nil and empty slices stay as they are.
+func (r DecisionRecord) Clone() DecisionRecord {
+	out := r
+	out.ObservableAttrs = slices.Clone(r.ObservableAttrs)
+	out.CorrectAttrs = slices.Clone(r.CorrectAttrs)
+	out.Sensors = slices.Clone(r.Sensors)
+	out.Quarantined = slices.Clone(r.Quarantined)
+	if r.Evidence != nil {
+		ev := *r.Evidence
+		ev.RowViolations = slices.Clone(ev.RowViolations)
+		ev.ColViolations = slices.Clone(ev.ColViolations)
+		ev.Associations = slices.Clone(ev.Associations)
+		ev.ActiveHidden = slices.Clone(ev.ActiveHidden)
+		ev.Divergence = slices.Clone(ev.Divergence)
+		for i := range ev.Divergence {
+			ev.Divergence[i].Delta = slices.Clone(ev.Divergence[i].Delta)
+		}
+		out.Evidence = &ev
+	}
+	return out
+}
+
 // DecisionRing retains the most recent records in a bounded buffer — the
 // store behind /debug/decisions/{deployment}. Safe for concurrent use.
+//
+// Each record is kept packed (see decisionSlot) and decoded back into an
+// identical DecisionRecord only when Records reads it. Slots are added as
+// records arrive, up to capacity; after that each record reuses the evicted
+// slot's buffer, so Record allocates nothing in steady state.
 type DecisionRing struct {
-	mu      sync.Mutex
-	buf     []DecisionRecord
-	start   int
-	n       int
-	emitted int
+	mu       sync.Mutex
+	capacity int
+	slots    []decisionSlot // oldest at start once len(slots) == capacity
+	start    int
+	emitted  int
+	scratch  []byte // encoding buffer for the record being packed
 }
 
 // NewDecisionRing returns a ring retaining the last capacity records
 // (capacity < 1 is treated as 1).
 func NewDecisionRing(capacity int) *DecisionRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &DecisionRing{buf: make([]DecisionRecord, capacity)}
+	return &DecisionRing{capacity: max(capacity, 1)}
 }
 
-// Record appends, evicting the oldest when full.
+// Record packs rec into the ring, evicting the oldest record when full. It
+// keeps nothing rec points to, so the record may be borrowed.
 func (r *DecisionRing) Record(rec DecisionRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.emitted++
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = rec
-		r.n++
-		return
+	var slot *decisionSlot
+	if n := len(r.slots); n < r.capacity {
+		if n == cap(r.slots) {
+			// Grow by a quarter, not append's doubling: a deployment that
+			// never fills the ring should not pay for the empty half.
+			grown := make([]decisionSlot, n, n+min(max(n/4, 16), r.capacity-n))
+			copy(grown, r.slots)
+			r.slots = grown
+		}
+		r.slots = r.slots[:n+1]
+		slot = &r.slots[n]
+	} else {
+		slot = &r.slots[r.start]
+		r.start = (r.start + 1) % n
 	}
-	r.buf[r.start] = rec
-	r.start = (r.start + 1) % len(r.buf)
+	r.scratch = slot.pack(&rec, r.scratch)
 }
 
-// Records returns the retained records, oldest first.
+// Records returns the retained records, oldest first. The packed slots are
+// copied out under the lock and decoded after it is released, so a reader
+// holds up the detector only for the copy.
 func (r *DecisionRing) Records() []DecisionRecord {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]DecisionRecord, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
+	slots := make([]decisionSlot, len(r.slots))
+	size := 0
+	for _, s := range r.slots {
+		size += len(s.data)
+	}
+	data := make([]byte, 0, size)
+	for i := range slots {
+		s := r.slots[(r.start+i)%len(r.slots)]
+		at := len(data)
+		data = append(data, s.data...)
+		s.data = data[at:len(data):len(data)]
+		slots[i] = s
+	}
+	r.mu.Unlock()
+
+	out := make([]DecisionRecord, len(slots))
+	for i := range slots {
+		out[i] = slots[i].record()
 	}
 	return out
 }
@@ -226,14 +284,14 @@ func (r *DecisionRing) Records() []DecisionRecord {
 func (r *DecisionRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return len(r.slots)
 }
 
 // Dropped returns the number of records evicted from the buffer.
 func (r *DecisionRing) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.emitted - r.n
+	return r.emitted - len(r.slots)
 }
 
 // DecisionLog streams records as NDJSON — the -audit-log sink. Safe for
@@ -250,7 +308,7 @@ func NewDecisionLog(w io.Writer) *DecisionLog {
 	return &DecisionLog{enc: json.NewEncoder(w)}
 }
 
-// Record writes one NDJSON line.
+// Record writes one NDJSON line, encoding rec before it returns.
 func (l *DecisionLog) Record(rec DecisionRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -268,7 +326,9 @@ func (l *DecisionLog) Err() error {
 }
 
 // decide assembles the window's decision record after step has run: the
-// window's stats plus the provenance part.
+// window's stats plus the provenance part. The record is built in the
+// detector's scratch space and handed to the sink borrowed (see
+// DecisionSink): nothing here allocates once the scratch has grown.
 func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 	rec := DecisionRecord{WindowStats: d.win}
 	if w.Trace.Recording() {
@@ -278,17 +338,19 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 		return rec
 	}
 
-	attrs := d.StateAttributes()
+	sc := &d.scratch
+	attrs := d.stateAttrs()
 	if a, ok := attrs[res.Observable]; ok {
-		rec.ObservableAttrs = a.Clone()
+		sc.obsAttrs = append(sc.obsAttrs[:0], a...)
+		rec.ObservableAttrs = sc.obsAttrs
 	}
 	if a, ok := attrs[res.Correct]; ok {
-		rec.CorrectAttrs = a.Clone()
+		sc.corrAttrs = append(sc.corrAttrs[:0], a...)
+		rec.CorrectAttrs = sc.corrAttrs
 	}
 
 	// The scratch IDs are this window's sensors, already ascending.
-	sc := &d.scratch
-	rec.Sensors = make([]SensorDecision, len(sc.ids))
+	sc.rows = slices.Grow(sc.rows[:0], len(sc.ids))[:len(sc.ids)]
 	for i, id := range sc.ids {
 		st := res.Sensors[id]
 		sd := SensorDecision{
@@ -307,49 +369,62 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 				sd.Symbol = strconv.Itoa(st.Symbol)
 			}
 		}
-		rec.Sensors[i] = sd
+		sc.rows[i] = sd
 	}
+	rec.Sensors = sc.rows
 	if len(d.quarantined) > 0 {
-		rec.Quarantined = d.Quarantined()
+		sc.quarantined = sc.quarantined[:0]
+		for id := range d.quarantined {
+			sc.quarantined = append(sc.quarantined, id)
+		}
+		slices.Sort(sc.quarantined)
+		rec.Quarantined = sc.quarantined
 	}
 	rec.Evidence = d.evidence(attrs)
 	return rec
 }
 
 // evidence runs the §3.4 network analysis on the current B^CO and folds in
-// the attribute-divergence test; nil while no states are active.
+// the attribute-divergence test; nil while no states are active. The
+// result is the detector's scratch evidence, overwritten next window.
 func (d *Detector) evidence(attrs map[int]vecmat.Vector) *DecisionEvidence {
 	diag, err := classify.Network(d.ModelCO(), attrs, d.cfg.Classify)
 	if err != nil {
 		return nil
 	}
-	ev := &DecisionEvidence{
-		Verdict:       diag.Kind.String(),
-		Confidence:    diag.Confidence,
-		RowViolations: diag.RowViolations,
-		ColViolations: diag.ColViolations,
-		Associations:  diag.Associations,
-		ActiveHidden:  diag.ActiveHidden,
-	}
+	sc := &d.scratch
+	// Each divergence slot keeps its Delta buffer across windows.
+	divs := sc.divergence[:0]
 	for _, a := range diag.Associations {
 		hc, okH := attrs[a.Hidden]
 		oc, okO := attrs[a.Symbol]
 		if !okH || !okO || len(hc) != len(oc) {
 			continue
 		}
-		div := AttributeDivergence{
-			Hidden:       a.Hidden,
-			Symbol:       a.Symbol,
-			Delta:        make(vecmat.Vector, len(hc)),
-			AllDisplaced: a.Hidden != a.Symbol,
-		}
+		divs = slices.Grow(divs, 1)[:len(divs)+1]
+		div := &divs[len(divs)-1]
+		div.Hidden, div.Symbol = a.Hidden, a.Symbol
+		div.Delta = slices.Grow(div.Delta[:0], len(hc))[:len(hc)]
+		div.AllDisplaced = a.Hidden != a.Symbol
 		for i := range hc {
 			div.Delta[i] = oc[i] - hc[i]
 			if math.Abs(div.Delta[i]) < d.cfg.Classify.ChangeMinDelta {
 				div.AllDisplaced = false
 			}
 		}
-		ev.Divergence = append(ev.Divergence, div)
 	}
-	return ev
+	sc.divergence = divs
+	if len(divs) == 0 {
+		divs = nil
+	}
+	sc.evidence = DecisionEvidence{
+		Verdict:       diag.Kind.String(),
+		Confidence:    diag.Confidence,
+		RowViolations: diag.RowViolations,
+		ColViolations: diag.ColViolations,
+		Associations:  diag.Associations,
+		ActiveHidden:  diag.ActiveHidden,
+		Divergence:    divs,
+	}
+	return &sc.evidence
 }

@@ -96,6 +96,15 @@ type stepScratch struct {
 	sensors map[int]SensorStep // StepResult.Sensors backing store
 	opened  []int              // sensors whose track opened this window, ascending
 	closed  []int              // sensors whose track closed this window, ascending
+
+	// attrs is the state-attribute map stateAttrs refills; the rest is the
+	// decision record's backing store (see decide), lent to the sink.
+	attrs               map[int]vecmat.Vector
+	obsAttrs, corrAttrs vecmat.Vector
+	rows                []SensorDecision
+	quarantined         []int
+	evidence            DecisionEvidence
+	divergence          []AttributeDivergence
 }
 
 // SensorStep is the per-sensor outcome of one window.
@@ -486,7 +495,7 @@ func (d *Detector) refreshQuarantine(window int) {
 			continue
 		}
 		if attrs == nil {
-			attrs = d.StateAttributes()
+			attrs = d.stateAttrs()
 		}
 		diag, err := classify.Sensor(tr.Sensor, snap, attrs, d.ErrorProfile(tr.Sensor), d.cfg.Classify)
 		if err != nil {
@@ -795,6 +804,19 @@ func (d *Detector) SkippedWindows() int { return d.skipped }
 
 // States returns the current model states.
 func (d *Detector) States() []cluster.State { return d.states.States() }
+
+// stateAttrs refills the scratch map with the attribute vector of every
+// current model state, keyed by state ID — StateAttributes without the
+// copies. The vectors alias the state centroids: read them before the
+// states next adapt, and never write them.
+func (d *Detector) stateAttrs() map[int]vecmat.Vector {
+	sc := &d.scratch
+	if sc.attrs == nil {
+		sc.attrs = make(map[int]vecmat.Vector)
+	}
+	d.states.CentroidsInto(sc.attrs)
+	return sc.attrs
+}
 
 // StateAttributes returns the attribute vector of every current model state,
 // keyed by state ID.

@@ -196,15 +196,21 @@ func absF(x float64) float64 {
 	return x
 }
 
-// String renders the comparison.
+// String renders the comparison's deterministic part: the accuracy of each
+// estimator. The wall-clock costs are in Timings.
 func (r OnlineVsBaumWelchResult) String() string {
 	return fmt.Sprintf(
 		"Ablation — on-line (redundancy) vs Baum-Welch identification (%d steps)\n"+
-			"  on-line:    %v, B error %.4f\n"+
-			"  Baum-Welch: %v (%d iters), B error %.4f\n"+
-			"  speedup: ×%.0f\n",
-		r.Sequence, r.OnlineDuration, r.OnlineBError,
-		r.BaumWelchDuration, r.BaumWelchIters, r.BaumWelchBError, r.Speedup)
+			"  on-line:    B error %.4f\n"+
+			"  Baum-Welch: %d iters, B error %.4f\n",
+		r.Sequence, r.OnlineBError, r.BaumWelchIters, r.BaumWelchBError)
+}
+
+// Timings renders the wall-clock costs and the speedup, which vary from run
+// to run.
+func (r OnlineVsBaumWelchResult) Timings() string {
+	return fmt.Sprintf("on-line %v, Baum-Welch %v, speedup ×%.0f\n",
+		r.OnlineDuration, r.BaumWelchDuration, r.Speedup)
 }
 
 // ---------------------------------------------------------------------------

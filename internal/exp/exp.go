@@ -110,7 +110,8 @@ func (c Config) withSink(sink core.DecisionSink) Config {
 	return out
 }
 
-// teeSink records every decision into each sink in order.
+// teeSink records every decision into each sink in order, lending each the
+// same borrowed record within the call (see core.DecisionSink).
 type teeSink []core.DecisionSink
 
 func (t teeSink) Record(rec core.DecisionRecord) {

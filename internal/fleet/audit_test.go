@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -81,5 +84,53 @@ func TestAuditLogHealthyWriter(t *testing.T) {
 	lines := strings.Count(audit.String(), "\n")
 	if want := reg.Counter("fleet_shard0_windows_total", "").Value(); uint64(lines) != want {
 		t.Errorf("audit log has %d lines, want one per window (%d)", lines, want)
+	}
+}
+
+// TestDebugDecisionsMatchAuditLog pins the packed decision ring end to end:
+// the detector lends each record to the deployment's sink, which packs it
+// into the ring and encodes it into the audit log in the same call, and
+// every record /debug/decisions decodes back must be the audit log's JSON
+// for that window, byte for byte.
+func TestDebugDecisionsMatchAuditLog(t *testing.T) {
+	tr := stuckTrace(t, 3)
+	var audit bytes.Buffer
+	const capacity = 16
+	pool, err := New(Config{Shards: 1, AuditLog: &audit, DecisionBuffer: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, pool, "gdi", tr.Readings)
+	pool.Drain()
+	lines := strings.Split(strings.TrimSuffix(audit.String(), "\n"), "\n")
+	if len(lines) <= capacity {
+		t.Fatalf("audit log has %d lines; the ring of %d never wrapped", len(lines), capacity)
+	}
+
+	srv := httptest.NewServer(Handler(pool, nil))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/debug/decisions/gdi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Decisions []json.RawMessage `json:"decisions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Decisions) != capacity {
+		t.Fatalf("served %d records, want %d", len(doc.Decisions), capacity)
+	}
+	for i, raw := range doc.Decisions {
+		var got bytes.Buffer
+		if err := json.Compact(&got, raw); err != nil {
+			t.Fatal(err)
+		}
+		want := lines[len(lines)-capacity+i]
+		if got.String() != want {
+			t.Errorf("served record %d\n%s\nwant the audit log's\n%s", i, got.String(), want)
+		}
 	}
 }

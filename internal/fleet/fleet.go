@@ -1423,7 +1423,9 @@ func (p *Pool) AuditErr() error {
 }
 
 // namedSink stamps the deployment name on each decision record and fans it
-// out to the deployment's ring and the pool-wide audit log.
+// out to the deployment's ring and the pool-wide audit log. The record is
+// borrowed (see core.DecisionSink); the ring packs it and the log encodes
+// it within the call, so neither keeps it.
 type namedSink struct {
 	deployment string
 	ring       *core.DecisionRing

@@ -113,7 +113,8 @@ type (
 	// DecisionEvidence is the §3.4 structural evidence inside a record.
 	DecisionEvidence = core.DecisionEvidence
 	// DecisionSink consumes decision records (assign to Config.Decisions);
-	// sentinel's -events and -audit-log write them as NDJSON.
+	// sentinel's -events and -audit-log write them as NDJSON. Records are
+	// lent for the Record call only: a sink that keeps one keeps its Clone.
 	DecisionSink = core.DecisionSink
 	// DecisionRing retains the most recent records in memory.
 	DecisionRing = core.DecisionRing
