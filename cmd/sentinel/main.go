@@ -72,7 +72,7 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 	ckptDir := fs.String("checkpoint-dir", "", "serve mode: journal accepted readings and checkpoint detector state under this directory (see docs/RESILIENCE.md)")
 	ckptInterval := fs.Duration("checkpoint-interval", 0, "serve mode: wall-clock checkpoint cadence (default 1m when -checkpoint-dir is set and -checkpoint-every is 0)")
 	ckptEvery := fs.Int("checkpoint-every", 0, "serve mode: checkpoint after this many applied readings per shard (0 = interval only)")
-	doRecover := fs.Bool("recover", false, "serve mode: restore state from -checkpoint-dir (newest valid checkpoint + journal replay) before serving")
+	doRecover := fs.Bool("recover", false, "serve mode: restore state from -checkpoint-dir (newest valid checkpoint + journal replay) before serving; without it a -checkpoint-dir that already holds state is refused")
 	traces := fs.Int("traces", 64, "serve mode: retain this many recent traces on /debug/traces (0 disables tracing)")
 	traceSample := fs.Int("trace-sample", 16, "serve mode: sample one listener-rooted trace per this many ingest batches")
 	decisions := fs.Int("decisions", 256, "serve mode: retain this many decision records per deployment on /debug/decisions/{deployment} (0 disables)")

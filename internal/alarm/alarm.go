@@ -189,9 +189,6 @@ func (s *Stats) Record(sensorID int, raw, filtered bool) {
 // Steps returns the steps observed for a sensor.
 func (s *Stats) Steps(sensorID int) int { return s.steps[sensorID] }
 
-// RawCount returns the raw alarms observed for a sensor.
-func (s *Stats) RawCount(sensorID int) int { return s.raw[sensorID] }
-
 // RawRate returns the raw alarm rate for a sensor (0 with no steps).
 func (s *Stats) RawRate(sensorID int) float64 {
 	if s.steps[sensorID] == 0 {

@@ -157,8 +157,8 @@ func TestStats(t *testing.T) {
 	s.Record(0, true, true)
 	s.Record(1, false, false)
 
-	if s.Steps(0) != 3 || s.RawCount(0) != 2 {
-		t.Errorf("steps/raw = %d/%d", s.Steps(0), s.RawCount(0))
+	if s.Steps(0) != 3 || s.raw[0] != 2 {
+		t.Errorf("steps/raw = %d/%d", s.Steps(0), s.raw[0])
 	}
 	if math.Abs(s.RawRate(0)-2.0/3.0) > 1e-12 {
 		t.Errorf("RawRate = %v", s.RawRate(0))

@@ -855,9 +855,6 @@ func (d *Detector) TrackedSensors() []int {
 // dynamics (step 5 of the methodology).
 func (d *Detector) CorrectChain() *markov.Chain { return d.mc }
 
-// ObservableChain returns the Markov model M_O of the observable dynamics.
-func (d *Detector) ObservableChain() *markov.Chain { return d.mo }
-
 // AlarmStats returns the per-sensor raw/filtered alarm statistics.
 func (d *Detector) AlarmStats() *alarm.Stats { return d.stats }
 

@@ -242,8 +242,8 @@ func TestModelCOLearnsEnvironmentCycle(t *testing.T) {
 			t.Errorf("M_C P(%d→%d) = %v, want ≈1", s, next, p)
 		}
 	}
-	if d.ObservableChain().Steps() != 160 {
-		t.Errorf("M_O steps = %d", d.ObservableChain().Steps())
+	if d.mo.Steps() != 160 {
+		t.Errorf("M_O steps = %d", d.mo.Steps())
 	}
 }
 

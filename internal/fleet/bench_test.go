@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -92,7 +93,7 @@ func BenchmarkRecover(b *testing.B) {
 	}
 	p.abort()
 	for id := 0; id < shards; id++ {
-		ckpts, err := listCheckpoints(chaos.OS, shardDir(image, id))
+		ckpts, err := checkpointFiles.list(chaos.OS, shardDir(image, id))
 		if err != nil || len(ckpts) == 0 {
 			b.Fatalf("shard %d: no checkpoint (%v)", id, err)
 		}
@@ -129,4 +130,26 @@ func BenchmarkRecover(b *testing.B) {
 		p.abort()
 		b.StartTimer()
 	}
+}
+
+// copyTree copies every file under src to the same relative path under dst.
+func copyTree(src, dst string) error {
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
 }

@@ -1,14 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"sensorguard/internal/chaos"
@@ -21,7 +17,9 @@ import (
 // sequence Seq: a header record, then each deployment's records. Unlike a
 // journal, a checkpoint is all-or-nothing — if any record fails to decode,
 // the whole file is invalid and recovery falls back to the previous
-// checkpoint plus a longer journal replay. Files are written to a temporary
+// checkpoint plus a longer journal replay (and refuses to start when no
+// retained checkpoint is usable and the journal no longer reaches back to
+// sequence 0). Files are written to a temporary
 // name, fsynced, and renamed into place, so a crash mid-write never shadows
 // the previous checkpoint.
 //
@@ -31,10 +29,7 @@ import (
 // frames carry every reading the deployment buffers — the bootstrap Pending
 // buffer first, then each open window's readings in ascending window index —
 // so a reading has one binary encoding on the wire, in the journal and here.
-// The JSON record says how many readings belong where. Checkpoints written
-// before the frames ("sgckpt1\n", readings as JSON objects inside the
-// deployment record) are still read, never written; the checkpoint that
-// closes recovery replaces them.
+// The JSON record says how many readings belong where.
 
 // checkpointVersion is the header version sgckpt2 files carry.
 const checkpointVersion = 2
@@ -206,57 +201,10 @@ func (rec *deploymentCheckpoint) readings() (pending []sensor.Reading, open map[
 	return pending, open, nil
 }
 
-// checkpointReadingsV1 is where an sgckpt1 deployment record kept its
-// buffered readings: inline JSON objects of journalEntryV1's shape (sensor,
-// time_ns, values). Read-only, for recovery across upgrades.
-type checkpointReadingsV1 struct {
-	Pending  []journalEntryV1 `json:"pending"`
-	Windower *struct {
-		Open map[int][]journalEntryV1 `json:"open"`
-	} `json:"windower"`
-}
-
-// readV1 moves an sgckpt1 record's inline readings into frames, so both
-// versions restore through one path. A reading frames cannot carry (no
-// values) invalidates the record, as it did in sgckpt1.
-func (rec *deploymentCheckpoint) readV1(raw []byte) error {
-	var v1 checkpointReadingsV1
-	if err := json.Unmarshal(raw, &v1); err != nil {
-		return err
-	}
-	convert := func(es []journalEntryV1) []sensor.Reading {
-		out := make([]sensor.Reading, len(es))
-		for i, e := range es {
-			out[i] = sensor.Reading{Sensor: e.Sensor, Time: time.Duration(e.TimeNS), Values: e.Values}
-		}
-		return out
-	}
-	var open map[int][]sensor.Reading
-	if rec.Windower != nil && v1.Windower != nil && len(v1.Windower.Open) > 0 {
-		open = make(map[int][]sensor.Reading, len(v1.Windower.Open))
-		for idx, es := range v1.Windower.Open {
-			open[idx] = convert(es)
-		}
-	}
-	frames, counts, err := frameBuffered(rec.Name, convert(v1.Pending), open)
-	if err != nil {
-		return err
-	}
-	rec.frames, rec.Pending = frames, len(v1.Pending)
-	if rec.Windower != nil {
-		rec.Windower.Open = counts
-	}
-	return nil
-}
-
 // checkpointFile is the decoded form of one valid checkpoint.
 type checkpointFile struct {
 	header      checkpointHeader
 	deployments []deploymentCheckpoint
-}
-
-func checkpointPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", seq))
 }
 
 // encodeCheckpoint frames the header and deployment records, each
@@ -292,7 +240,7 @@ func writeCheckpoint(fsys chaos.FS, dir string, hdr checkpointHeader, deps []dep
 	if err != nil {
 		return 0, err
 	}
-	final := checkpointPath(dir, hdr.Seq)
+	final := checkpointFiles.path(dir, hdr.Seq)
 	tmp := final + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -321,16 +269,11 @@ func writeCheckpoint(fsys chaos.FS, dir string, hdr checkpointHeader, deps []dep
 }
 
 // decodeCheckpoint validates a checkpoint file's framing, header and
-// records, sgckpt2 or sgckpt1. Any torn frame, header mismatch, or record
-// count that disagrees with the header or a deployment record invalidates
-// the whole file. The frames stay encoded (and alias data) until
-// restoreDeployment decodes them.
+// records. Any torn frame, header mismatch, or record count that disagrees
+// with the header or a deployment record invalidates the whole file. The
+// frames stay encoded (and alias data) until restoreDeployment decodes them.
 func decodeCheckpoint(data []byte, wantShard, wantShards int) (*checkpointFile, error) {
-	magic, version := checkpointMagic, checkpointVersion
-	if bytes.HasPrefix(data, []byte(checkpointMagicV1)) {
-		magic, version = checkpointMagicV1, 1
-	}
-	records, tail := readAllRecords(data, magic)
+	records, tail := readAllRecords(data, checkpointMagic)
 	if tail != nil {
 		return nil, fmt.Errorf("fleet: checkpoint damaged: %w", tail)
 	}
@@ -341,8 +284,8 @@ func decodeCheckpoint(data []byte, wantShard, wantShards int) (*checkpointFile, 
 	if err := json.Unmarshal(records[0], &hdr); err != nil {
 		return nil, fmt.Errorf("fleet: checkpoint header: %w", err)
 	}
-	if hdr.Version != version {
-		return nil, fmt.Errorf("fleet: checkpoint version %d, want %d", hdr.Version, version)
+	if hdr.Version != checkpointVersion {
+		return nil, fmt.Errorf("fleet: checkpoint version %d, want %d", hdr.Version, checkpointVersion)
 	}
 	if hdr.Shard != wantShard || hdr.Shards != wantShards {
 		return nil, fmt.Errorf("fleet: checkpoint belongs to shard %d/%d, want %d/%d",
@@ -358,18 +301,11 @@ func decodeCheckpoint(data []byte, wantShard, wantShards int) (*checkpointFile, 
 		if d.Name == "" || seen[d.Name] {
 			return nil, fmt.Errorf("fleet: checkpoint deployment record %d has missing or duplicate name", i)
 		}
-		if version == 1 {
-			if err := d.readV1(rest[0]); err != nil {
-				return nil, fmt.Errorf("fleet: checkpoint deployment record %d: %w", i, err)
-			}
-			rest = rest[1:]
-		} else {
-			if d.Frames < 0 || d.Frames > len(rest)-1 {
-				return nil, fmt.Errorf("fleet: checkpoint deployment record %d lists %d frames, file holds %d more records",
-					i, d.Frames, len(rest)-1)
-			}
-			d.frames, rest = rest[1:1+d.Frames:1+d.Frames], rest[1+d.Frames:]
+		if d.Frames < 0 || d.Frames > len(rest)-1 {
+			return nil, fmt.Errorf("fleet: checkpoint deployment record %d lists %d frames, file holds %d more records",
+				i, d.Frames, len(rest)-1)
 		}
+		d.frames, rest = rest[1:1+d.Frames:1+d.Frames], rest[1+d.Frames:]
 		seen[d.Name] = true
 		out.deployments = append(out.deployments, d)
 	}
@@ -377,32 +313,5 @@ func decodeCheckpoint(data []byte, wantShard, wantShards int) (*checkpointFile, 
 		return nil, fmt.Errorf("fleet: checkpoint lists %d deployments, file holds %d",
 			hdr.Deployments, len(out.deployments))
 	}
-	return out, nil
-}
-
-// listCheckpoints returns the shard directory's checkpoints in ascending seq
-// order. Unparsable names (including leftover .tmp files) are ignored.
-func listCheckpoints(fsys chaos.FS, dir string) ([]journalSegment, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []journalSegment
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".ckpt") {
-			continue
-		}
-		hexPart := strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".ckpt")
-		seq, err := strconv.ParseUint(hexPart, 16, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, journalSegment{path: filepath.Join(dir, name), base: seq})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].base < out[j].base })
 	return out, nil
 }

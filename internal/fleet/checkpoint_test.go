@@ -75,29 +75,24 @@ func TestCheckpointPendingSpansFrames(t *testing.T) {
 	sameReadings(t, got.pending, d.pending)
 }
 
-// TestCheckpointV1StillReads: the fuzz seeds hold the same deployments as
-// sgckpt2 and as hand-built sgckpt1, and both restore to the same buffer.
-func TestCheckpointV1StillReads(t *testing.T) {
-	s := codecShard()
-	var pending [2][]sensor.Reading
-	for i, data := range [][]byte{fuzzSeedCheckpoint(t), fuzzSeedCheckpointV1()} {
-		cf, err := decodeCheckpoint(data, 0, 1)
-		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
-		}
-		deps, err := s.restoreAll(cf)
-		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
-		}
-		if len(deps) != 2 || deps["beta"].err == nil {
-			t.Fatalf("seed %d restored %d deployments", i, len(deps))
-		}
-		pending[i] = deps["alpha"].pending
+// TestCheckpointSeedRestores: the fuzz seed checkpoint decodes and restores
+// both deployments, the bootstrap buffer bit for bit.
+func TestCheckpointSeedRestores(t *testing.T) {
+	cf, err := decodeCheckpoint(fuzzSeedCheckpoint(t), 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(pending[0]) != 2 {
-		t.Fatalf("%d pending readings, want 2", len(pending[0]))
+	deps, err := codecShard().restoreAll(cf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameReadings(t, pending[1], pending[0])
+	if len(deps) != 2 || deps["beta"].err == nil {
+		t.Fatalf("restored %d deployments", len(deps))
+	}
+	sameReadings(t, deps["alpha"].pending, []sensor.Reading{
+		{Sensor: 0, Time: time.Minute, Values: vecmat.Vector{15, 80}},
+		{Sensor: 1, Time: 2 * time.Minute, Values: vecmat.Vector{16, 81}},
+	})
 }
 
 // tamperFrame re-encodes a checkpoint file with the first frame of its
@@ -176,7 +171,7 @@ func TestCheckpointBadFrameFallsBack(t *testing.T) {
 
 			tampered := 0
 			for id := 0; id < 2; id++ {
-				ckpts, err := listCheckpoints(chaos.OS, shardDir(dir, id))
+				ckpts, err := checkpointFiles.list(chaos.OS, shardDir(dir, id))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,7 +228,7 @@ func TestCheckpointEncodeErrorCoolsDown(t *testing.T) {
 	s := p.shards[0]
 	s.deployments["bad"] = &deployment{name: "bad", started: true,
 		pending: []sensor.Reading{{Sensor: 1, Time: time.Minute, Values: vecmat.Vector{math.NaN()}}}}
-	before, err := listCheckpoints(chaos.OS, s.dur.dir)
+	before, err := checkpointFiles.list(chaos.OS, s.dur.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +255,7 @@ func TestCheckpointEncodeErrorCoolsDown(t *testing.T) {
 	if !strings.Contains(buf.String(), "fleet_shard0_checkpoint_errors_total 1") {
 		t.Error("checkpoint error not counted")
 	}
-	after, err := listCheckpoints(chaos.OS, s.dur.dir)
+	after, err := checkpointFiles.list(chaos.OS, s.dur.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,9 @@ type Durability struct {
 	EveryN int
 	// Recover loads the newest valid checkpoint and replays the journal
 	// tail before the workers start, all shards at once; nothing is
-	// written unless every shard loads. Without it, existing state in Dir
-	// is ignored (and will be overwritten).
+	// written unless every shard loads. Without it, New refuses a Dir whose
+	// shard directories already hold a checkpoint or journal segment
+	// (ErrStateExists): start in an empty directory, or recover.
 	Recover bool
 	// FS is the filesystem every journal and checkpoint operation goes
 	// through (default chaos.OS). The chaos harness swaps in a
@@ -168,31 +169,40 @@ func (ds *durableShard) trip(err error) {
 	ds.probeAt = now.Add(ds.backoff)
 }
 
-// probe runs the half-open attempt when due: open a fresh segment based at
-// nextSeq. Success closes the breaker and requests a checkpoint. Caller
-// holds mu; the probe's I/O happens under it, which is safe because commits
-// in degraded mode never write (they only bump nextSeq) and the worker's
-// rotate path also serialises on mu.
+// probe runs the half-open attempt when due: reopen at nextSeq, or trip
+// again. Caller holds mu; the probe's I/O happens under it, which is safe
+// because commits in degraded mode never write (they only bump nextSeq) and
+// the worker's rotate path also serialises on mu.
 func (ds *durableShard) probe() {
 	if !ds.degraded || time.Now().Before(ds.probeAt) {
 		return
 	}
+	if err := ds.reopen(); err != nil {
+		ds.trip(err)
+	}
+}
+
+// reopen swaps in a fresh segment based at nextSeq and closes the old one.
+// When the breaker is open, success closes it and requests a checkpoint to
+// re-cover the readings accepted while degraded. Caller holds mu, with no
+// flush in flight.
+func (ds *durableShard) reopen() error {
 	jw, err := openJournal(ds.fs, ds.dir, ds.shard, ds.shards, ds.nextSeq)
 	if err != nil {
-		ds.trip(err)
-		return
+		return err
 	}
-	old := ds.journal
+	ds.journal.close()
 	ds.journal = jw
-	old.close()
-	since := ds.degradedSince
-	ds.degraded = false
-	ds.wantCkpt = true
-	if ds.log != nil {
-		ds.log.Info("journal recovered: durability restored",
-			"shard", ds.shard, "degraded_for", time.Since(since).String(),
-			"non_durable", ds.nonDurable, "base", ds.nextSeq)
+	if ds.degraded {
+		ds.degraded = false
+		ds.wantCkpt = true
+		if ds.log != nil {
+			ds.log.Info("journal recovered: durability restored",
+				"shard", ds.shard, "degraded_for", time.Since(ds.degradedSince).String(),
+				"non_durable", ds.nonDurable, "base", ds.nextSeq)
+		}
 	}
+	return nil
 }
 
 // takeWantCkpt consumes the post-recovery checkpoint request.
@@ -313,29 +323,15 @@ func (ds *durableShard) enqueueBatch(b *journalBatch) {
 // (the leader drains the pending batch before going idle), so every journaled
 // sequence is on disk in the old segment and below the new base. A successful
 // rotation while degraded doubles as breaker recovery — the disk just proved
-// it can take a fresh segment.
+// it can take a fresh segment. On failure the old segment stays open and
+// replay still works.
 func (ds *durableShard) rotate() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	for ds.flushing {
 		ds.idle.Wait()
 	}
-	jw, err := openJournal(ds.fs, ds.dir, ds.shard, ds.shards, ds.nextSeq)
-	if err != nil {
-		return err // keep appending to the old segment; replay still works
-	}
-	old := ds.journal
-	ds.journal = jw
-	old.close()
-	if ds.degraded {
-		ds.degraded = false
-		if ds.log != nil {
-			ds.log.Info("journal recovered: durability restored",
-				"shard", ds.shard, "degraded_for", time.Since(ds.degradedSince).String(),
-				"non_durable", ds.nonDurable, "base", ds.nextSeq)
-		}
-	}
-	return nil
+	return ds.reopen()
 }
 
 // deployment lifecycle states surfaced through Status.State.
@@ -351,13 +347,13 @@ func shardDir(root string, id int) string {
 }
 
 // initDurability readies every shard's journal before the workers start.
-// With Recover it runs in two phases, so that a failed recovery changes
-// nothing on disk. First every shard, in parallel, loads its state in memory
-// (recoverState reads but never writes). Then, only if every shard loaded,
-// each shard — again in parallel — creates its directory, clears stray
-// temporaries and opens its journal (openDurable). The error returned is the
-// lowest-numbered failing shard's, and on any failure every journal opened
-// is closed again.
+// It runs in two phases, so that a failed start changes nothing on disk.
+// First every shard, in parallel, loads its state in memory with Recover
+// (recoverState reads but never writes), or checks that it has none without
+// (refuseState). Then, only if every shard passed, each shard — again in
+// parallel — creates its directory, clears stray temporaries and opens its
+// journal (openDurable). The error returned is the lowest-numbered failing
+// shard's, and on any failure every journal opened is closed again.
 func (p *Pool) initDurability() error {
 	cfg := p.cfg.Durability
 	for _, s := range p.shards {
@@ -375,16 +371,17 @@ func (p *Pool) initDurability() error {
 		s.dur.idle = sync.NewCond(&s.dur.mu)
 	}
 	collapse := make([]bool, len(p.shards))
-	if cfg.Recover {
-		err := p.eachShard(func(s *shard) (err error) {
-			collapse[s.id], err = s.recoverState()
-			return err
-		})
-		if err != nil {
-			return err
+	err := p.eachShard(func(s *shard) (err error) {
+		if !cfg.Recover {
+			return s.dur.refuseState()
 		}
+		collapse[s.id], err = s.recoverState()
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	err := p.eachShard(func(s *shard) error { return s.openDurable(collapse[s.id]) })
+	err = p.eachShard(func(s *shard) error { return s.openDurable(collapse[s.id]) })
 	if err != nil {
 		for _, s := range p.shards {
 			s.dur.journal.close()
@@ -435,6 +432,32 @@ func (s *shard) openDurable(collapse bool) error {
 	return nil
 }
 
+// ErrStateExists reports a pool started without Recover over a directory
+// that already holds durable state. Starting fresh there would lose both
+// runs: pruning ranks files by the sequence in their names, so it keeps the
+// old run's checkpoints and deletes the new run's.
+var ErrStateExists = errors.New("fleet: durability directory already holds state")
+
+// refuseState fails with ErrStateExists, naming the first file, when the
+// shard directory holds a checkpoint or journal segment.
+func (ds *durableShard) refuseState() error {
+	for _, kind := range []fileKind{checkpointFiles, journalFiles} {
+		files, err := kind.list(ds.fs, ds.dir)
+		if err != nil {
+			return err
+		}
+		if len(files) > 0 {
+			return fmt.Errorf("%w: %s; recover it (-recover) or start in an empty directory", ErrStateExists, files[0].path)
+		}
+	}
+	return nil
+}
+
+// ErrNoUsableCheckpoint reports a shard whose retained checkpoints all fail
+// to load and whose journal no longer reaches back to sequence 0, so
+// neither can rebuild its state.
+var ErrNoUsableCheckpoint = errors.New("fleet: no usable checkpoint")
+
 // cleanTemporaries removes stray checkpoint temporaries a crash or a failed
 // write left behind. A .tmp is never a valid recovery input (only renamed
 // checkpoints count), so deleting them is always safe; leaving them would
@@ -455,14 +478,15 @@ func (s *shard) cleanTemporaries(dir string) {
 // journal tail through the normal handle path, in memory only: it writes
 // nothing, so openDurable can collapse the result into a fresh checkpoint +
 // journal segment once every shard has loaded. collapse reports whether
-// there was any state to collapse. Corrupt files fall back (older
-// checkpoint, shorter replay); configuration mismatches are hard errors.
+// there was any state to collapse. A damaged checkpoint falls back to the
+// previous one (and a longer replay); a retired format, configuration
+// mismatches and state that nothing retained can rebuild are hard errors.
 func (s *shard) recoverState() (collapse bool, err error) {
 	dir := s.dur.dir
 	fsys := s.dur.fs
 	n := len(s.pool.shards)
 
-	ckpts, err := listCheckpoints(fsys, dir)
+	ckpts, err := checkpointFiles.list(fsys, dir)
 	if err != nil {
 		return false, err
 	}
@@ -472,6 +496,9 @@ func (s *shard) recoverState() (collapse bool, err error) {
 		data, err := fsys.ReadFile(ckpts[i].path)
 		if err != nil {
 			continue
+		}
+		if err := refuseRetired(ckpts[i].path, data); err != nil {
+			return false, err
 		}
 		cf, err := decodeCheckpoint(data, s.id, n)
 		if err != nil {
@@ -496,7 +523,7 @@ func (s *shard) recoverState() (collapse bool, err error) {
 		s.mu.Unlock()
 	}
 
-	segs, err := listJournals(fsys, dir)
+	segs, err := journalFiles.list(fsys, dir)
 	if err != nil {
 		return false, err
 	}
@@ -504,20 +531,28 @@ func (s *shard) recoverState() (collapse bool, err error) {
 	// seq (records accepted while that checkpoint was being written live
 	// there) and runs through every later segment, skipping records the
 	// checkpoint already covers. Replay stops at the first sequence gap:
-	// past it, ordering guarantees are gone.
+	// past it, ordering guarantees are gone. With no checkpoint loaded the
+	// journal must start at sequence 0, or the shard would start empty.
 	floor := -1
 	for i, sg := range segs {
-		if sg.base <= base {
+		if sg.seq <= base {
 			floor = i
 		}
 	}
-	if floor < 0 && len(segs) > 0 && base > 0 {
+	if floor < 0 && len(segs) > 0 {
+		if loaded == nil {
+			return false, fmt.Errorf("%w: shard %d retains %d checkpoints and none is usable, and its journal starts at seq %d",
+				ErrNoUsableCheckpoint, s.id, len(ckpts), segs[0].seq+1)
+		}
 		return false, fmt.Errorf("fleet: shard %d journal gap: no segment covers checkpoint seq %d", s.id, base)
 	}
 	maxSeq, replayed := base, 0
 	for i := max(floor, 0); i < len(segs); i++ {
 		data, err := fsys.ReadFile(segs[i].path)
 		if err != nil {
+			return false, err
+		}
+		if err := refuseRetired(segs[i].path, data); err != nil {
 			return false, err
 		}
 		gap := false
@@ -790,7 +825,7 @@ func (s *shard) exportDeployment(d *deployment) (deploymentCheckpoint, error) {
 // prune keeps the newest two checkpoints and every journal segment recovery
 // from the older of them would need.
 func (s *shard) prune() {
-	ckpts, err := listCheckpoints(s.dur.fs, s.dur.dir)
+	ckpts, err := checkpointFiles.list(s.dur.fs, s.dur.dir)
 	if err != nil || len(ckpts) == 0 {
 		return
 	}
@@ -801,14 +836,14 @@ func (s *shard) prune() {
 	for _, c := range ckpts[:keepFrom] {
 		s.dur.fs.Remove(c.path)
 	}
-	oldest := ckpts[keepFrom].base
-	segs, err := listJournals(s.dur.fs, s.dur.dir)
+	oldest := ckpts[keepFrom].seq
+	segs, err := journalFiles.list(s.dur.fs, s.dur.dir)
 	if err != nil {
 		return
 	}
 	floor := -1
 	for i, sg := range segs {
-		if sg.base <= oldest {
+		if sg.seq <= oldest {
 			floor = i
 		}
 	}

@@ -204,7 +204,7 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 	// flip bytes in the newest checkpoint.
 	for shardID := 0; shardID < 2; shardID++ {
 		sdir := shardDir(dir, shardID)
-		segs, err := listJournals(chaos.OS, sdir)
+		segs, err := journalFiles.list(chaos.OS, sdir)
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("shard %d journals: %v (%d)", shardID, err, len(segs))
 		}
@@ -216,7 +216,7 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 		if err := os.WriteFile(newest, data[:len(data)-len(data)/4], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ckpts, err := listCheckpoints(chaos.OS, sdir)
+		ckpts, err := checkpointFiles.list(chaos.OS, sdir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,21 +377,21 @@ func TestCheckpointRetention(t *testing.T) {
 
 	for shardID := 0; shardID < 2; shardID++ {
 		sdir := shardDir(dir, shardID)
-		ckpts, err := listCheckpoints(chaos.OS, sdir)
+		ckpts, err := checkpointFiles.list(chaos.OS, sdir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ckpts) == 0 || len(ckpts) > 2 {
 			t.Errorf("shard %d holds %d checkpoints, want 1-2", shardID, len(ckpts))
 		}
-		segs, err := listJournals(chaos.OS, sdir)
+		segs, err := journalFiles.list(chaos.OS, sdir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldest := ckpts[0].base
+		oldest := ckpts[0].seq
 		covered := false
 		for _, sg := range segs {
-			if sg.base <= oldest {
+			if sg.seq <= oldest {
 				if covered {
 					t.Errorf("shard %d keeps more than one segment below checkpoint seq %d", shardID, oldest)
 				}
@@ -535,7 +535,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	path := journalPath(dir, 100)
+	path := journalFiles.path(dir, 100)
 	got, err := readSegment(path, 1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -642,7 +642,7 @@ func TestCrashRecoveryParallelShards(t *testing.T) {
 	submitInterleaved(t, first, deployments, tr, 0, cut)
 	first.abort()
 	for id := 0; id < 4; id++ {
-		ckpts, err := listCheckpoints(chaos.OS, shardDir(dir, id))
+		ckpts, err := checkpointFiles.list(chaos.OS, shardDir(dir, id))
 		if err != nil || len(ckpts) == 0 {
 			t.Fatalf("shard %d: no checkpoint (%v)", id, err)
 		}
@@ -793,5 +793,156 @@ func TestRecoveryFailureLeavesDiskUntouched(t *testing.T) {
 	compareReports(t, collectReports(t, p, deployments), want)
 	if open := counter.open.Load(); open != 0 {
 		t.Errorf("drained pool left %d files open", open)
+	}
+}
+
+// sameTree fails the test unless dir holds exactly the files of image, byte
+// for byte.
+func sameTree(t *testing.T, dir string, image map[string][]byte) {
+	t.Helper()
+	after := snapshotTree(t, dir)
+	if len(after) != len(image) {
+		t.Errorf("directory holds %d files, image has %d", len(after), len(image))
+	}
+	for path, data := range image {
+		if !bytes.Equal(after[path], data) {
+			t.Errorf("%s changed", path)
+		}
+	}
+}
+
+// crashImage runs one durable shard over the first n readings of a stuck
+// trace for deployment "old" and crashes it, leaving two retained
+// checkpoints and the journal segments they need in dir. The short queue
+// keeps the worker, whose checkpoints name the files, within a few readings
+// of the submitter, so the image does not depend on scheduling.
+func crashImage(t *testing.T, dir string, n int) Config {
+	t.Helper()
+	cfg := durableConfig(dir, false)
+	cfg.Shards = 1
+	cfg.QueueLen = 16
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitInterleaved(t, p, []string{"old"}, stuckTrace(t, 3), 0, n)
+	p.abort()
+	cfg.Durability.Recover = true
+	return cfg
+}
+
+// TestRecoveryRefusesRetiredFormat: a checkpoint or journal segment that
+// recovery would read and that begins with a retired magic (sgckpt1,
+// sgwal1) stops recovery with ErrRetiredFormat naming the file. Recovery
+// must not fall back past it to an older checkpoint, or replay past it as
+// if the journal ended there, and it leaves the directory untouched.
+func TestRecoveryRefusesRetiredFormat(t *testing.T) {
+	for _, kind := range []struct {
+		name         string
+		files        fileKind
+		magic, retro string
+	}{
+		{"checkpoint", checkpointFiles, checkpointMagic, "sgckpt1\n"},
+		{"segment", journalFiles, journalMagic, "sgwal1\n"},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := crashImage(t, dir, 2000)
+			files, err := kind.files.list(chaos.OS, shardDir(dir, 0))
+			if err != nil || len(files) < 2 {
+				t.Fatalf("%d %s files: %v", len(files), kind.name, err)
+			}
+			newest := files[len(files)-1].path
+			data, err := os.ReadFile(newest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(newest, append([]byte(kind.retro), data[len(kind.magic):]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			image := snapshotTree(t, dir)
+
+			_, err = New(cfg)
+			if !errors.Is(err, ErrRetiredFormat) {
+				t.Fatalf("recovery error %v, want ErrRetiredFormat", err)
+			}
+			if !strings.Contains(err.Error(), newest) {
+				t.Errorf("error %q does not name %s", err, newest)
+			}
+			sameTree(t, dir, image)
+		})
+	}
+}
+
+// TestRecoveryRefusesWithoutUsableCheckpoint: when every retained
+// checkpoint is damaged and pruning has removed the journal's first
+// segment, nothing on disk can rebuild the shard. Recovery must refuse with
+// ErrNoUsableCheckpoint naming the first journaled sequence rather than
+// start empty, and leave the directory untouched.
+func TestRecoveryRefusesWithoutUsableCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := crashImage(t, dir, 2000)
+	sdir := shardDir(dir, 0)
+	segs, err := journalFiles.list(chaos.OS, sdir)
+	if err != nil || len(segs) == 0 || segs[0].seq == 0 {
+		t.Fatalf("want the first segment pruned, have %v (%v)", segs, err)
+	}
+	ckpts, err := checkpointFiles.list(chaos.OS, sdir)
+	if err != nil || len(ckpts) != 2 {
+		t.Fatalf("%d checkpoints retained, want 2: %v", len(ckpts), err)
+	}
+	for _, c := range ckpts {
+		data, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 0xff
+		if err := os.WriteFile(c.path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := snapshotTree(t, dir)
+
+	p, err := New(cfg)
+	if !errors.Is(err, ErrNoUsableCheckpoint) {
+		if err == nil {
+			t.Errorf("recovery started with deployments %v", p.Deployments())
+		}
+		t.Fatalf("recovery error %v, want ErrNoUsableCheckpoint", err)
+	}
+	if want := fmt.Sprintf("journal starts at seq %d", segs[0].seq+1); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
+	}
+	sameTree(t, dir, image)
+}
+
+// TestRecoveryRefusesStateWithoutRecover: a pool started without Recover
+// over a directory that holds a checkpoint or journal segment is refused
+// with ErrStateExists naming the file. Starting there would let pruning
+// keep the old run's files and delete the new run's. The directory is left
+// untouched, and a later recovery still restores the old run.
+func TestRecoveryRefusesStateWithoutRecover(t *testing.T) {
+	dir := t.TempDir()
+	cfg := crashImage(t, dir, 2000)
+	image := snapshotTree(t, dir)
+
+	cfg.Durability.Recover = false
+	_, err := New(cfg)
+	if !errors.Is(err, ErrStateExists) {
+		t.Fatalf("start over existing state: error %v, want ErrStateExists", err)
+	}
+	if !strings.Contains(err.Error(), shardDir(dir, 0)) {
+		t.Errorf("error %q does not name a file under %s", err, shardDir(dir, 0))
+	}
+	sameTree(t, dir, image)
+
+	cfg.Durability.Recover = true
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer p.Drain()
+	if got := p.Deployments(); len(got) != 1 || got[0] != "old" {
+		t.Errorf("recovered deployments %v, want [old]", got)
 	}
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -42,26 +41,17 @@ func fuzzSeedCheckpoint(tb testing.TB) []byte {
 	return buf
 }
 
-// fuzzSeedCheckpointV1 is the same checkpoint as sgckpt1, built by hand
-// because nothing writes that format any more: the buffered readings sit
-// inside the deployment record as JSON objects.
-func fuzzSeedCheckpointV1() []byte {
-	buf := appendRecord([]byte(checkpointMagicV1),
-		[]byte(`{"version":1,"shard":0,"shards":1,"seq":42,"window_ns":3600000000000,"deployments":2}`))
-	buf = appendRecord(buf, []byte(`{"name":"alpha","state":"bootstrapping","started":true,"first_ns":60000000000,"late":0,`+
-		`"pending":[{"sensor":0,"time_ns":60000000000,"values":[15,80]},{"sensor":1,"time_ns":120000000000,"values":[16,81]}]}`))
-	return appendRecord(buf, []byte(`{"name":"beta","state":"failed","started":false,"first_ns":0,"late":0,"err":"window 3: step failed"}`))
-}
-
 // FuzzCheckpointDecode throws arbitrary bytes at the checkpoint codec and the
 // deployment-restore layer behind it. The invariants: no panic, and either a
 // clean error (the caller falls back to the previous checkpoint) or a fully
-// valid set of deployments — never partial state.
+// valid set of deployments — never partial state. Bytes in the retired
+// sgckpt1 format never decode.
 func FuzzCheckpointDecode(f *testing.F) {
-	f.Add(fuzzSeedCheckpoint(f))
-	f.Add(fuzzSeedCheckpointV1())
+	seed := fuzzSeedCheckpoint(f)
+	f.Add(seed)
+	f.Add(seed[:len(seed)-5]) // torn final frame
 	f.Add([]byte(checkpointMagic))
-	f.Add([]byte("sgckpt1\n\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("sgckpt1\n"))
 	f.Add([]byte{})
 	// A seed with a huge length prefix exercises the allocation bound.
 	f.Add(append([]byte(checkpointMagic), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))
@@ -72,6 +62,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		cf, err := decodeCheckpoint(data, 0, 1)
 		if err != nil {
 			return // clean rejection: recovery falls back
+		}
+		if bytes.HasPrefix(data, []byte("sgckpt1\n")) {
+			t.Fatal("an sgckpt1 file decoded")
 		}
 		// A decoded checkpoint must restore all-or-nothing.
 		restored := 0
@@ -99,43 +92,34 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-// fuzzSeedSegments builds well-formed journal segments for shard 0 of 1: a
-// binary segment holding two batch records, and a legacy JSON segment.
-func fuzzSeedSegments(tb testing.TB) (v2, v1 []byte) {
+// fuzzSeedSegment builds a well-formed journal segment for shard 0 of 1
+// holding two batch records, and returns it with the runs it holds.
+func fuzzSeedSegment(tb testing.TB) (seg []byte, run []ingest.Reading) {
 	tb.Helper()
 	hdr := binary.AppendUvarint(nil, 0) // shard
 	hdr = binary.AppendUvarint(hdr, 1)  // shards
 	hdr = binary.AppendUvarint(hdr, 0)  // base
-	v2 = appendRecord([]byte(journalMagic), hdr)
-	run := []ingest.Reading{
+	seg = appendRecord([]byte(journalMagic), hdr)
+	run = []ingest.Reading{
 		{Deployment: "d", Seq: 1, Reading: sensor.Reading{Sensor: 0, Time: 60, Values: vecmat.Vector{1, 2}}},
 		{Deployment: "e", Seq: 1, Reading: sensor.Reading{Sensor: 3, Time: 61, Values: vecmat.Vector{3, 4}}},
 	}
-	v2 = appendJournalRecord(tb, v2, 1, run)
-	v2 = appendJournalRecord(tb, v2, 3, run[:1])
-
-	v1 = []byte(journalMagicV1)
-	h, _ := json.Marshal(journalHeaderV1{Version: 1, Shard: 0, Shards: 1, Base: 0})
-	v1 = appendRecord(v1, h)
-	for seq := uint64(1); seq <= 2; seq++ {
-		e, _ := json.Marshal(journalEntryV1{Seq: seq, Deployment: "d", Sensor: 0, TimeNS: 60, Values: []float64{1}})
-		v1 = appendRecord(v1, e)
-	}
-	return v2, v1
+	seg = appendJournalRecord(tb, seg, 1, run)
+	return appendJournalRecord(tb, seg, 3, run[:1]), run
 }
 
 // FuzzJournalRecords drives the journal with arbitrary bytes at two layers.
 // The shared record framing must never panic and must hand back only
 // records whose CRC verified, then stop. The segment decoder above it must
 // never panic and must deliver only valid readings with contiguous
-// sequences, whatever the bytes — whether it reads them as a binary segment,
-// a legacy JSON one, or neither.
+// sequences, whatever the bytes, and none at all from a segment in the
+// retired sgwal1 format.
 func FuzzJournalRecords(f *testing.F) {
-	v2, v1 := fuzzSeedSegments(f)
-	f.Add(v2)
-	f.Add(v2[:len(v2)-3]) // torn batch record
-	f.Add(v1)
-	f.Add(v1[:len(v1)-3])
+	seg, run := fuzzSeedSegment(f)
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3])                        // torn batch record
+	f.Add(appendJournalRecord(f, seg, 5, run[:1])) // sequence gap after seq 3
+	f.Add([]byte("sgwal1\n"))
 	f.Add([]byte(journalMagic))
 	f.Add([]byte{})
 
@@ -162,7 +146,11 @@ func FuzzJournalRecords(f *testing.F) {
 
 		var last uint64
 		n := 0
+		retired := bytes.HasPrefix(data, []byte("sgwal1\n"))
 		_ = decodeSegment(data, 0, 1, func(seq uint64, r ingest.Reading) bool {
+			if retired {
+				t.Fatalf("an sgwal1 segment yielded reading seq %d", seq)
+			}
 			if n > 0 && seq != last+1 {
 				t.Fatalf("reading %d has seq %d after %d", n, seq, last)
 			}

@@ -3,10 +3,8 @@ package fleet
 import (
 	"bytes"
 	"errors"
-	"io/fs"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -112,7 +110,7 @@ func withDeadline(t *testing.T, d time.Duration, fn func()) {
 // sequences they hold, in order.
 func journalSeqs(t *testing.T, dir string, shard, shards int) []uint64 {
 	t.Helper()
-	segs, err := listJournals(chaos.OS, shardDir(dir, shard))
+	segs, err := journalFiles.list(chaos.OS, shardDir(dir, shard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +153,12 @@ func TestCrashRecoveryCheckpointInsideRecord(t *testing.T) {
 	// Checkpoints land every 64 readings and records span 100, so at most
 	// one of the newest two sits on a record boundary. Recover from one
 	// that does not.
-	ckpts, err := listCheckpoints(chaos.OS, shardDir(dir, 0))
+	ckpts, err := checkpointFiles.list(chaos.OS, shardDir(dir, 0))
 	if err != nil || len(ckpts) == 0 {
 		t.Fatalf("no checkpoints to recover from: %v", err)
 	}
 	newest := ckpts[len(ckpts)-1]
-	if newest.base%width == 0 {
+	if newest.seq%width == 0 {
 		if len(ckpts) < 2 {
 			t.Fatal("only checkpoint sits on a record boundary")
 		}
@@ -169,8 +167,8 @@ func TestCrashRecoveryCheckpointInsideRecord(t *testing.T) {
 		}
 		newest = ckpts[len(ckpts)-2]
 	}
-	if newest.base%width == 0 || newest.base >= uint64(cut) {
-		t.Fatalf("checkpoint seq %d does not fall inside a journaled record", newest.base)
+	if newest.seq%width == 0 || newest.seq >= uint64(cut) {
+		t.Fatalf("checkpoint seq %d does not fall inside a journaled record", newest.seq)
 	}
 
 	cfg.Durability.Recover = true
@@ -380,84 +378,6 @@ func TestDurableEmptyDeploymentKey(t *testing.T) {
 	}
 }
 
-// TestRecoverJSONJournalImage recovers a crash image written by the JSON
-// journal (testdata/journal-v1: two checkpoints and three "sgwal1" segments,
-// deployment "alpha" on a 2-shard pool, cut after the first 3848 readings of
-// stuckTrace(3)), streams the rest, and must match the uninterrupted run.
-// The checkpoint that closes recovery rotates into a binary segment, and
-// pruning later retires every JSON segment.
-func TestRecoverJSONJournalImage(t *testing.T) {
-	const cut = 3848
-	tr := stuckTrace(t, 3)
-	deps := []string{"alpha"}
-	want := referenceReports(t, tr, deps)
-
-	dir := t.TempDir()
-	if err := copyTree("testdata/journal-v1", dir); err != nil {
-		t.Fatal(err)
-	}
-	if n := countMagic(t, dir, journalMagicV1); n != 4 {
-		t.Fatalf("image holds %d JSON segments, want 4", n)
-	}
-	p, err := New(durableConfig(dir, true))
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if countMagic(t, dir, journalMagic) == 0 {
-		t.Error("recovery did not rotate into a binary segment")
-	}
-	submitInterleaved(t, p, deps, tr, cut, len(tr.Readings))
-	p.Drain()
-	compareReports(t, collectReports(t, p, deps), want)
-	if n := countMagic(t, dir, journalMagicV1); n != 0 {
-		t.Errorf("%d JSON segments survive pruning", n)
-	}
-}
-
-func copyTree(src, dst string) error {
-	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-}
-
-// countMagic counts the journal segments under dir that begin with magic.
-func countMagic(t *testing.T, dir, magic string) int {
-	t.Helper()
-	n := 0
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".wal") {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if strings.HasPrefix(string(data), magic) {
-			n++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
 // TestDurableRejectsInvalidReadings: a reading the journal could not replay
 // intact is refused at the durable boundary with ErrInvalidReading naming
 // it; SubmitBatch commits exactly the prefix before it, and the journal
@@ -608,7 +528,7 @@ func TestDurableWorkerAppliesJournalOrder(t *testing.T) {
 	}
 	p.abort()
 
-	segs, err := listJournals(chaos.OS, shardDir(dir, 0))
+	segs, err := journalFiles.list(chaos.OS, shardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
