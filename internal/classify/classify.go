@@ -210,44 +210,97 @@ type NetworkDiagnosis struct {
 var ErrNoStates = errors.New("classify: no active states")
 
 // Network analyses the B^CO snapshot. states supplies the attribute vector
-// of every model state (for the Dynamic-Change attribute test).
+// of every model state (for the Dynamic-Change attribute test). The
+// diagnosis owns its slices; see Workspace.Network for the form that reuses
+// them.
 func Network(co hmm.Snapshot, states map[int]vecmat.Vector, cfg Config) (NetworkDiagnosis, error) {
-	activeRows := activeHidden(co, cfg.MinStateShare)
-	if len(activeRows) == 0 {
+	var w Workspace
+	return w.Network(co.EmissionView(), states, cfg)
+}
+
+// Workspace holds the working set of the network analysis — the active
+// rows, the active sub-matrix of B and the result slices — so that running
+// it every window allocates nothing once the buffers have grown. A zero
+// Workspace is ready to use; it is not safe for concurrent use.
+type Workspace struct {
+	order   []int // the view's rows in ascending hidden-ID order
+	active  []int // active hidden IDs, ascending
+	rows    []int // their row index in the view's B
+	cols    []int // the view's column index of each symbol, by ascending ID
+	symbols []int // symbol IDs, ascending
+	sub     vecmat.Matrix
+	colIdx  []int // sub columns with enough mass for the column test
+	rowViol []vecmat.OrthoViolation
+	colViol []vecmat.OrthoViolation
+	assocs  []Association
+}
+
+// Network analyses B^CO as Network does, reading co in place. The
+// diagnosis's slices belong to the workspace and are overwritten by its
+// next call: read or copy them before then. The result is identical, bit
+// for bit and nil for nil, to Network's on a snapshot of the same
+// estimator.
+func (w *Workspace) Network(co hmm.EmissionView, states map[int]vecmat.Vector, cfg Config) (NetworkDiagnosis, error) {
+	w.activeRows(co, cfg.MinStateShare)
+	if len(w.active) == 0 {
 		return NetworkDiagnosis{}, ErrNoStates
 	}
-	// Restrict B to the active rows so spurious states contaminate
-	// neither the row nor the column tests.
-	sub := vecmat.NewMatrix(len(activeRows), len(co.SymbolIDs))
-	for i, id := range activeRows {
-		ri, err := co.HiddenIndex(id)
-		if err != nil {
-			return NetworkDiagnosis{}, err
-		}
-		if err := sub.SetRow(i, co.B.Row(ri)); err != nil {
-			return NetworkDiagnosis{}, err
+	// Restrict B to the active rows, columns in ascending symbol order, so
+	// spurious states contaminate neither the row nor the column tests.
+	w.cols = sortedOrder(w.cols, co.SymbolIDs)
+	w.symbols = w.symbols[:0]
+	for _, c := range w.cols {
+		w.symbols = append(w.symbols, co.SymbolIDs[c])
+	}
+	w.sub.Reshape(len(w.active), len(w.cols))
+	for i, ri := range w.rows {
+		for j, cj := range w.cols {
+			w.sub.Set(i, j, co.B.At(ri, cj))
 		}
 	}
-	colIdx, _ := activeSymbolsOf(sub, allRows(sub.Rows()), co.SymbolIDs)
+	sub := &w.sub
+	// The column test skips symbols the active rows barely emit; when none
+	// has the mass, a nil index list tests them all.
+	const minMass = 0.05
+	w.colIdx = w.colIdx[:0]
+	for j := 0; j < sub.Cols(); j++ {
+		var mass float64
+		for i := 0; i < sub.Rows(); i++ {
+			mass += sub.At(i, j)
+		}
+		if mass >= minMass {
+			w.colIdx = append(w.colIdx, j)
+		}
+	}
+	colIdx := w.colIdx
+	if len(colIdx) == 0 {
+		colIdx = nil
+	}
 
-	d := NetworkDiagnosis{ActiveHidden: activeRows}
-	for _, v := range sub.RowsOrthogonal(cfg.NetRowOrtho, nil) {
-		d.RowViolations = append(d.RowViolations, vecmat.OrthoViolation{
-			I: activeRows[v.I], J: activeRows[v.J], Dot: v.Dot,
-		})
+	// Violations come back as sub-matrix indices and are translated to
+	// state IDs in place.
+	w.rowViol = sub.RowsOrthogonal(w.rowViol[:0], cfg.NetRowOrtho, nil)
+	for i := range w.rowViol {
+		v := &w.rowViol[i]
+		v.I, v.J = w.active[v.I], w.active[v.J]
 	}
-	for _, v := range sub.ColsOrthogonal(cfg.NetColOrtho, colIdx) {
-		d.ColViolations = append(d.ColViolations, vecmat.OrthoViolation{
-			I: co.SymbolIDs[v.I], J: co.SymbolIDs[v.J], Dot: v.Dot,
-		})
+	w.colViol = sub.ColsOrthogonal(w.colViol[:0], cfg.NetColOrtho, colIdx)
+	for i := range w.colViol {
+		v := &w.colViol[i]
+		v.I, v.J = w.symbols[v.I], w.symbols[v.J]
 	}
-	for i := range activeRows {
+	w.assocs = w.assocs[:0]
+	for i, id := range w.active {
 		c, mass := sub.DominantCol(i)
 		if c >= 0 {
-			d.Associations = append(d.Associations, Association{
-				Hidden: activeRows[i], Symbol: co.SymbolIDs[c], Mass: mass,
-			})
+			w.assocs = append(w.assocs, Association{Hidden: id, Symbol: w.symbols[c], Mass: mass})
 		}
+	}
+	d := NetworkDiagnosis{
+		ActiveHidden:  w.active,
+		RowViolations: nilIfEmpty(w.rowViol),
+		ColViolations: nilIfEmpty(w.colViol),
+		Associations:  nilIfEmpty(w.assocs),
 	}
 
 	// Decision. The Dynamic-Change signature — a clean injective mapping
@@ -287,31 +340,68 @@ func Network(co hmm.Snapshot, states map[int]vecmat.Vector, cfg Config) (Network
 	return d, nil
 }
 
+// activeRows fills w.active with the hidden states of co whose visit share
+// reaches minShare, in ascending ID order, and w.rows with their row index
+// in co.B. Both are empty when nothing has been visited.
+func (w *Workspace) activeRows(co hmm.EmissionView, minShare float64) {
+	w.active, w.rows = w.active[:0], w.rows[:0]
+	var total float64
+	for _, v := range co.Visits {
+		total += v
+	}
+	if total == 0 {
+		return
+	}
+	w.order = sortedOrder(w.order, co.HiddenIDs)
+	for _, ri := range w.order {
+		id := co.HiddenIDs[ri]
+		if co.Visits[id]/total >= minShare {
+			w.active = append(w.active, id)
+			w.rows = append(w.rows, ri)
+		}
+	}
+}
+
+// sortedOrder refills dst with the positions of ids in ascending ID order
+// (the IDs are distinct). An insertion sort: the lists are a few dozen
+// states at most, and a snapshot's are already sorted.
+func sortedOrder(dst, ids []int) []int {
+	dst = dst[:0]
+	for p := range ids {
+		dst = append(dst, p)
+		for k := len(dst) - 1; k > 0 && ids[dst[k-1]] > ids[dst[k]]; k-- {
+			dst[k-1], dst[k] = dst[k], dst[k-1]
+		}
+	}
+	return dst
+}
+
+// nilIfEmpty returns nil for an empty slice, so a reused buffer reports "no
+// entries" exactly as a never-appended nil slice does.
+func nilIfEmpty[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
 // isChangeMapping extends isChangeAttack with the injectivity and dominance
 // conditions of the network-level Dynamic-Change test.
 func isChangeMapping(assocs []Association, states map[int]vecmat.Vector, minDelta, minDominance float64) bool {
 	if len(assocs) == 0 {
 		return false
 	}
-	seen := make(map[int]bool, len(assocs))
-	for _, a := range assocs {
+	for i, a := range assocs {
 		if a.Mass < minDominance {
 			return false
 		}
-		if seen[a.Symbol] {
-			return false // not injective
+		for _, b := range assocs[:i] {
+			if b.Symbol == a.Symbol {
+				return false // not injective
+			}
 		}
-		seen[a.Symbol] = true
 	}
 	return isChangeAttack(assocs, states, minDelta)
-}
-
-func allRows(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // isChangeAttack tests the Dynamic-Change signature: a one-to-one
@@ -343,24 +433,6 @@ func isChangeAttack(assocs []Association, states map[int]vecmat.Vector, minDelta
 		}
 	}
 	return true
-}
-
-// activeHidden filters hidden states by visit share.
-func activeHidden(s hmm.Snapshot, minShare float64) []int {
-	var total float64
-	for _, v := range s.Visits {
-		total += v
-	}
-	if total == 0 {
-		return nil
-	}
-	var out []int
-	for _, id := range s.HiddenIDs {
-		if s.Visits[id]/total >= minShare {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // AttributeFit summarises how constant the correct/error attribute ratio or
@@ -425,17 +497,11 @@ type SensorDiagnosis struct {
 func Sensor(sensorID int, ce hmm.Snapshot, states map[int]vecmat.Vector, profile ErrorProfile, cfg Config) (SensorDiagnosis, error) {
 	d := SensorDiagnosis{Sensor: sensorID, Kind: KindUnknownError}
 
-	activeRows := activeHidden(ce, cfg.MinStateShare)
+	var w Workspace
+	w.activeRows(ce.EmissionView(), cfg.MinStateShare)
+	activeRows, rowIdx := w.active, w.rows
 	if len(activeRows) == 0 {
 		return d, ErrNoStates
-	}
-	rowIdx := make([]int, len(activeRows))
-	for i, id := range activeRows {
-		ri, err := ce.HiddenIndex(id)
-		if err != nil {
-			return d, err
-		}
-		rowIdx[i] = ri
 	}
 
 	// Build the ⊥-free view: columns other than Bottom.
@@ -629,20 +695,4 @@ func dropBottom(s hmm.Snapshot) (*vecmat.Matrix, []int) {
 		}
 	}
 	return m, ids
-}
-
-func activeSymbolsOf(b *vecmat.Matrix, rowIdx []int, ids []int) ([]int, []int) {
-	const minMass = 0.05
-	var idx, out []int
-	for j := 0; j < b.Cols(); j++ {
-		var mass float64
-		for _, ri := range rowIdx {
-			mass += b.At(ri, j)
-		}
-		if mass >= minMass {
-			idx = append(idx, j)
-			out = append(out, ids[j])
-		}
-	}
-	return idx, out
 }

@@ -15,7 +15,9 @@ import (
 // detector's scratch space has grown to the window's working-set size, the
 // bare (uninstrumented) Step allocates nothing. A regression here silently
 // re-taxes every window of every deployment, so it fails loudly instead.
-// It holds on synthetic key-state windows and on a generated GDI day.
+// It holds on synthetic key-state windows and on a generated GDI day, and
+// on that day with the decision ring the serving fleet attaches: building
+// each window's record, §3.4 evidence included, allocates nothing either.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -23,6 +25,14 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}{
 		{"key-states", keyStateAllocInput},
 		{"gdi-day", gdiDayAllocInput},
+		{"gdi-day-serving", func(t *testing.T) (Config, []network.Window, int) {
+			// Warm past the ring's capacity, so every slot has been
+			// allocated and packing reuses the evicted one.
+			const ring = 256
+			cfg, wins, warm := gdiDayAllocInput(t)
+			cfg.Decisions = NewDecisionRing(ring)
+			return cfg, wins, max(warm, 2*ring)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, wins, warm := tc.input(t)

@@ -386,13 +386,15 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 
 // evidence runs the §3.4 network analysis on the current B^CO and folds in
 // the attribute-divergence test; nil while no states are active. The
-// result is the detector's scratch evidence, overwritten next window.
+// analysis reads M_CO's live emission matrix in the scratch workspace, with
+// no snapshot, and the result is the detector's scratch evidence: both are
+// overwritten next window.
 func (d *Detector) evidence(attrs map[int]vecmat.Vector) *DecisionEvidence {
-	diag, err := classify.Network(d.ModelCO(), attrs, d.cfg.Classify)
+	sc := &d.scratch
+	diag, err := sc.network.Network(d.mco.EmissionView(), attrs, d.cfg.Classify)
 	if err != nil {
 		return nil
 	}
-	sc := &d.scratch
 	// Each divergence slot keeps its Delta buffer across windows.
 	divs := sc.divergence[:0]
 	for _, a := range diag.Associations {

@@ -105,6 +105,7 @@ type stepScratch struct {
 	quarantined         []int
 	evidence            DecisionEvidence
 	divergence          []AttributeDivergence
+	network             classify.Workspace // the evidence's §3.4 analysis, run on M_CO in place
 }
 
 // SensorStep is the per-sensor outcome of one window.

@@ -268,7 +268,7 @@ func TestStepHookMatrix(t *testing.T) {
 		{"health", hooks{health: true}, 0},
 		{"idle tracer", hooks{tracer: true}, 0},
 		{"sampled tracer", hooks{tracer: true, sampled: true}, -1},
-		{"decisions", hooks{decisions: true}, 55},
+		{"decisions", hooks{decisions: true}, 0},
 		{"all", hooks{metrics: true, health: true, tracer: true, sampled: true, decisions: true}, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -458,6 +458,13 @@ func (ds *durableShard) refuseState() error {
 // neither can rebuild its state.
 var ErrNoUsableCheckpoint = errors.New("fleet: no usable checkpoint")
 
+// ErrSegmentUnreadable reports a journal segment, other than the newest,
+// whose magic or header cannot be read although it is long enough to hold
+// readings. Those readings are lost, and replay cannot pass them without a
+// sequence gap, so recovery refuses rather than silently dropping every
+// later segment.
+var ErrSegmentUnreadable = errors.New("fleet: journal segment unreadable")
+
 // cleanTemporaries removes stray checkpoint temporaries a crash or a failed
 // write left behind. A .tmp is never a valid recovery input (only renamed
 // checkpoints count), so deleting them is always safe; leaving them would
@@ -480,7 +487,8 @@ func (s *shard) cleanTemporaries(dir string) {
 // journal segment once every shard has loaded. collapse reports whether
 // there was any state to collapse. A damaged checkpoint falls back to the
 // previous one (and a longer replay); a retired format, configuration
-// mismatches and state that nothing retained can rebuild are hard errors.
+// mismatches, an unreadable segment that is not the newest and state that
+// nothing retained can rebuild are hard errors.
 func (s *shard) recoverState() (collapse bool, err error) {
 	dir := s.dur.dir
 	fsys := s.dur.fs
@@ -572,6 +580,17 @@ func (s *shard) recoverState() (collapse bool, err error) {
 			replayed++
 			return true
 		})
+		if errors.Is(err, errSegmentHeader) {
+			// The newest segment's readings are the journal's tail, which
+			// a crash or power loss may take: replay ends there as at a
+			// torn tail. Any other segment has readings after it that
+			// replay could only reach by skipping its own.
+			if i < len(segs)-1 {
+				return false, fmt.Errorf("%w: %s (%v) is followed by %d later segments",
+					ErrSegmentUnreadable, segs[i].path, err, len(segs)-1-i)
+			}
+			err = nil
+		}
 		if err != nil {
 			return false, fmt.Errorf("fleet: journal %s: %w", segs[i].path, err)
 		}

@@ -916,6 +916,99 @@ func TestRecoveryRefusesWithoutUsableCheckpoint(t *testing.T) {
 	sameTree(t, dir, image)
 }
 
+// TestRecoveryRefusesUnreadableSegment: a journal segment that is not the
+// newest but whose magic cannot be read must stop recovery with
+// ErrSegmentUnreadable naming the file. Replaying it as empty would let the
+// sequence-gap check drop every later, intact segment while recovery
+// reports success: on this image the shard resumed at the older
+// checkpoint's seq (1 936 of 2 000) and lost the newest segment. The
+// directory is left untouched.
+func TestRecoveryRefusesUnreadableSegment(t *testing.T) {
+	dir := t.TempDir()
+	cfg := crashImage(t, dir, 2000)
+	sdir := shardDir(dir, 0)
+	segs, err := journalFiles.list(chaos.OS, sdir)
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("%d segments, want at least 2: %v", len(segs), err)
+	}
+	ckpts, err := checkpointFiles.list(chaos.OS, sdir)
+	if err != nil || len(ckpts) != 2 {
+		t.Fatalf("%d checkpoints retained, want 2: %v", len(ckpts), err)
+	}
+	damaged := segs[len(segs)-2].path
+	for _, f := range []struct {
+		path string
+		at   func(data []byte) int
+	}{
+		{damaged, func([]byte) int { return 0 }},
+		// Damaging the newest checkpoint moves replay back to the
+		// older one, whose tail runs through the damaged segment.
+		{ckpts[1].path, func(data []byte) int { return len(data) - 1 }},
+	} {
+		data, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[f.at(data)] ^= 0xff
+		if err := os.WriteFile(f.path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := snapshotTree(t, dir)
+
+	p, err := New(cfg)
+	if !errors.Is(err, ErrSegmentUnreadable) {
+		if err == nil {
+			t.Errorf("recovery resumed at seq %d", p.shards[0].applied)
+			p.Drain()
+		}
+		t.Fatalf("recovery error %v, want ErrSegmentUnreadable", err)
+	}
+	if !strings.Contains(err.Error(), damaged) {
+		t.Errorf("error %q does not name %s", err, damaged)
+	}
+	sameTree(t, dir, image)
+}
+
+// TestRecoveryToleratesTornNewestSegmentHeader: the newest segment alone
+// may have an unreadable header — torn by a crash while it was being
+// opened, or its readings taken by a power loss as a torn tail would be —
+// and recovery still restores everything before it.
+func TestRecoveryToleratesTornNewestSegmentHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(data []byte) []byte
+	}{
+		{"torn at open", func(data []byte) []byte { return data[:len(journalMagic)+3] }},
+		{"first byte", func(data []byte) []byte { data[0] ^= 0xff; return data }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := crashImage(t, dir, 2000)
+			segs, err := journalFiles.list(chaos.OS, shardDir(dir, 0))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("%d segments: %v", len(segs), err)
+			}
+			newest := segs[len(segs)-1]
+			data, err := os.ReadFile(newest.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(newest.path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatalf("recovery over a torn newest header: %v", err)
+			}
+			defer p.Drain()
+			if got := p.shards[0].applied; got != newest.seq {
+				t.Errorf("recovery resumed at seq %d, want the torn segment's base %d", got, newest.seq)
+			}
+		})
+	}
+}
+
 // TestRecoveryRefusesStateWithoutRecover: a pool started without Recover
 // over a directory that holds a checkpoint or journal segment is refused
 // with ErrStateExists naming the file. Starting there would let pruning

@@ -1485,6 +1485,7 @@ func (s *shard) feed(d *deployment, r sensor.Reading, tc obs.SpanContext) {
 	}
 	for _, w := range wins {
 		s.step(d, w)
+		d.wd.Release(w.Readings) // nothing Step feeds keeps the array
 	}
 	if late := d.wd.Late(); late != d.late {
 		s.m.late.Add(uint64(late - d.late))

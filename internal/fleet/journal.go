@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -98,6 +99,18 @@ func (w *journalWriter) close() error {
 	return w.f.Close()
 }
 
+// errSegmentHeader reports a segment whose magic or header record cannot be
+// read although the file is long enough to hold readings past them, so
+// those readings cannot be read either.
+var errSegmentHeader = errors.New("no readable magic and header")
+
+// maxSegmentHeaderLen is the longest a segment can be before its first
+// record: the magic and a framed header of three uvarints. openJournal
+// writes exactly that before anything else, so a file no longer is an open
+// that failed or was torn part-way (a degraded shard's half-open probe
+// leaves one behind on every failed attempt) and never held a reading.
+const maxSegmentHeaderLen = len(journalMagic) + 8 + 3*binary.MaxVarintLen64
+
 // decodeSegment walks one segment's readings in sequence order, calling fn
 // for each until fn returns false. It tolerates a torn or corrupt tail:
 // every reading before the first bad record is delivered, and a record is
@@ -105,28 +118,34 @@ func (w *journalWriter) close() error {
 // first reading must lie above the segment's base and each later one must
 // follow its predecessor exactly — and the walk stops at the first record
 // that breaks the chain or holds a reading the frame decoder would reject,
-// since past either the order of the stream is no longer known. Only a
-// segment belonging to another shard layout is an error. A segment whose
-// magic or header is unreadable holds no readings; recovery refuses a
-// retired format before it gets here (refuseRetired).
+// since past either the order of the stream is no longer known. A segment
+// whose magic or header is unreadable delivers nothing: that is no error
+// when the file is too short to have held a reading (maxSegmentHeaderLen),
+// and errSegmentHeader otherwise, for the caller to weigh. A segment
+// belonging to another shard layout is an error. Recovery refuses a retired
+// format before it gets here (refuseRetired).
 func decodeSegment(data []byte, wantShard, wantShards int, fn func(seq uint64, r ingest.Reading) bool) error {
+	var headerless error
+	if len(data) > maxSegmentHeaderLen {
+		headerless = errSegmentHeader
+	}
 	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		return nil
+		return headerless
 	}
 	hdr, data, err := nextRecord(data[len(journalMagic):])
 	if err != nil {
-		return nil // header torn: no usable records
+		return headerless
 	}
 	var fields [3]uint64
 	for i := range fields {
 		v, n := binary.Uvarint(hdr)
 		if n <= 0 {
-			return nil
+			return headerless
 		}
 		fields[i], hdr = v, hdr[n:]
 	}
 	if len(hdr) != 0 {
-		return nil
+		return headerless
 	}
 	if fields[0] != uint64(wantShard) || fields[1] != uint64(wantShards) {
 		return fmt.Errorf("belongs to shard %d/%d, want %d/%d", fields[0], fields[1], wantShard, wantShards)

@@ -286,15 +286,23 @@ func (o *Online) Steps() int { return o.steps }
 func (o *Online) Snapshot() Snapshot {
 	hid := o.HiddenIDs()
 	sym := o.SymbolIDs()
+	// Resolve every ID to its internal index once, not once per cell.
+	hidAt := make([]int, len(hid))
+	for i, h := range hid {
+		hidAt[i] = o.hiddenIdx[h]
+	}
+	symAt := make([]int, len(sym))
+	for j, s := range sym {
+		symAt[j] = o.symbolIdx[s]
+	}
 	a := vecmat.NewMatrix(len(hid), len(hid))
 	b := vecmat.NewMatrix(len(hid), len(sym))
-	for i, hi := range hid {
-		ri := o.hiddenIdx[hi]
-		for j, hj := range hid {
-			a.Set(i, j, o.a.At(ri, o.hiddenIdx[hj]))
+	for i, ri := range hidAt {
+		for j, cj := range hidAt {
+			a.Set(i, j, o.a.At(ri, cj))
 		}
-		for j, sj := range sym {
-			b.Set(i, j, o.b.At(ri, o.symbolIdx[sj]))
+		for j, cj := range symAt {
+			b.Set(i, j, o.b.At(ri, cj))
 		}
 	}
 	visits := make(map[int]float64, len(hid))
@@ -308,6 +316,25 @@ func (o *Online) Snapshot() Snapshot {
 	return Snapshot{HiddenIDs: hid, SymbolIDs: sym, A: a, B: b, Visits: visits, Emissions: emits}
 }
 
+// EmissionView lends the estimator's emission matrix B and its visit
+// counts in place, in internal row and column order, with no copy: the view
+// the §3.4 network analysis runs on every window. It is valid until the
+// next Observe or merge, and must not be written.
+func (o *Online) EmissionView() EmissionView {
+	return EmissionView{HiddenIDs: o.hiddenIDs, SymbolIDs: o.symbolIDs, B: o.b, Visits: o.visits}
+}
+
+// EmissionView is a read-only view of an emission matrix B: row i belongs
+// to hidden state HiddenIDs[i] and column j to symbol SymbolIDs[j], in
+// whatever order the source keeps them (a Snapshot's is ascending, a live
+// estimator's is registration order).
+type EmissionView struct {
+	HiddenIDs []int
+	SymbolIDs []int
+	B         *vecmat.Matrix
+	Visits    map[int]float64 // hidden ID -> times observed as current state
+}
+
 // Snapshot is an immutable, ID-ordered view of an Online estimator.
 type Snapshot struct {
 	HiddenIDs []int
@@ -316,6 +343,11 @@ type Snapshot struct {
 	B         *vecmat.Matrix // rows by HiddenIDs, cols by SymbolIDs
 	Visits    map[int]float64
 	Emissions map[int]float64
+}
+
+// EmissionView lends the snapshot's B and visit counts as an EmissionView.
+func (s Snapshot) EmissionView() EmissionView {
+	return EmissionView{HiddenIDs: s.HiddenIDs, SymbolIDs: s.SymbolIDs, B: s.B, Visits: s.Visits}
 }
 
 // HiddenIndex returns the row position of a hidden ID in the snapshot.

@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"sensorguard/internal/network"
@@ -28,6 +29,15 @@ import (
 //
 // A Windower is not safe for concurrent use; in the fleet each shard worker
 // owns its windowers.
+//
+// Ownership of an emitted window's Readings array: it belongs to the caller
+// until the caller hands it back with Release, and forever if it never
+// does. Release returns the array to a process-wide pool the next windows
+// are buffered in (of any Windower), so a released array must no longer be
+// read — by the caller or by anything it lent the window to. Nothing the
+// fleet hands a window to keeps the array past Step: the detector copies
+// what it keeps (per-sensor means and sums) and keeps at most the readings'
+// Values slices, which belong to the consumer, not to the array.
 type Windower struct {
 	width    time.Duration
 	lateness time.Duration
@@ -40,7 +50,8 @@ type Windower struct {
 	open     map[int]*[]sensor.Reading
 	curIdx   int
 	cur      *[]sensor.Reading
-	free     []*[]sensor.Reading     // recycled bucket boxes (arrays ship out with their window)
+	free     []*[]sensor.Reading     // bucket boxes whose array shipped out with its window
+	emitted  []network.Window        // AddTraced's result, reused across calls
 	sizeHint int                     // last non-empty emitted window's reading count
 	traces   map[int]obs.SpanContext // first sampled context per open window
 	started  bool
@@ -69,7 +80,9 @@ func NewWindower(width, lateness time.Duration) (*Windower, error) {
 }
 
 // Add folds one reading in and returns the windows (possibly empty gap
-// windows, in index order) that the advancing watermark has closed.
+// windows, in index order) that the advancing watermark has closed, or nil.
+// The returned slice is reused by the next Add or AddTraced: copy the
+// windows out (they are values) to keep them longer.
 func (w *Windower) Add(r sensor.Reading) []network.Window {
 	return w.AddTraced(r, obs.SpanContext{})
 }
@@ -121,19 +134,34 @@ func (w *Windower) AddTraced(r sensor.Reading, tc obs.SpanContext) []network.Win
 // past the data.
 func (w *Windower) advance() []network.Window {
 	watermark := w.maxTime - w.lateness
-	var out []network.Window
+	if time.Duration(w.nextEmit+1)*w.width > watermark {
+		return nil
+	}
+	w.emitted = w.emitted[:0]
 	for time.Duration(w.nextEmit+1)*w.width <= watermark {
-		out = append(out, w.emit(w.nextEmit))
+		w.emitted = append(w.emitted, w.emit(w.nextEmit))
 		w.nextEmit++
 	}
-	return out
+	return w.emitted
 }
 
-// newBucket returns an empty bucket box, reusing one a previous emit freed.
-// Backing arrays are never recycled — they leave with their window — so the
-// size hint pre-sizes fresh ones to the last emitted window's count, turning
-// the per-window append-growth chain into a single allocation.
+// maxFreeBoxes bounds a windower's spare bucket boxes. In-order input keeps
+// one or two windows open, so a handful covers every Release.
+const maxFreeBoxes = 8
+
+// bucketPool holds released readings arrays, boxed and emptied, for every
+// Windower in the process: one pool rather than a spare list per
+// deployment, so idle deployments pin no arrays.
+var bucketPool sync.Pool
+
+// newBucket returns an empty bucket box: a released array from the pool
+// when there is one, else a fresh array in a box a previous emit freed.
+// The size hint pre-sizes a fresh array to the last emitted window's
+// count, turning the per-window append-growth chain into one allocation.
 func (w *Windower) newBucket() *[]sensor.Reading {
+	if b, ok := bucketPool.Get().(*[]sensor.Reading); ok {
+		return b
+	}
 	arr := make([]sensor.Reading, 0, w.sizeHint)
 	if n := len(w.free); n > 0 {
 		b := w.free[n-1]
@@ -144,15 +172,42 @@ func (w *Windower) newBucket() *[]sensor.Reading {
 	return &arr
 }
 
+// Release hands an emitted window's Readings array back once the caller
+// has finished with the window (see Windower for the ownership rule). It
+// clears the array, so the pool pins no reading's Values, and pools it for
+// the next window's bucket. Call it at most once per window, with the
+// Readings exactly as emitted; an empty gap window's nil Readings is a
+// no-op. Readings never released stay the caller's, as Flush's do at drain.
+func (w *Windower) Release(readings []sensor.Reading) {
+	if cap(readings) == 0 {
+		return
+	}
+	clear(readings)
+	var b *[]sensor.Reading
+	if n := len(w.free); n > 0 {
+		b = w.free[n-1]
+		w.free = w.free[:n-1]
+	} else {
+		b = new([]sensor.Reading)
+	}
+	*b = readings[:0]
+	bucketPool.Put(b)
+}
+
 // emit builds one window, consuming its buffered readings and trace context.
-// The readings' backing array transfers to the window (callers may retain
-// it); only the empty bucket box is recycled.
+// The readings' backing array transfers to the window until the caller
+// releases it; the empty bucket box stays here for Release to pool it in.
 func (w *Windower) emit(idx int) network.Window {
 	var rs []sensor.Reading
 	if b := w.open[idx]; b != nil {
 		rs = *b
 		*b = nil
-		w.free = append(w.free, b)
+		// Keep the box for Release, up to a few: buckets drawn from the
+		// pool bring their own box, so a windower whose windows go
+		// unreleased would otherwise pile boxes up here.
+		if len(w.free) < maxFreeBoxes {
+			w.free = append(w.free, b)
+		}
 		delete(w.open, idx)
 	}
 	if w.cur != nil && w.curIdx == idx {

@@ -237,3 +237,99 @@ func TestFlushResets(t *testing.T) {
 		t.Fatalf("post-reset flush %+v, want single window 5", out)
 	}
 }
+
+// orderedStream is an in-order stream of n readings from five sensors,
+// with occasional multi-window gaps, and the windows WindowAll cuts it
+// into.
+func orderedStream(t *testing.T, seed int64, n int) ([]sensor.Reading, []network.Window) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	stream := make([]sensor.Reading, 0, n)
+	tm := time.Duration(0)
+	for i := 0; i < n; i++ {
+		tm += time.Duration(rng.Intn(20)) * time.Minute
+		stream = append(stream, reading(i%5, tm))
+	}
+	network.SortReadings(stream)
+	want, err := network.WindowAll(stream, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stream, want
+}
+
+// TestWindowerUnreleasedWindowsKeepReadings: windows a caller collects
+// across several Add calls and never releases keep their readings, while
+// another windower in the process releases every window it emits into the
+// shared pool. This is how a caller that steps windows later (a replay
+// probe) uses the windower: the windows are copied out of Add's reused
+// result, and their arrays must never be handed to a new bucket.
+func TestWindowerUnreleasedWindowsKeepReadings(t *testing.T) {
+	stream, want := orderedStream(t, 11, 600)
+	churn, _ := orderedStream(t, 12, 600)
+	keeper, err := NewWindower(time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaser, err := NewWindower(time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []network.Window
+	for i, r := range stream {
+		kept = append(kept, keeper.Add(r)...)
+		for _, w := range releaser.Add(churn[i]) {
+			releaser.Release(w.Readings)
+		}
+	}
+	kept = append(kept, keeper.Flush()...)
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatalf("unreleased windows differ from WindowAll (%d vs %d windows)", len(kept), len(want))
+	}
+}
+
+// TestWindowerReleaseClearsArray: Release zeroes the whole array, so the
+// pool pins no reading's Values, and a window whose bucket reuses a
+// released array holds exactly its own readings.
+func TestWindowerReleaseClearsArray(t *testing.T) {
+	stream, want := orderedStream(t, 13, 600)
+	wd, err := NewWindower(time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := make(map[*sensor.Reading]bool)
+	var got []network.Window
+	reused := 0
+	check := func(w network.Window) {
+		if cap(w.Readings) > 0 && released[&w.Readings[:1][0]] {
+			reused++
+		}
+		cp := w
+		cp.Readings = append([]sensor.Reading(nil), w.Readings...)
+		got = append(got, cp)
+		if cap(w.Readings) == 0 {
+			wd.Release(w.Readings)
+			return
+		}
+		all := w.Readings[:cap(w.Readings)]
+		wd.Release(w.Readings)
+		for i, r := range all {
+			if !reflect.DeepEqual(r, sensor.Reading{}) {
+				t.Fatalf("window %d: released array slot %d still holds %+v", w.Index, i, r)
+			}
+		}
+		released[&all[0]] = true
+	}
+	for _, r := range stream {
+		for _, w := range wd.Add(r) {
+			check(w)
+		}
+	}
+	got = append(got, wd.Flush()...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("windows over released buckets differ from WindowAll (%d vs %d windows)", len(got), len(want))
+	}
+	if reused == 0 {
+		t.Error("no window reused a released array: the test checked nothing")
+	}
+}

@@ -3,6 +3,7 @@ package vecmat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -19,6 +20,15 @@ type Matrix struct {
 // NewMatrix returns a zero rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
+}
+
+// Reshape makes m a zero rows×cols matrix, reusing its storage when it is
+// large enough: a workspace that rebuilds a small matrix every window
+// allocates only when the matrix outgrows every earlier one.
+func (m *Matrix) Reshape(rows, cols int) {
+	m.rows, m.cols = rows, cols
+	m.data = slices.Grow(m.data[:0], rows*cols)[:rows*cols]
+	clear(m.data)
 }
 
 // Identity returns the n×n identity matrix, the paper's initial value for
@@ -109,7 +119,9 @@ func (m *Matrix) AppendCol() int {
 
 // RemoveRow deletes row i, shifting later rows up.
 func (m *Matrix) RemoveRow(i int) {
-	m.check(i, 0)
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("vecmat: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
+	}
 	copy(m.data[i*m.cols:], m.data[(i+1)*m.cols:])
 	m.data = m.data[:(m.rows-1)*m.cols]
 	m.rows--
@@ -117,7 +129,9 @@ func (m *Matrix) RemoveRow(i int) {
 
 // RemoveCol deletes column j, shifting later columns left.
 func (m *Matrix) RemoveCol(j int) {
-	m.check(0, j)
+	if j < 0 || j >= m.cols {
+		panic(fmt.Sprintf("vecmat: column %d out of range for %dx%d matrix", j, m.rows, m.cols))
+	}
 	next := make([]float64, m.rows*(m.cols-1))
 	for i := 0; i < m.rows; i++ {
 		copy(next[i*(m.cols-1):], m.data[i*m.cols:i*m.cols+j])

@@ -154,6 +154,35 @@ func TestNormalizeRowsIdempotentProperty(t *testing.T) {
 	}
 }
 
+// TestMatrixRemoveFromEmptyDimension: a row can be removed from a matrix
+// with no columns and a column from one with no rows — an estimator whose
+// states exist before any symbol does, or the reverse, merges them so.
+func TestMatrixRemoveFromEmptyDimension(t *testing.T) {
+	m := NewMatrix(2, 0)
+	m.RemoveRow(1)
+	if m.Rows() != 1 || m.Cols() != 0 {
+		t.Errorf("after RemoveRow: %dx%d, want 1x0", m.Rows(), m.Cols())
+	}
+	m = NewMatrix(0, 2)
+	m.RemoveCol(0)
+	if m.Rows() != 0 || m.Cols() != 1 {
+		t.Errorf("after RemoveCol: %dx%d, want 0x1", m.Rows(), m.Cols())
+	}
+	for _, remove := range []func(){
+		func() { NewMatrix(0, 2).RemoveRow(0) },
+		func() { NewMatrix(2, 0).RemoveCol(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("out-of-range remove did not panic")
+				}
+			}()
+			remove()
+		}()
+	}
+}
+
 func TestMatrixOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -35,43 +35,44 @@ type OrthoViolation struct {
 }
 
 // RowsOrthogonal tests the row condition over the subset of row indices in
-// active (every row index when active is nil). It returns all violations;
-// an empty slice means the rows are orthogonal within the thresholds.
-func (m *Matrix) RowsOrthogonal(th OrthoThresholds, active []int) []OrthoViolation {
-	idx := activeIndices(active, m.rows)
-	var out []OrthoViolation
-	for a := 0; a < len(idx); a++ {
-		i := idx[a]
+// active (every row index when active is nil) and appends every violation
+// to dst. Nothing is appended when the rows are orthogonal within the
+// thresholds, so a nil dst comes back nil; callers that test every window
+// pass their previous result resliced to zero length and allocate nothing.
+func (m *Matrix) RowsOrthogonal(dst []OrthoViolation, th OrthoThresholds, active []int) []OrthoViolation {
+	n := span(active, m.rows)
+	for a := 0; a < n; a++ {
+		i := index(active, a)
 		if d := m.rowDot(i, i); d < th.MinDiag {
-			out = append(out, OrthoViolation{I: i, J: i, Dot: d})
+			dst = append(dst, OrthoViolation{I: i, J: i, Dot: d})
 		}
-		for b := a + 1; b < len(idx); b++ {
-			j := idx[b]
+		for b := a + 1; b < n; b++ {
+			j := index(active, b)
 			if d := m.rowDot(i, j); d > th.MaxOffDiag {
-				out = append(out, OrthoViolation{I: i, J: j, Dot: d})
+				dst = append(dst, OrthoViolation{I: i, J: j, Dot: d})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // ColsOrthogonal tests the column condition over the subset of column
-// indices in active (every column when active is nil). As in the paper, raw
-// dot products are used: with row-stochastic B every entry is at most one,
-// so a split row (the creation signature) yields a cross product well above
-// the threshold while estimation noise stays below it.
-func (m *Matrix) ColsOrthogonal(th OrthoThresholds, active []int) []OrthoViolation {
-	idx := activeIndices(active, m.cols)
-	var out []OrthoViolation
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			i, j := idx[a], idx[b]
+// indices in active (every column when active is nil) and appends every
+// violation to dst, as RowsOrthogonal does. As in the paper, raw dot
+// products are used: with row-stochastic B every entry is at most one, so a
+// split row (the creation signature) yields a cross product well above the
+// threshold while estimation noise stays below it.
+func (m *Matrix) ColsOrthogonal(dst []OrthoViolation, th OrthoThresholds, active []int) []OrthoViolation {
+	n := span(active, m.cols)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			i, j := index(active, a), index(active, b)
 			if d := m.colDot(i, j); d > th.MaxOffDiag {
-				out = append(out, OrthoViolation{I: i, J: j, Dot: d})
+				dst = append(dst, OrthoViolation{I: i, J: j, Dot: d})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 func (m *Matrix) rowDot(i, j int) float64 {
@@ -90,15 +91,20 @@ func (m *Matrix) colDot(i, j int) float64 {
 	return s
 }
 
-func activeIndices(active []int, n int) []int {
-	if active != nil {
-		return active
+// span and index walk an active index subset without materialising it: a
+// nil active stands for every index below n, an empty one for none.
+func span(active []int, n int) int {
+	if active == nil {
+		return n
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	return len(active)
+}
+
+func index(active []int, a int) int {
+	if active == nil {
+		return a
 	}
-	return idx
+	return active[a]
 }
 
 // DominantCol returns, for row i, the column with the largest entry and that
@@ -122,13 +128,13 @@ func (m *Matrix) DominantCol(i int) (col int, mass float64) {
 // "approximately all ones", so callers typically pass ~0.5 and require the
 // column to dominate every row instead of demanding exact ones).
 func (m *Matrix) AllOnesColumn(active []int, minOne float64) (int, bool) {
-	rows := activeIndices(active, m.rows)
-	if len(rows) == 0 {
+	n := span(active, m.rows)
+	if n == 0 {
 		return -1, false
 	}
 	col := -1
-	for _, i := range rows {
-		c, mass := m.DominantCol(i)
+	for a := 0; a < n; a++ {
+		c, mass := m.DominantCol(index(active, a))
 		if c < 0 || mass < minOne {
 			return -1, false
 		}

@@ -18,10 +18,10 @@ func permutation(perm []int, cols int) *Matrix {
 func TestRowsOrthogonalCleanPermutation(t *testing.T) {
 	m := permutation([]int{0, 1, 2}, 3)
 	th := DefaultOrthoThresholds()
-	if v := m.RowsOrthogonal(th, nil); len(v) != 0 {
+	if v := m.RowsOrthogonal(nil, th, nil); len(v) != 0 {
 		t.Errorf("permutation rows flagged: %+v", v)
 	}
-	if v := m.ColsOrthogonal(th, nil); len(v) != 0 {
+	if v := m.ColsOrthogonal(nil, th, nil); len(v) != 0 {
 		t.Errorf("permutation cols flagged: %+v", v)
 	}
 }
@@ -34,7 +34,7 @@ func TestRowsNotOrthogonalDeletionSignature(t *testing.T) {
 	m.SetRow(1, Vector{0, 1, 0})
 	m.SetRow(2, Vector{0, 0, 1})
 	th := DefaultOrthoThresholds()
-	v := m.RowsOrthogonal(th, nil)
+	v := m.RowsOrthogonal(nil, th, nil)
 	if len(v) == 0 {
 		t.Fatal("deletion signature not flagged by row test")
 	}
@@ -50,7 +50,7 @@ func TestRowsNotOrthogonalDeletionSignature(t *testing.T) {
 	// The column test must stay clean in this scenario only if columns are
 	// orthogonal; here column 1 receives mass from rows 0 and 1, but each
 	// *pair of columns* shares no row mass, so columns remain orthogonal.
-	if cv := m.ColsOrthogonal(th, nil); len(cv) != 0 {
+	if cv := m.ColsOrthogonal(nil, th, nil); len(cv) != 0 {
 		t.Errorf("columns unexpectedly flagged: %+v", cv)
 	}
 }
@@ -64,7 +64,7 @@ func TestColsNotOrthogonalCreationSignature(t *testing.T) {
 	m.SetRow(2, Vector{0, 0, 1, 0, 0})
 	m.SetRow(3, Vector{0, 0, 0, 0.3546, 0.6454})
 	th := DefaultOrthoThresholds()
-	cv := m.ColsOrthogonal(th, nil)
+	cv := m.ColsOrthogonal(nil, th, nil)
 	if len(cv) == 0 {
 		t.Fatal("creation signature not flagged by column test")
 	}
@@ -80,7 +80,7 @@ func TestColsNotOrthogonalCreationSignature(t *testing.T) {
 	// Rows: row 3 has self-dot 0.3546²+0.6454² ≈ 0.54 < 0.8, so the row
 	// diagonal condition also fires — the paper treats a creation attack
 	// as detected through the column condition; both may fire.
-	rv := m.RowsOrthogonal(th, nil)
+	rv := m.RowsOrthogonal(nil, th, nil)
 	foundDiag := false
 	for _, viol := range rv {
 		if viol.I == 3 && viol.J == 3 {
@@ -100,13 +100,13 @@ func TestOrthogonalityActiveSubset(t *testing.T) {
 	m.SetRow(1, Vector{0, 1, 0})
 	m.SetRow(2, Vector{0.5, 0.5, 0})
 	th := DefaultOrthoThresholds()
-	if v := m.RowsOrthogonal(th, []int{0, 1}); len(v) != 0 {
+	if v := m.RowsOrthogonal(nil, th, []int{0, 1}); len(v) != 0 {
 		t.Errorf("active-subset rows flagged: %+v", v)
 	}
-	if v := m.RowsOrthogonal(th, nil); len(v) == 0 {
+	if v := m.RowsOrthogonal(nil, th, nil); len(v) == 0 {
 		t.Error("full-set rows should be flagged")
 	}
-	if v := m.ColsOrthogonal(th, []int{0, 1}); len(v) == 0 {
+	if v := m.ColsOrthogonal(nil, th, []int{0, 1}); len(v) == 0 {
 		t.Error("columns 0 and 1 share row-2 mass and should be flagged")
 	}
 }
