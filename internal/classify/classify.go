@@ -340,6 +340,33 @@ func (w *Workspace) Network(co hmm.EmissionView, states map[int]vecmat.Vector, c
 	return d, nil
 }
 
+// MaxRowDot returns the largest dot product of two distinct active rows of
+// co's B: the row-orthogonality evidence the drift poller tracks against
+// NetRowOrtho. The active rows are Network's (visit share at least
+// minShare) and each product is summed over the columns in ascending symbol
+// order, so a live view and a snapshot of one estimator give the same bits.
+// It is 0 with fewer than two active rows.
+func (w *Workspace) MaxRowDot(co hmm.EmissionView, minShare float64) float64 {
+	w.activeRows(co, minShare)
+	if len(w.rows) < 2 {
+		return 0
+	}
+	w.cols = sortedOrder(w.cols, co.SymbolIDs)
+	var best float64
+	for a, ra := range w.rows {
+		for _, rb := range w.rows[a+1:] {
+			var dot float64
+			for _, c := range w.cols {
+				dot += co.B.At(ra, c) * co.B.At(rb, c)
+			}
+			if dot > best {
+				best = dot
+			}
+		}
+	}
+	return best
+}
+
 // activeRows fills w.active with the hidden states of co whose visit share
 // reaches minShare, in ascending ID order, and w.rows with their row index
 // in co.B. Both are empty when nothing has been visited.

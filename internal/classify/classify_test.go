@@ -173,6 +173,40 @@ func TestNetworkNoStates(t *testing.T) {
 	}
 }
 
+// TestMaxRowDotSumsInSymbolOrder feeds MaxRowDot a view kept in
+// registration order, as a live estimator's is, whose two active rows'
+// product rounds differently summed in that order than in ascending symbol
+// order; the result must be the ascending sum, as on a snapshot. The third
+// row is barely visited and must not count.
+func TestMaxRowDotSumsInSymbolOrder(t *testing.T) {
+	co := snap([]int{5, 2, 9}, []int{3, 1, 2, 0}, []vecmat.Vector{
+		{0.6, 0.9, 0.7, 0.9},
+		{0.9, 1.0, 0.7, 0.2},
+		{1, 1, 1, 1},
+	}, map[int]float64{5: 100, 2: 100, 9: 1}).EmissionView()
+	sum := func(cols []int) float64 {
+		var dot float64
+		for _, c := range cols {
+			dot += co.B.At(0, c) * co.B.At(1, c)
+		}
+		return dot
+	}
+	ascending, registered := sum([]int{3, 1, 2, 0}), sum([]int{0, 1, 2, 3})
+	if ascending == registered {
+		t.Fatal("the two summation orders agree; the test cannot tell them apart")
+	}
+	var w Workspace
+	for run := 0; run < 2; run++ { // the second run reuses the workspace
+		if got := w.MaxRowDot(co, 0.05); got != ascending {
+			t.Fatalf("run %d: MaxRowDot = %v, want the ascending-order sum %v (registration order gives %v)",
+				run, got, ascending, registered)
+		}
+	}
+	if got := w.MaxRowDot(co, 0.6); got != 0 {
+		t.Fatalf("no active row: MaxRowDot = %v, want 0", got)
+	}
+}
+
 func TestSensorStuckAtFromPaperTable3(t *testing.T) {
 	// Paper Table 3 (sensor 6): every hidden state emits the stuck state
 	// (15,1) (ID 4) with dominant probability; ⊥ is present.

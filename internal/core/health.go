@@ -108,38 +108,16 @@ func chainShift(c *markov.Chain, base map[int]map[int]float64) float64 {
 // ModelDrift computes the polled drift evidence: the largest off-diagonal
 // row dot product of B^CO over the active hidden states (vs. the §3.4 row-
 // orthogonality threshold the structural classifier uses), and the M_C/M_O
-// transition-mass shift vs. the captured baseline. Allocates; call it from a
-// poller, not the step path.
+// transition-mass shift vs. the captured baseline. The B^CO part reads M_CO
+// in place through the step's §3.4 workspace (Step and RefreshDrift are
+// serialised by Shared); the shift part allocates. Call it from a poller,
+// not the step path.
 func (d *Detector) ModelDrift() obs.ModelDrift {
-	th := d.cfg.Classify.NetRowOrtho.MaxOffDiag
-	out := obs.ModelDrift{}
-	co := d.mco.Snapshot()
-	if co.B != nil {
-		var totalVisits float64
-		for _, v := range co.Visits {
-			totalVisits += v
-		}
-		// Restrict to active rows the same way the classifier does, so a
-		// spurious barely-visited state cannot fake (or mask) drift.
-		var rows []int
-		for i, id := range co.HiddenIDs {
-			if totalVisits > 0 && co.Visits[id]/totalVisits >= d.cfg.Classify.MinStateShare {
-				rows = append(rows, i)
-			}
-		}
-		for a := 0; a < len(rows); a++ {
-			for b := a + 1; b < len(rows); b++ {
-				var dot float64
-				for k := 0; k < co.B.Cols(); k++ {
-					dot += co.B.At(rows[a], k) * co.B.At(rows[b], k)
-				}
-				if dot > out.OrthoMaxDot {
-					out.OrthoMaxDot = dot
-				}
-			}
-		}
+	cfg := d.cfg.Classify
+	out := obs.ModelDrift{
+		OrthoMaxDot: d.scratch.network.MaxRowDot(d.mco.EmissionView(), cfg.MinStateShare),
 	}
-	out.OrthoMargin = th - out.OrthoMaxDot
+	out.OrthoMargin = cfg.NetRowOrtho.MaxOffDiag - out.OrthoMaxDot
 	if d.driftBase != nil {
 		out.BaselineWindow = d.driftBase.window
 		out.MCShift = chainShift(d.mc, d.driftBase.mc)

@@ -14,15 +14,24 @@ import (
 
 // BenchmarkDecodeLine measures the wire-to-Reading cost of one NDJSON line —
 // the first stage every streamed reading pays. Allocations are reported
-// because decode cost is pure overhead on the ingest hot path.
+// because decode cost is pure overhead on the ingest hot path. short values
+// take Clinger's exact path; gdi is a full-precision line as GDI traffic
+// carries it (json.Marshal of 17-significant-digit floats), whose values
+// take Eisel–Lemire.
 func BenchmarkDecodeLine(b *testing.B) {
-	line := []byte(`{"deployment":"gdi-field-7","seq":12345,"sensor":3,"time_s":86400.5,"values":[12.5,94.0]}`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeLine(line); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ name, line string }{
+		{"short", `{"deployment":"gdi-field-7","seq":12345,"sensor":3,"time_s":86400.5,"values":[12.5,94.0]}`},
+		{"gdi", `{"deployment":"gdi-field-7","seq":12345,"sensor":3,"time_s":86400.5,"values":[12.383708002381136,94.05312707452253]}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			line := []byte(c.line)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeLine(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -21,8 +21,9 @@ func referenceDecodeLine(line []byte) (Reading, error) {
 	if err := json.Unmarshal(line, &w); err != nil {
 		return Reading{}, fmt.Errorf("ingest: bad JSON: %w", err)
 	}
-	if math.IsNaN(w.TimeS) || math.IsInf(w.TimeS, 0) || w.TimeS < 0 || w.TimeS > maxSeconds {
-		return Reading{}, fmt.Errorf("ingest: time_s %v outside [0, %g]", w.TimeS, maxSeconds)
+	ns := w.TimeS * float64(time.Second)
+	if math.IsNaN(w.TimeS) || w.TimeS < 0 || ns >= 1<<63 {
+		return Reading{}, fmt.Errorf("ingest: time_s %v outside [0, %g)", w.TimeS, maxSeconds)
 	}
 	dep := w.Deployment
 	if dep == "" {
@@ -145,6 +146,10 @@ func checkDecodeLine(t *testing.T, line []byte) {
 		}
 	}
 }
+
+// scanLine is the fast path as DecodeLine runs it, with no previous line's
+// deployment key to reuse.
+func scanLine(p []byte) (wireReading, bool) { return scanLineReuse(p, "") }
 
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {

@@ -26,7 +26,9 @@ const DefaultDeployment = "default"
 
 // maxSeconds bounds wire timestamps to what time.Duration can hold
 // (~292 years of deployment uptime) so the seconds→Duration conversion
-// cannot overflow into implementation-defined territory.
+// cannot overflow into implementation-defined territory. As a float64 it
+// converts to 2^63 ns, one past the largest Duration, so DecodeLine bounds
+// the nanosecond product instead and the range is [0, maxSeconds).
 const maxSeconds = float64(math.MaxInt64) / float64(time.Second)
 
 // Reading is one wire message: a sensor reading tagged with the deployment
@@ -69,10 +71,18 @@ type wireReading struct {
 // of at most 4096 bytes.
 //
 // A line in the canonical wireReading form (what EncodeLine and common
-// producers emit) is decoded by scanLine; every other line, including every
-// malformed one, goes to encoding/json, which defines the accepted grammar.
+// producers emit) is decoded by scanLineReuse; every other line, including
+// every malformed one, goes to encoding/json, which defines the accepted
+// grammar.
 func DecodeLine(line []byte) (Reading, error) {
-	w, ok := scanLine(line)
+	return decodeLine(line, "")
+}
+
+// decodeLine is DecodeLine given the deployment key of the stream's
+// previous line: a line naming the same deployment shares that string
+// instead of allocating its own.
+func decodeLine(line []byte, prevDeployment string) (Reading, error) {
+	w, ok := scanLineReuse(line, prevDeployment)
 	if !ok {
 		// A fresh target of its own, so only this path pays for it escaping.
 		slow := new(wireReading)
@@ -81,8 +91,9 @@ func DecodeLine(line []byte) (Reading, error) {
 		}
 		w = *slow
 	}
-	if math.IsNaN(w.TimeS) || math.IsInf(w.TimeS, 0) || w.TimeS < 0 || w.TimeS > maxSeconds {
-		return Reading{}, fmt.Errorf("ingest: time_s %v outside [0, %g]", w.TimeS, maxSeconds)
+	ns := w.TimeS * float64(time.Second)
+	if math.IsNaN(w.TimeS) || w.TimeS < 0 || ns >= 1<<63 {
+		return Reading{}, fmt.Errorf("ingest: time_s %v outside [0, %g)", w.TimeS, maxSeconds)
 	}
 	dep := w.Deployment
 	if dep == "" {
@@ -93,7 +104,7 @@ func DecodeLine(line []byte) (Reading, error) {
 		Seq:        w.Seq,
 		Reading: sensor.Reading{
 			Sensor: w.Sensor,
-			Time:   time.Duration(w.TimeS * float64(time.Second)),
+			Time:   time.Duration(ns),
 			Values: vecmat.Vector(w.Values),
 		},
 	}
@@ -103,7 +114,7 @@ func DecodeLine(line []byte) (Reading, error) {
 	return r, nil
 }
 
-// scanLine is DecodeLine's fast path. It claims (ok) only a line that
+// scanLineReuse is DecodeLine's fast path. It claims (ok) only a line that
 // encoding/json would decode into exactly the same wireReading: one object
 // whose keys are drawn from deployment, seq, sensor, time_s and values, each
 // at most once, with a deployment of printable ASCII free of '"' and '\\',
@@ -116,8 +127,9 @@ func DecodeLine(line []byte) (Reading, error) {
 // Each line gets its own Values array of exactly its length: the windower
 // holds a reading's values until its window closes, so values packed into a
 // slab shared across lines would pin the whole slab while any one reading in
-// it is live (measured on ndjson-ingest: +24% SUT heap).
-func scanLine(p []byte) (w wireReading, ok bool) {
+// it is live (measured on ndjson-ingest: +24% SUT heap). A deployment equal
+// to prevDeployment is returned as that string, not a new copy.
+func scanLineReuse(p []byte, prevDeployment string) (w wireReading, ok bool) {
 	const (
 		hasDeployment = 1 << iota
 		hasSeq
@@ -149,7 +161,7 @@ func scanLine(p []byte) (w wireReading, ok bool) {
 		switch string(key) {
 		case "deployment":
 			bit = hasDeployment
-			w.Deployment, i, ok = scanASCIIString(p, i)
+			w.Deployment, i, ok = scanASCIIString(p, i, prevDeployment)
 		case "seq":
 			bit = hasSeq
 			var s []byte
@@ -210,15 +222,19 @@ func skipSpace(p []byte, i int) int {
 // scanASCIIString reads the JSON string starting at p[i] when every byte
 // in it is printable ASCII other than '\\', so it needs no unescaping or
 // UTF-8 handling; it returns the string and the index after its closing
-// quote.
-func scanASCIIString(p []byte, i int) (string, int, bool) {
+// quote. A string with the bytes of prev is returned as prev itself, so
+// the common case of a stream from one deployment allocates nothing here.
+func scanASCIIString(p []byte, i int, prev string) (string, int, bool) {
 	if i == len(p) || p[i] != '"' {
 		return "", i, false
 	}
 	for j := i + 1; j < len(p); j++ {
 		switch c := p[j]; {
 		case c == '"':
-			return string(p[i+1 : j]), j + 1, true
+			if s := p[i+1 : j]; string(s) != prev {
+				prev = string(s)
+			}
+			return prev, j + 1, true
 		case c < 0x20 || c >= 0x80 || c == '\\':
 			return "", j, false
 		}
@@ -271,17 +287,6 @@ func skipDigits(p []byte, i int) int {
 		i++
 	}
 	return i
-}
-
-// scanFloat reads the JSON number at p[i] as encoding/json reads it into a
-// float64; a number strconv reports out of range is not ok.
-func scanFloat(p []byte, i int) (float64, int, bool) {
-	s, i, ok := scanNumber(p, i)
-	if !ok {
-		return 0, i, false
-	}
-	f, err := strconv.ParseFloat(string(s), 64)
-	return f, i, err == nil
 }
 
 // scanFloats reads the JSON array of numbers starting at p[i] into a new

@@ -119,10 +119,6 @@ func readStream(r io.Reader, c Consumer, o StreamOptions, framed bool) (StreamSt
 // the consumer per SubmitBatch call.
 const ndjsonBatch = 512
 
-// decodeFlushEvery is how many timed lines accumulate locally before the
-// decode stage clock's counters take the atomic adds.
-const decodeFlushEvery = 4096
-
 // lineReader yields newline-delimited lines of at most maxLine bytes. A
 // longer line is discarded up to its terminating newline and reported as
 // oversize — the stream keeps going, so one bad producer line cannot kill a
@@ -201,24 +197,27 @@ func trimEOL(b []byte) []byte {
 // so a trickling TCP producer's readings are never held back for more
 // input — and before the reader returns, also when a body read fails: every
 // line before the failing one is submitted.
+//
+// The decode clock reads the time twice per batch, as readFrames does per
+// frame: when the batch's first line starts decoding and when the batch is
+// submitted (or the reader would wait), so it covers line framing and
+// decode, and counts the lines decoded.
 func readNDJSON(br *bufio.Reader, c Consumer, decode *obs.StageClock, ctx obs.SpanContext, st *StreamStats) error {
-	var busy time.Duration
-	var lines uint64
-	flushClock := func() {
-		if lines > 0 {
-			decode.Observe(busy, lines)
-			busy, lines = 0, 0
-		}
-	}
-	defer flushClock()
+	var t0 time.Time
+	var lines uint64 // decoded since t0
 	slab := readingSlabPool.Get().(*[]Reading)
 	if cap(*slab) < ndjsonBatch {
 		*slab = make([]Reading, 0, ndjsonBatch)
 	}
 	batch := (*slab)[:0]
 	defer func() { putReadingSlab(slab, batch) }()
-	// submit hands the staged batch over; the slab is reused afterwards.
+	// submit stops the decode clock and hands the staged batch over; the
+	// slab is reused afterwards.
 	submit := func() error {
+		if decode != nil && lines > 0 {
+			decode.Observe(time.Since(t0), lines)
+		}
+		lines = 0
 		var err error
 		ctx, err = submitReadings(c, batch, ctx, st)
 		clear(batch)
@@ -227,8 +226,9 @@ func readNDJSON(br *bufio.Reader, c Consumer, decode *obs.StageClock, ctx obs.Sp
 	}
 	lr := lineReader{br: br}
 	lineNo := 0
+	var prevDeployment string
 	for {
-		if len(batch) > 0 && !lr.lineBuffered() {
+		if lines > 0 && !lr.lineBuffered() {
 			if err := submit(); err != nil {
 				return err
 			}
@@ -252,23 +252,17 @@ func readNDJSON(br *bufio.Reader, c Consumer, decode *obs.StageClock, ctx obs.Sp
 		if len(line) == 0 {
 			continue
 		}
-		var rd Reading
-		var err error
-		if decode != nil {
-			t0 := time.Now()
-			rd, err = DecodeLine(line)
-			busy += time.Since(t0)
-			if lines++; lines >= decodeFlushEvery {
-				flushClock()
-			}
-		} else {
-			rd, err = DecodeLine(line)
+		if decode != nil && lines == 0 {
+			t0 = time.Now()
 		}
+		lines++
+		rd, err := decodeLine(line, prevDeployment)
 		if err != nil {
 			st.Rejected++
 			st.RejectedDecode++
 			continue
 		}
+		prevDeployment = rd.Deployment
 		if batch = append(batch, rd); len(batch) == ndjsonBatch {
 			if err := submit(); err != nil {
 				return err
