@@ -122,12 +122,11 @@ func BenchmarkStepWithTrackedSensor(b *testing.B) {
 // each window emits a root span plus five stage spans. Comparing against
 // BenchmarkStep gives the sampled-on tracing overhead for EXPERIMENTS.md.
 func BenchmarkStepTraced(b *testing.B) {
-	cfg := DefaultConfig(keyStates())
-	cfg.Tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
-	d, err := NewDetector(cfg)
+	d, err := NewDetector(DefaultConfig(keyStates()))
 	if err != nil {
 		b.Fatal(err)
 	}
+	d.SetTracer(obs.NewTracer(obs.TracerConfig{SampleEvery: 1}))
 	wins := benchWindows(10)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,12 +144,11 @@ func BenchmarkStepTraced(b *testing.B) {
 // any window — the common case under 1/N sampling. It must track
 // BenchmarkStep within noise: an idle tracer costs one nil check.
 func BenchmarkStepTracerIdle(b *testing.B) {
-	cfg := DefaultConfig(keyStates())
-	cfg.Tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
-	d, err := NewDetector(cfg)
+	d, err := NewDetector(DefaultConfig(keyStates()))
 	if err != nil {
 		b.Fatal(err)
 	}
+	d.SetTracer(obs.NewTracer(obs.TracerConfig{SampleEvery: 1}))
 	wins := benchWindows(10)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -193,11 +191,11 @@ func BenchmarkStepWithDecisions(b *testing.B) {
 func BenchmarkStepServing(b *testing.B) {
 	cfg := DefaultConfig(keyStates())
 	cfg.Decisions = NewDecisionRing(256)
-	cfg.Tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 16})
 	d, err := NewDetector(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	d.SetTracer(obs.NewTracer(obs.TracerConfig{SampleEvery: 16}))
 	d.SetHealthTracker(obs.NewHealthTracker())
 	d.SetStepClock(obs.NewStageSet(obs.NewRegistry(), "detector_step").Clock("detector_step"))
 	wins := benchWindows(10)

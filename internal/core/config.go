@@ -75,10 +75,6 @@ type Config struct {
 	// gauges, and stage-latency histograms (see internal/obs). Nil adds no
 	// overhead to Step.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records a "detector.step" span with per-stage
-	// children for every window carrying a sampled span context (see
-	// network.Window.Trace). A nil tracer adds only a nil check to Step.
-	Tracer *obs.Tracer
 	// Decisions, when non-nil, receives one DecisionRecord per window —
 	// the window's stats plus the full provenance of the verdict. Nil
 	// skips building the provenance entirely.

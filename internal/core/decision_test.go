@@ -237,11 +237,11 @@ func TestStepDecisionCarriesTraceID(t *testing.T) {
 	cfg := DefaultConfig(keyStates())
 	ring := NewDecisionRing(4)
 	cfg.Decisions = ring
-	cfg.Tracer = obs.NewTracer(obs.TracerConfig{})
 	d, err := NewDetector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.SetTracer(obs.NewTracer(obs.TracerConfig{}))
 	w := uniformWindow(0, 5, keyStates()[1])
 	w.Trace = obs.NewRootContext()
 	if _, err := d.Step(w); err != nil {
@@ -263,13 +263,12 @@ func TestStepDecisionCarriesTraceID(t *testing.T) {
 // sampled window leaves one detector.step root whose five stage children
 // tile its duration.
 func TestStepTracedEmitsStageSpans(t *testing.T) {
-	cfg := DefaultConfig(keyStates())
 	tracer := obs.NewTracer(obs.TracerConfig{})
-	cfg.Tracer = tracer
-	d, err := NewDetector(cfg)
+	d, err := NewDetector(DefaultConfig(keyStates()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.SetTracer(tracer)
 	w := uniformWindow(0, 5, keyStates()[1])
 	w.Trace = obs.NewRootContext()
 	if _, err := d.Step(w); err != nil {

@@ -189,7 +189,26 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
+	d, err := newShell(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.states, d.mco, d.mc, d.mo = set, mco, mc, mo
+	d.mce = make(map[int]*hmm.Online)
+	d.stats = alarm.NewStats()
+	d.tracks = track.NewManager()
+	d.quarantined = make(map[int]bool)
+	d.seen = make(map[int]bool)
+	d.profiles = make(map[int]map[int][]runstats.Running)
+	return d, nil
+}
+
+// newShell builds the parts of a detector that no snapshot carries: the
+// alarm filter, the metric instruments and the decision sink. NewDetector
+// and RestoreDetector both start from it and add the learned state.
+func newShell(cfg Config) (*Detector, error) {
 	var filter alarm.Filter
+	var err error
 	if cfg.FilterFactory != nil {
 		filter, err = cfg.FilterFactory()
 	} else {
@@ -199,32 +218,24 @@ func NewDetector(cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	return &Detector{
-		cfg:         cfg,
-		states:      set,
-		mco:         mco,
-		mce:         make(map[int]*hmm.Online),
-		mc:          mc,
-		mo:          mo,
-		filter:      filter,
-		stats:       alarm.NewStats(),
-		tracks:      track.NewManager(),
-		quarantined: make(map[int]bool),
-		seen:        make(map[int]bool),
-		profiles:    make(map[int]map[int][]runstats.Running),
-		inst:        newInstruments(cfg.Metrics),
-		tracer:      cfg.Tracer,
-		decisions:   cfg.Decisions,
-		epoch:       time.Now(),
+		cfg:       cfg,
+		filter:    filter,
+		inst:      newInstruments(cfg.Metrics),
+		decisions: cfg.Decisions,
+		epoch:     time.Now(),
 	}, nil
 }
 
-// SetTracer installs (or removes) the span tracer. The serving layer wires
-// it after construction because detectors are built behind factory hooks
-// (fleet bootstrap, checkpoint restore) that predate the pool's tracer.
+// SetTracer installs (or removes) the span tracer, which records a
+// "detector.step" span with per-stage children for every window carrying a
+// sampled span context (see network.Window.Trace). A nil tracer adds only a
+// nil check to Step. The serving layer installs its pool's tracer on every
+// detector it builds or restores.
 func (d *Detector) SetTracer(t *obs.Tracer) { d.tracer = t }
 
-// SetDecisionSink installs (or removes) the per-window decision sink; wired
-// post-construction for the same reason as SetTracer.
+// SetDecisionSink installs (or removes) the per-window decision sink,
+// replacing Config.Decisions. The serving layer installs a per-deployment
+// sink on every detector it builds or restores.
 func (d *Detector) SetDecisionSink(s DecisionSink) { d.decisions = s }
 
 // SetStepClock installs (or removes) the stage clock that receives each

@@ -116,12 +116,11 @@ func TestModelDriftMatchesSnapshotReference(t *testing.T) {
 				d.CaptureDriftBaseline()
 			}
 			got, want := d.ModelDrift(), referenceModelDrift(d)
-			// The shifts sum over map iteration order, so they are compared
-			// to a tolerance; the orthogonality evidence bit for bit.
 			if math.Float64bits(got.OrthoMaxDot) != math.Float64bits(want.OrthoMaxDot) ||
 				math.Float64bits(got.OrthoMargin) != math.Float64bits(want.OrthoMargin) ||
 				got.BaselineWindow != want.BaselineWindow ||
-				math.Abs(got.MCShift-want.MCShift) > 1e-12 || math.Abs(got.MOShift-want.MOShift) > 1e-12 {
+				math.Float64bits(got.MCShift) != math.Float64bits(want.MCShift) ||
+				math.Float64bits(got.MOShift) != math.Float64bits(want.MOShift) {
 				t.Fatalf("%s window %d: ModelDrift %+v, snapshot reference %+v", r.name, i, got, want)
 			}
 			if got.OrthoMaxDot > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"sensorguard/internal/markov"
@@ -14,16 +15,26 @@ import (
 // models (B^CO orthogonality, M_C/M_O transition mass) and is meant to be
 // called from a background poller, never the step path.
 
-// SetHealthTracker installs (or removes) the per-deployment health tracker;
-// wired post-construction like SetTracer, because detectors are built behind
-// factory hooks that predate the serving layer's trackers.
+// SetHealthTracker installs (or removes) the per-deployment health tracker.
+// The serving layer installs one on every detector it builds or restores.
 func (d *Detector) SetHealthTracker(t *obs.HealthTracker) { d.health = t }
 
 // driftBaseline is the post-bootstrap reference the shift metrics compare
 // against: each chain's transition rows at capture time.
 type driftBaseline struct {
 	window int
-	mc, mo map[int]map[int]float64 // from → to → prob (only > 0 entries)
+	mc, mo []transition
+}
+
+// transition is one positive entry of a chain's transition matrix.
+type transition struct {
+	from, to int
+	p        float64
+}
+
+// before orders transitions by (from, to).
+func (a transition) before(b transition) bool {
+	return a.from < b.from || a.from == b.from && a.to < b.to
 }
 
 // CaptureDriftBaseline records the current M_C/M_O transition structure as
@@ -46,63 +57,57 @@ func (d *Detector) EnsureDriftBaseline() bool {
 	return d.driftBase != nil
 }
 
-func chainRows(c *markov.Chain) map[int]map[int]float64 {
+// chainRows lists the chain's positive transition probabilities in
+// ascending (from, to) ID order.
+func chainRows(c *markov.Chain) []transition {
 	ids := c.IDs()
-	rows := make(map[int]map[int]float64, len(ids))
+	var out []transition
 	for _, from := range ids {
-		var row map[int]float64
 		for _, to := range ids {
 			if p := c.Prob(from, to); p > 0 {
-				if row == nil {
-					row = make(map[int]float64, len(ids))
-				}
-				row[to] = p
+				out = append(out, transition{from, to, p})
 			}
 		}
-		if row != nil {
-			rows[from] = row
-		}
 	}
-	return rows
+	return out
 }
 
 // chainShift measures how far a chain's transition structure has moved from
-// its baseline: the mean, over every from-state present in either, of half
-// the L1 distance between the transition rows (0 = identical, 1 = disjoint —
-// including states that appeared or vanished since the baseline).
-func chainShift(c *markov.Chain, base map[int]map[int]float64) float64 {
+// its baseline: the mean, over every from-state with a positive row entry in
+// either, of half the L1 distance between the transition rows (0 =
+// identical, 1 = disjoint — including states that appeared or vanished since
+// the baseline). It merges the two (from, to)-ordered lists, so every sum
+// runs in ascending ID order and repeated polls agree bit for bit.
+func chainShift(c *markov.Chain, base []transition) float64 {
 	now := chainRows(c)
-	froms := make(map[int]bool, len(now)+len(base))
-	for id := range now {
-		froms[id] = true
+	var total, l1 float64
+	froms, from := 0, 0
+	for i, j := 0, 0; i < len(now) || j < len(base); {
+		var e transition
+		var d float64
+		switch {
+		case j == len(base) || i < len(now) && now[i].before(base[j]):
+			e, d = now[i], now[i].p
+			i++
+		case i == len(now) || base[j].before(now[i]):
+			e, d = base[j], base[j].p
+			j++
+		default:
+			e, d = now[i], math.Abs(now[i].p-base[j].p)
+			i, j = i+1, j+1
+		}
+		if froms == 0 || e.from != from {
+			total += l1 / 2
+			l1, from = 0, e.from
+			froms++
+		}
+		l1 += d
 	}
-	for id := range base {
-		froms[id] = true
-	}
-	if len(froms) == 0 {
+	if froms == 0 {
 		return 0
 	}
-	var total float64
-	for from := range froms {
-		nrow, brow := now[from], base[from]
-		tos := make(map[int]bool, len(nrow)+len(brow))
-		for to := range nrow {
-			tos[to] = true
-		}
-		for to := range brow {
-			tos[to] = true
-		}
-		var l1 float64
-		for to := range tos {
-			d := nrow[to] - brow[to]
-			if d < 0 {
-				d = -d
-			}
-			l1 += d
-		}
-		total += l1 / 2
-	}
-	return total / float64(len(froms))
+	total += l1 / 2
+	return total / float64(froms)
 }
 
 // ModelDrift computes the polled drift evidence: the largest off-diagonal
@@ -110,8 +115,8 @@ func chainShift(c *markov.Chain, base map[int]map[int]float64) float64 {
 // orthogonality threshold the structural classifier uses), and the M_C/M_O
 // transition-mass shift vs. the captured baseline. The B^CO part reads M_CO
 // in place through the step's §3.4 workspace (Step and RefreshDrift are
-// serialised by Shared); the shift part allocates. Call it from a poller,
-// not the step path.
+// serialised by Shared); the shift part allocates one list per chain. Call
+// it from a poller, not the step path.
 func (d *Detector) ModelDrift() obs.ModelDrift {
 	cfg := d.cfg.Classify
 	out := obs.ModelDrift{

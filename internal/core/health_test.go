@@ -320,3 +320,37 @@ func TestStepHealthOverhead(t *testing.T) {
 			(ratio-1)*100, mb, mt)
 	}
 }
+
+// TestModelDriftRepeatable: polls of an unchanged detector return the
+// same M_C/M_O shifts bit for bit, since the shifts sum in ID order.
+func TestModelDriftRepeatable(t *testing.T) {
+	cfg, wins := gdiInput(t, 3, 1)
+	d, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i, w := range wins {
+		if _, err := d.Step(w); err != nil {
+			t.Fatal(err)
+		}
+		if i == 12 {
+			d.CaptureDriftBaseline()
+		}
+		first := d.ModelDrift()
+		if first.MCShift > 0 || first.MOShift > 0 {
+			moved++
+		}
+		for poll := 0; poll < 20; poll++ {
+			again := d.ModelDrift()
+			if math.Float64bits(again.MCShift) != math.Float64bits(first.MCShift) ||
+				math.Float64bits(again.MOShift) != math.Float64bits(first.MOShift) {
+				t.Fatalf("window %d poll %d: shifts %v/%v, first poll %v/%v",
+					i, poll, again.MCShift, again.MOShift, first.MCShift, first.MOShift)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no window moved the chains off their baseline: the test compared zeros")
+	}
+}

@@ -59,10 +59,6 @@ func newHooked(t testing.TB, h hooks) *hooked {
 		out.reg = obs.NewRegistry()
 		cfg.Metrics = out.reg
 	}
-	if h.tracer {
-		out.tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1, MaxTraces: 1024})
-		cfg.Tracer = out.tracer
-	}
 	if h.decisions {
 		out.ring = NewDecisionRing(256)
 		cfg.Decisions = out.ring
@@ -70,6 +66,10 @@ func newHooked(t testing.TB, h hooks) *hooked {
 	d, err := NewDetector(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if h.tracer {
+		out.tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1, MaxTraces: 1024})
+		d.SetTracer(out.tracer)
 	}
 	if h.health {
 		out.health = obs.NewHealthTracker()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"sensorguard/internal/alarm"
 	"sensorguard/internal/cluster"
@@ -154,18 +153,13 @@ func RestoreDetector(cfg Config, snap *Snapshot) (*Detector, error) {
 		return nil, fmt.Errorf("core: restore M_O: %w", err)
 	}
 
-	var filter alarm.Filter
-	if cfg.FilterFactory != nil {
-		filter, err = cfg.FilterFactory()
-	} else {
-		filter, err = alarm.NewKOfN(cfg.FilterK, cfg.FilterN)
-	}
+	d, err := newShell(cfg)
 	if err != nil {
 		return nil, err
 	}
-	kofn, ok := filter.(*alarm.KOfN)
+	kofn, ok := d.filter.(*alarm.KOfN)
 	if !ok {
-		return nil, fmt.Errorf("core: alarm filter %T does not support state restore", filter)
+		return nil, fmt.Errorf("core: alarm filter %T does not support state restore", d.filter)
 	}
 	if err := kofn.RestoreState(snap.Filter); err != nil {
 		return nil, fmt.Errorf("core: restore filter state: %w", err)
@@ -197,24 +191,13 @@ func RestoreDetector(cfg Config, snap *Snapshot) (*Detector, error) {
 		profiles[sensorID] = m
 	}
 
-	return &Detector{
-		cfg:         cfg,
-		states:      set,
-		mco:         mco,
-		mce:         mce,
-		mc:          mc,
-		mo:          mo,
-		filter:      filter,
-		stats:       stats,
-		tracks:      tracks,
-		quarantined: boolSet(snap.Quarantined),
-		seen:        boolSet(snap.Seen),
-		profiles:    profiles,
-		inst:        newInstruments(cfg.Metrics),
-		epoch:       time.Now(),
-		steps:       snap.Steps,
-		skipped:     snap.Skipped,
-	}, nil
+	d.states, d.mco, d.mce, d.mc, d.mo = set, mco, mce, mc, mo
+	d.stats, d.tracks = stats, tracks
+	d.quarantined = boolSet(snap.Quarantined)
+	d.seen = boolSet(snap.Seen)
+	d.profiles = profiles
+	d.steps, d.skipped = snap.Steps, snap.Skipped
+	return d, nil
 }
 
 func sortedKeys(set map[int]bool) []int {

@@ -12,6 +12,7 @@ import (
 	"sensorguard/internal/fault"
 	"sensorguard/internal/gdi"
 	"sensorguard/internal/network"
+	"sensorguard/internal/obs"
 	"sensorguard/internal/vecmat"
 )
 
@@ -313,5 +314,35 @@ func TestRestoreWithoutSeeds(t *testing.T) {
 	}
 	if _, err := RestoreDetector(cfg, snap); err != nil {
 		t.Fatalf("restore without seeds: %v", err)
+	}
+}
+
+// TestRestoreKeepsConfigHooks: a restored detector takes the decision sink
+// and metrics registry from its configuration, as a new one does.
+func TestRestoreKeepsConfigHooks(t *testing.T) {
+	windows := snapshotTrace(t, 2)
+	d, err := NewDetector(DefaultConfig(keyStates()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepAll(t, d, windows[:24])
+	snap, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(nil)
+	ring := NewDecisionRing(64)
+	cfg.Decisions = ring
+	cfg.Metrics = obs.NewRegistry()
+	restored, err := RestoreDetector(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepAll(t, restored, windows[24:30])
+	if got := len(ring.Records()); got != 6 {
+		t.Errorf("restored detector recorded %d decisions over 6 windows, want 6", got)
+	}
+	if restored.inst == nil {
+		t.Error("restored detector dropped the metrics registry")
 	}
 }

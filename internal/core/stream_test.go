@@ -8,6 +8,7 @@ import (
 	"sensorguard/internal/env"
 	"sensorguard/internal/fault"
 	"sensorguard/internal/gdi"
+	"sensorguard/internal/ingest"
 	"sensorguard/internal/network"
 	"sensorguard/internal/sensor"
 	"sensorguard/internal/vecmat"
@@ -46,7 +47,7 @@ func TestStreamingOperation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd, err := network.NewWindower(time.Hour)
+	wd, err := ingest.NewWindower(time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +67,8 @@ func TestStreamingOperation(t *testing.T) {
 	if err := dep.Run(0, 10*24*time.Hour, deliver); err != nil {
 		t.Fatal(err)
 	}
-	if last := wd.Flush(); last != nil {
-		if _, err := det.Step(*last); err != nil {
+	for _, w := range wd.Flush() {
+		if _, err := det.Step(w); err != nil {
 			t.Fatal(err)
 		}
 		stepWindows++
@@ -114,7 +115,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd, err := network.NewWindower(time.Hour)
+	wd, err := ingest.NewWindower(time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +129,8 @@ func TestStreamingMatchesBatch(t *testing.T) {
 			streamSteps = append(streamSteps, res.Clone())
 		}
 	}
-	if last := wd.Flush(); last != nil {
-		res, err := stream.Step(*last)
+	for _, w := range wd.Flush() {
+		res, err := stream.Step(w)
 		if err != nil {
 			t.Fatal(err)
 		}

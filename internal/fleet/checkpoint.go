@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"time"
 
 	"sensorguard/internal/chaos"
 	"sensorguard/internal/core"
@@ -44,33 +42,6 @@ type checkpointHeader struct {
 	Deployments int    `json:"deployments"`
 }
 
-// checkpointWindower is ingest.WindowerState without the buffered readings,
-// which travel in the deployment's frames; Open counts each open window's
-// readings.
-type checkpointWindower struct {
-	Width    time.Duration `json:"width"`
-	Lateness time.Duration `json:"lateness"`
-	Open     map[int]int   `json:"open_readings,omitempty"`
-	Started  bool          `json:"started"`
-	NextEmit int           `json:"next_emit"`
-	MaxIndex int           `json:"max_index"`
-	MaxTime  time.Duration `json:"max_time"`
-	Late     int           `json:"late"`
-}
-
-func (w checkpointWindower) state(open map[int][]sensor.Reading) ingest.WindowerState {
-	return ingest.WindowerState{
-		Width:    w.Width,
-		Lateness: w.Lateness,
-		Open:     open,
-		Started:  w.Started,
-		NextEmit: w.NextEmit,
-		MaxIndex: w.MaxIndex,
-		MaxTime:  w.MaxTime,
-		Late:     w.Late,
-	}
-}
-
 // deploymentCheckpoint is one deployment's record and the frames after it.
 type deploymentCheckpoint struct {
 	Name        string `json:"name"`
@@ -81,11 +52,11 @@ type deploymentCheckpoint struct {
 	LastWireSeq uint64 `json:"last_wire_seq,omitempty"`
 	// Pending counts the bootstrap buffer's readings; Frames counts the
 	// frame records that follow this one (encodeCheckpoint sets it).
-	Pending  int                 `json:"pending_readings,omitempty"`
-	Frames   int                 `json:"frames,omitempty"`
-	Windower *checkpointWindower `json:"windower,omitempty"`
-	Detector *core.Snapshot      `json:"detector,omitempty"`
-	Err      string              `json:"err,omitempty"`
+	Pending  int                   `json:"pending_readings,omitempty"`
+	Frames   int                   `json:"frames,omitempty"`
+	Windower *ingest.WindowerState `json:"windower,omitempty"`
+	Detector *core.Snapshot        `json:"detector,omitempty"`
+	Err      string                `json:"err,omitempty"`
 
 	// frames are the buffered readings as ingest frames: Pending's, then
 	// each open window's in ascending index order.
@@ -93,34 +64,20 @@ type deploymentCheckpoint struct {
 }
 
 // frameBuffered encodes a deployment's buffered readings — pending, then
-// each open window's in ascending index order — as ingest frames, cut so
-// none exceeds ingest.MaxFramePayload, and counts each open window's
-// readings. A reading the frame decoder would refuse is an error: a
-// checkpoint never holds a frame it could not read back.
-func frameBuffered(name string, pending []sensor.Reading, open map[int][]sensor.Reading) (frames [][]byte, counts map[int]int, err error) {
-	idxs := make([]int, 0, len(open))
-	n := len(pending)
-	for idx, rs := range open {
-		idxs = append(idxs, idx)
-		n += len(rs)
-	}
-	sort.Ints(idxs)
-	all := make([]ingest.Reading, 0, n)
-	for _, r := range pending {
-		all = append(all, ingest.Reading{Deployment: name, Reading: r})
-	}
-	if len(open) > 0 {
-		counts = make(map[int]int, len(open))
-		for _, idx := range idxs {
-			counts[idx] = len(open[idx])
-			for _, r := range open[idx] {
-				all = append(all, ingest.Reading{Deployment: name, Reading: r})
-			}
+// the windower's open windows' as Export lists them — as ingest frames, cut
+// so none exceeds ingest.MaxFramePayload. A reading the frame decoder would
+// refuse is an error: a checkpoint never holds a frame it could not read
+// back.
+func frameBuffered(name string, pending, open []sensor.Reading) (frames [][]byte, err error) {
+	all := make([]ingest.Reading, 0, len(pending)+len(open))
+	for _, rs := range [][]sensor.Reading{pending, open} {
+		for _, r := range rs {
+			all = append(all, ingest.Reading{Deployment: name, Reading: r})
 		}
 	}
 	for i := range all {
 		if err := ingest.CheckFrameReading(all[i]); err != nil {
-			return nil, nil, fmt.Errorf("fleet: deployment %s buffered reading %d: %w", name, i, err)
+			return nil, fmt.Errorf("fleet: deployment %s buffered reading %d: %w", name, i, err)
 		}
 	}
 	var enc ingest.FrameEncoder
@@ -133,19 +90,20 @@ func frameBuffered(name string, pending []sensor.Reading, open map[int][]sensor.
 		}
 		frame, err := enc.AppendFrame(nil, rs[:cut])
 		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: deployment %s: %w", name, err)
+			return nil, fmt.Errorf("fleet: deployment %s: %w", name, err)
 		}
 		frames = append(frames, frame)
 		rs = rs[cut:]
 	}
-	return frames, counts, nil
+	return frames, nil
 }
 
 // readings decodes the record's frames back into the bootstrap buffer and
-// the open windows. A frame that fails to decode, holds a reading the
-// decoder rejects or names another deployment, or a reading count that
-// disagrees with the record, is an error.
-func (rec *deploymentCheckpoint) readings() (pending []sensor.Reading, open map[int][]sensor.Reading, err error) {
+// the open windows' readings, in the order frameBuffered wrote them. A frame
+// that fails to decode, holds a reading the decoder rejects or names another
+// deployment, or a reading count that disagrees with the record, is an
+// error. The readings' Values alias the decoded frames.
+func (rec *deploymentCheckpoint) readings() (pending, open []sensor.Reading, err error) {
 	size := 0
 	for _, f := range rec.frames {
 		size += len(f)
@@ -153,13 +111,11 @@ func (rec *deploymentCheckpoint) readings() (pending []sensor.Reading, open map[
 	// Every reading carries at least one 8-byte value, which bounds the
 	// counts before anything is sized by them.
 	want := rec.Pending
-	var idxs []int
 	if rec.Windower != nil {
 		for idx, n := range rec.Windower.Open {
 			if n < 0 || n > size/8 {
 				return nil, nil, fmt.Errorf("fleet: deployment %s window %d lists %d readings", rec.Name, idx, n)
 			}
-			idxs = append(idxs, idx)
 			want += n
 		}
 	}
@@ -188,15 +144,10 @@ func (rec *deploymentCheckpoint) readings() (pending []sensor.Reading, open map[
 		return nil, nil, fmt.Errorf("fleet: deployment %s frames hold %d readings, record lists %d", rec.Name, len(all), want)
 	}
 	if rec.Pending > 0 {
-		pending, all = all[:rec.Pending:rec.Pending], all[rec.Pending:]
+		pending = all[:rec.Pending:rec.Pending]
 	}
-	if len(idxs) > 0 {
-		sort.Ints(idxs)
-		open = make(map[int][]sensor.Reading, len(idxs))
-		for _, idx := range idxs {
-			n := rec.Windower.Open[idx]
-			open[idx], all = all[:n:n], all[n:]
-		}
+	if len(all) > rec.Pending {
+		open = all[rec.Pending:]
 	}
 	return pending, open, nil
 }

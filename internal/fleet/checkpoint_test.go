@@ -95,6 +95,62 @@ func TestCheckpointSeedRestores(t *testing.T) {
 	})
 }
 
+// TestGoldenCheckpointReencodes: testdata/golden.sgckpt2 is a checkpoint an
+// earlier release wrote for one shard of a one-shard pool with default
+// settings, holding deployment "run" bootstrapped with two open windows and
+// deployment "boot" still buffering its bootstrap horizon. It must restore,
+// and exporting the restored deployments must re-encode it byte for byte,
+// so any drift of the sgckpt2 encoder across releases shows here.
+func TestGoldenCheckpointReencodes(t *testing.T) {
+	data, err := os.ReadFile("testdata/golden.sgckpt2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := decodeCheckpoint(data, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := codecShard()
+	deps, err := s.restoreAll(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, boot := deps["run"], deps["boot"]
+	if len(deps) != 2 || run == nil || boot == nil {
+		t.Fatalf("restored %d deployments, want run and boot", len(deps))
+	}
+	if run.det == nil || run.wd == nil || len(run.pending) != 0 {
+		t.Fatalf("run: detector %v, windower %v, bootstrap buffer %d; want a live detector",
+			run.det != nil, run.wd != nil, len(run.pending))
+	}
+	if run.wd.Pending() != 2 {
+		t.Fatalf("run: %d open windows, want 2", run.wd.Pending())
+	}
+	if boot.det != nil || boot.wd != nil || len(boot.pending) == 0 {
+		t.Fatalf("boot: detector %v, windower %v, bootstrap buffer %d; want a bootstrap buffer only",
+			boot.det != nil, boot.wd != nil, len(boot.pending))
+	}
+	recs := make([]deploymentCheckpoint, 0, len(cf.deployments))
+	for _, rec := range cf.deployments {
+		out, err := s.exportDeployment(deps[rec.Name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, out)
+	}
+	buf, err := encodeCheckpoint(cf.header, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, data) {
+		n := 0
+		for n < len(buf) && n < len(data) && buf[n] == data[n] {
+			n++
+		}
+		t.Fatalf("re-encoded checkpoint differs from the golden image at byte %d (%d vs %d bytes)", n, len(buf), len(data))
+	}
+}
+
 // tamperFrame re-encodes a checkpoint file with the first frame of its
 // first deployment that has frames replaced by bad(frame). The file's own
 // framing stays valid; only the frame inside is damaged. It reports whether

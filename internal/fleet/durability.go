@@ -646,13 +646,12 @@ func (s *shard) restoreDeployment(rec deploymentCheckpoint) (*deployment, error)
 	if (rec.Detector == nil) != (rec.Windower == nil) {
 		return nil, fmt.Errorf("fleet: deployment %s has detector/windower mismatch", rec.Name)
 	}
-	if rec.Windower != nil {
-		st := rec.Windower.state(open)
+	if st := rec.Windower; st != nil {
 		if st.Width != cfg.Window || st.Lateness != cfg.Lateness {
 			return nil, fmt.Errorf("fleet: deployment %s windower was built for window %s/lateness %s, pool configured for %s/%s",
 				rec.Name, st.Width, st.Lateness, cfg.Window, cfg.Lateness)
 		}
-		wd, err := ingest.RestoreWindower(st)
+		wd, err := ingest.RestoreWindower(*st, open)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: deployment %s: %w", rec.Name, err)
 		}
@@ -816,28 +815,19 @@ func (s *shard) exportDeployment(d *deployment) (deploymentCheckpoint, error) {
 		}
 		rec.Detector = snap
 	}
-	var open map[int][]sensor.Reading
+	// The open windows' readings alias the windower's buffers: they are
+	// framed here, before the worker touches the windower again.
+	var open []sensor.Reading
 	if d.wd != nil {
-		st := d.wd.Export()
-		open = st.Open
-		rec.Windower = &checkpointWindower{
-			Width:    st.Width,
-			Lateness: st.Lateness,
-			Started:  st.Started,
-			NextEmit: st.NextEmit,
-			MaxIndex: st.MaxIndex,
-			MaxTime:  st.MaxTime,
-			Late:     st.Late,
-		}
+		var st ingest.WindowerState
+		st, open = d.wd.Export()
+		rec.Windower = &st
 	}
-	frames, counts, err := frameBuffered(d.name, d.pending, open)
+	frames, err := frameBuffered(d.name, d.pending, open)
 	if err != nil {
 		return rec, err
 	}
 	rec.frames = frames
-	if rec.Windower != nil {
-		rec.Windower.Open = counts
-	}
 	return rec, nil
 }
 

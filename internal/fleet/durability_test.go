@@ -584,7 +584,7 @@ func TestRestoreRejectsBadDeploymentRecords(t *testing.T) {
 		"unknown-state":  {Name: "d", State: "zombie"},
 		"failed-no-err":  {Name: "d", State: StateFailed},
 		"windower-only": {Name: "d", State: StateRunning,
-			Windower: &checkpointWindower{Width: cfg.Window, Lateness: cfg.Lateness}},
+			Windower: &ingest.WindowerState{Width: cfg.Window, Lateness: cfg.Lateness}},
 		"bad-pending": {Name: "d", State: StateBootstrapping,
 			Pending: 1, frames: [][]byte{{ingest.FrameMagic, ingest.FrameVersion, 0xff}}},
 	}

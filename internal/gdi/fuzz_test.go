@@ -20,6 +20,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("time_seconds,sensor,t\nNaN,0,1\n")
 	f.Add("time_seconds,sensor,t\nInf,0,1\n")
 	f.Add("time_seconds,sensor,t\n-300,0,1\n")
+	f.Add("time_seconds,sensor,t\n9223372036.854775808,0,1\n") // 2^63 ns
 	f.Add("time_seconds,sensor,t\n1,0,NaN\n")
 	f.Add("time_seconds,sensor,t\n1,0,-Inf\n")
 	f.Add("time_seconds,sensor,t\n1,0," + strings.Repeat("9", 1<<12) + "\n")

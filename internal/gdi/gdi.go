@@ -104,8 +104,9 @@ func WriteCSV(w io.Writer, tr Trace) error {
 	return cw.Error()
 }
 
-// maxSeconds is the largest timestamp (in seconds) that converts to a
-// time.Duration without overflowing.
+// maxSeconds bounds timestamps to what time.Duration can hold. As a
+// float64 it converts to 2^63 ns, one past the largest Duration, so ReadCSV
+// bounds the nanosecond product instead and the range is [0, maxSeconds).
 const maxSeconds = float64(math.MaxInt64) / float64(time.Second)
 
 // ReadCSV decodes a trace written by WriteCSV (or an external trace in the
@@ -144,8 +145,9 @@ func ReadCSV(r io.Reader) (Trace, error) {
 		}
 		// Converting an out-of-range float to time.Duration is
 		// implementation-defined, so bound the timestamp before converting.
-		if math.IsNaN(secs) || secs < 0 || secs > maxSeconds {
-			return Trace{}, fmt.Errorf("gdi: line %d: time %q outside [0, %g]", line, rec[0], maxSeconds)
+		ns := secs * float64(time.Second)
+		if math.IsNaN(secs) || secs < 0 || ns >= 1<<63 {
+			return Trace{}, fmt.Errorf("gdi: line %d: time %q outside [0, %g)", line, rec[0], maxSeconds)
 		}
 		id, err := strconv.Atoi(rec[1])
 		if err != nil {
@@ -164,7 +166,7 @@ func ReadCSV(r io.Reader) (Trace, error) {
 		}
 		tr.Readings = append(tr.Readings, sensor.Reading{
 			Sensor: id,
-			Time:   time.Duration(secs * float64(time.Second)),
+			Time:   time.Duration(ns),
 			Values: values,
 		})
 	}

@@ -182,6 +182,7 @@ func TestReadCSVErrors(t *testing.T) {
 		{"nan time", "time_seconds,sensor,temperature\nNaN,1,2\n"},
 		{"negative time", "time_seconds,sensor,temperature\n-5,1,2\n"},
 		{"overflow time", "time_seconds,sensor,temperature\n1e300,1,2\n"},
+		{"time at bound", "time_seconds,sensor,temperature\n9223372036.854775808,1,2\n"},
 		{"inf value", "time_seconds,sensor,temperature\n1,1,Inf\n"},
 		{"nan value", "time_seconds,sensor,temperature\n1,1,NaN\n"},
 	}
@@ -191,6 +192,22 @@ func TestReadCSVErrors(t *testing.T) {
 				t.Error("malformed CSV accepted")
 			}
 		})
+	}
+}
+
+// TestReadCSVTimeBound: the time range is half-open. 2^63 ns is refused
+// with the range in the message; a time just below it decodes unchanged.
+func TestReadCSVTimeBound(t *testing.T) {
+	_, err := ReadCSV(strings.NewReader("time_seconds,sensor,t\n9223372036.854775808,1,2\n"))
+	if err == nil || !strings.Contains(err.Error(), "outside [0, 9.223372036854776e+09)") {
+		t.Fatalf("time 2^63 ns: err %v, want the half-open range", err)
+	}
+	tr, err := ReadCSV(strings.NewReader("time_seconds,sensor,t\n9223372036.854775,1,2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Readings[0].Time; got != 9223372036854774784 {
+		t.Fatalf("time %d ns, want 9223372036854774784", int64(got))
 	}
 }
 

@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -11,21 +12,22 @@ import (
 	"sensorguard/internal/sensor"
 )
 
-// Windower assembles observation windows from a stream whose arrival order
-// need not match event time — the live generalisation of network.Windower,
-// which requires in-order input and closes a window the moment any later
-// reading appears.
+// Windower assembles the observation windows of Eq. (1) from a stream whose
+// arrival order need not match event time. It is the one windowing state
+// machine: the offline path, network.WindowAll, is a stateless sort and
+// cut of a complete trace.
 //
 // Event-time progress is tracked by a watermark: the maximum event time seen
 // so far minus the configured lateness bound. A window [start, end) stays
 // open — buffering readings in arrival order — until the watermark passes
-// its end, at which point it is emitted; gaps are emitted as empty windows so
-// window indices stay contiguous, exactly as network.Windower does. Readings
-// for windows already emitted are dropped and counted as late.
+// its end, at which point it is emitted; gaps are emitted as empty windows
+// (nil Readings) so window indices stay contiguous. Readings for windows
+// already emitted are dropped and counted as late.
 //
 // With in-order input and any lateness ≥ 0, the emitted window sequence is
 // identical to network.WindowAll over the complete trace (the equivalence
-// the serving e2e test pins down).
+// the serving e2e test pins down). With lateness 0 a window closes as soon
+// as a reading of a later window arrives.
 //
 // A Windower is not safe for concurrent use; in the fleet each shard worker
 // owns its windowers.
@@ -252,23 +254,27 @@ func (w *Windower) Pending() int {
 // window was emitted.
 func (w *Windower) Late() int { return w.late }
 
-// WindowerState is the serializable form of a Windower: configuration,
-// watermark cursor, and every buffered (not yet emitted) reading. Open
-// windows are keyed by index; within a window readings keep arrival order,
-// which the restored windower preserves.
+// WindowerState is a Windower's checkpointed cursor: configuration,
+// watermark, and the reading count of each open (not yet emitted) window,
+// keyed by window index. The buffered readings themselves travel beside it:
+// Export hands them out and RestoreWindower takes them back, windows in
+// ascending index order and readings in arrival order within a window.
 type WindowerState struct {
-	Width    time.Duration            `json:"width"`
-	Lateness time.Duration            `json:"lateness"`
-	Open     map[int][]sensor.Reading `json:"open,omitempty"`
-	Started  bool                     `json:"started"`
-	NextEmit int                      `json:"next_emit"`
-	MaxIndex int                      `json:"max_index"`
-	MaxTime  time.Duration            `json:"max_time"`
-	Late     int                      `json:"late"`
+	Width    time.Duration `json:"width"`
+	Lateness time.Duration `json:"lateness"`
+	Open     map[int]int   `json:"open_readings,omitempty"`
+	Started  bool          `json:"started"`
+	NextEmit int           `json:"next_emit"`
+	MaxIndex int           `json:"max_index"`
+	MaxTime  time.Duration `json:"max_time"`
+	Late     int           `json:"late"`
 }
 
-// Export returns the windower's serializable state.
-func (w *Windower) Export() WindowerState {
+// Export returns the windower's cursor and its buffered readings, each open
+// window's in arrival order, windows in ascending index order. The readings
+// are not copied: their Values alias the windower's buffers, so use them
+// before the next Add, AddTraced, Flush or Release.
+func (w *Windower) Export() (WindowerState, []sensor.Reading) {
 	st := WindowerState{
 		Width:    w.width,
 		Lateness: w.lateness,
@@ -278,30 +284,37 @@ func (w *Windower) Export() WindowerState {
 		MaxTime:  w.maxTime,
 		Late:     w.late,
 	}
-	if len(w.open) > 0 {
-		st.Open = make(map[int][]sensor.Reading, len(w.open))
-		for idx, b := range w.open {
-			rs := *b
-			cp := make([]sensor.Reading, len(rs))
-			for i, r := range rs {
-				cp[i] = r
-				cp[i].Values = r.Values.Clone()
-			}
-			st.Open[idx] = cp
-		}
+	if len(w.open) == 0 {
+		return st, nil
 	}
-	return st
+	idxs := make([]int, 0, len(w.open))
+	n := 0
+	for idx, b := range w.open {
+		idxs = append(idxs, idx)
+		n += len(*b)
+	}
+	sort.Ints(idxs)
+	st.Open = make(map[int]int, len(idxs))
+	buffered := make([]sensor.Reading, 0, n)
+	for _, idx := range idxs {
+		rs := *w.open[idx]
+		st.Open[idx] = len(rs)
+		buffered = append(buffered, rs...)
+	}
+	return st, buffered
 }
 
-// RestoreWindower rebuilds a Windower from exported state, validating the
-// configuration and cursor invariants defensively.
-func RestoreWindower(st WindowerState) (*Windower, error) {
+// RestoreWindower rebuilds a Windower from an exported cursor and the
+// buffered readings Export returned with it, validating the configuration
+// and cursor invariants defensively. Each restored reading gets its own
+// copy of its Values, so the windower holds nothing of the caller's arrays.
+func RestoreWindower(st WindowerState, buffered []sensor.Reading) (*Windower, error) {
 	w, err := NewWindower(st.Width, st.Lateness)
 	if err != nil {
 		return nil, err
 	}
 	if !st.Started {
-		if len(st.Open) > 0 {
+		if len(st.Open) > 0 || len(buffered) > 0 {
 			return nil, errors.New("ingest: windower state buffers readings before starting")
 		}
 		w.late = st.Late
@@ -310,16 +323,31 @@ func RestoreWindower(st WindowerState) (*Windower, error) {
 	if st.MaxIndex < st.NextEmit {
 		return nil, fmt.Errorf("ingest: windower state max index %d below emission frontier %d", st.MaxIndex, st.NextEmit)
 	}
-	for idx, rs := range st.Open {
+	idxs := make([]int, 0, len(st.Open))
+	total := 0
+	for idx, n := range st.Open {
 		if idx < st.NextEmit || idx > st.MaxIndex {
 			return nil, fmt.Errorf("ingest: windower state buffers window %d outside [%d,%d]", idx, st.NextEmit, st.MaxIndex)
 		}
-		cp := make([]sensor.Reading, len(rs))
-		for i, r := range rs {
+		if n < 0 || n > len(buffered) {
+			return nil, fmt.Errorf("ingest: windower state lists %d readings in window %d", n, idx)
+		}
+		idxs = append(idxs, idx)
+		total += n
+	}
+	if total != len(buffered) {
+		return nil, fmt.Errorf("ingest: windower state lists %d buffered readings, got %d", total, len(buffered))
+	}
+	sort.Ints(idxs)
+	for _, idx := range idxs {
+		n := st.Open[idx]
+		cp := make([]sensor.Reading, n)
+		for i, r := range buffered[:n] {
 			cp[i] = r
 			cp[i].Values = r.Values.Clone()
 		}
 		w.open[idx] = &cp
+		buffered = buffered[n:]
 	}
 	w.started = true
 	w.nextEmit = st.NextEmit

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"sensorguard/internal/network"
@@ -202,6 +203,161 @@ func TestLatenessHoldsWindowsOpen(t *testing.T) {
 	}
 	if wd.Pending() != 1 {
 		t.Errorf("pending %d, want 1 (window 1 open)", wd.Pending())
+	}
+}
+
+// TestWindowerGroupsByWindow: with lateness 0 a window closes as soon as a
+// reading of a later window arrives, and Flush emits the open one.
+func TestWindowerGroupsByWindow(t *testing.T) {
+	wd, err := NewWindower(time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := wd.Add(reading(0, 10*time.Minute)); out != nil {
+		t.Errorf("premature emit: %v", out)
+	}
+	if out := wd.Add(reading(1, 50*time.Minute)); out != nil {
+		t.Errorf("premature emit: %v", out)
+	}
+	out := wd.Add(reading(0, 70*time.Minute))
+	if len(out) != 1 {
+		t.Fatalf("emitted %d windows, want 1", len(out))
+	}
+	if win := out[0]; win.Index != 0 || win.Start != 0 || win.End != time.Hour || len(win.Readings) != 2 {
+		t.Errorf("window 0 = %+v", win)
+	}
+	last := wd.Flush()
+	if len(last) != 1 || last[0].Index != 1 || len(last[0].Readings) != 1 {
+		t.Errorf("flush = %+v", last)
+	}
+	if out := wd.Flush(); out != nil {
+		t.Errorf("double flush emitted %+v", out)
+	}
+}
+
+// Property: with lateness 0 the windower drops exactly the readings whose
+// window is older than the newest reading's, and emits everything else.
+func TestWindowerConservationProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		wd, err := NewWindower(time.Hour, 0)
+		if err != nil {
+			return false
+		}
+		n := 1 + rng.Intn(200)
+		kept, late := 0, 0
+		highWater := time.Duration(-1)
+		var emitted int
+		for i := 0; i < n; i++ {
+			// Mostly increasing times with occasional regressions.
+			tt := time.Duration(rng.Int63n(int64(24 * time.Hour)))
+			windowOfT := int(tt / time.Hour)
+			windowHigh := int(highWater / time.Hour)
+			if highWater >= 0 && windowOfT < windowHigh {
+				late++
+			} else {
+				kept++
+				if tt > highWater {
+					highWater = tt
+				}
+			}
+			for _, w := range wd.Add(reading(0, tt)) {
+				emitted += len(w.Readings)
+			}
+		}
+		for _, w := range wd.Flush() {
+			emitted += len(w.Readings)
+		}
+		return emitted == kept && wd.Late() == late
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWindowerExportRestore: a windower restored from Export's cursor and
+// readings emits exactly what the original does for the rest of the stream,
+// and holds its own copy of every reading's Values.
+func TestWindowerExportRestore(t *testing.T) {
+	var stream []sensor.Reading
+	for i := 0; i < 400; i++ {
+		stream = append(stream, reading(i%4, time.Duration(i)*time.Minute))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for base := 0; base+20 <= len(stream); base += 20 {
+		rng.Shuffle(20, func(i, j int) { stream[base+i], stream[base+j] = stream[base+j], stream[base+i] })
+	}
+	// orig is exported; twin takes the same stream and is never touched
+	// by the export, so it says what the restored windower must emit.
+	var orig, twin *Windower
+	for _, w := range []**Windower{&orig, &twin} {
+		wd, err := NewWindower(time.Hour, 90*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := append(stream[:250:250], reading(0, 10*time.Minute)) // one late reading for the cursor to carry
+		for _, r := range cut {
+			r.Values = r.Values.Clone() // the twins share no Values
+			wd.Add(r)
+		}
+		*w = wd
+	}
+	st, buffered := orig.Export()
+	if len(st.Open) < 2 {
+		t.Fatalf("%d open windows at the cut, want several", len(st.Open))
+	}
+	n := 0
+	for _, c := range st.Open {
+		n += c
+	}
+	if n != len(buffered) {
+		t.Fatalf("cursor lists %d buffered readings, Export returned %d", n, len(buffered))
+	}
+	restored, err := RestoreWindower(st, buffered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buffered {
+		buffered[i].Values[0] = -1 // must not reach the restored windower
+	}
+	want := windows(t, twin, stream[250:])
+	got := windows(t, restored, stream[250:])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored windower emitted %d windows differing from the original's %d", len(got), len(want))
+	}
+	if restored.Late() != twin.Late() || restored.Late() != 1 {
+		t.Errorf("late counts %d (restored) vs %d, want 1", restored.Late(), twin.Late())
+	}
+}
+
+// TestRestoreWindowerRejectsBadState: counts that disagree with the
+// readings, windows outside the cursor, and readings before the start are
+// refused.
+func TestRestoreWindowerRejectsBadState(t *testing.T) {
+	base := WindowerState{Width: time.Hour, Lateness: time.Hour, Started: true, NextEmit: 2, MaxIndex: 3}
+	one := []sensor.Reading{reading(0, 2*time.Hour)}
+	for name, tc := range map[string]struct {
+		open     map[int]int
+		started  bool
+		buffered []sensor.Reading
+	}{
+		"count-short":    {map[int]int{2: 2}, true, one},
+		"count-long":     {map[int]int{2: 0}, true, one},
+		"count-negative": {map[int]int{2: -1, 3: 2}, true, append(one, one...)},
+		"window-emitted": {map[int]int{1: 1}, true, one},
+		"window-ahead":   {map[int]int{4: 1}, true, one},
+		"not-started":    {nil, false, one},
+	} {
+		st := base
+		st.Open, st.Started = tc.open, tc.started
+		if _, err := RestoreWindower(st, tc.buffered); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+	}
+	st := base
+	st.Open = map[int]int{2: 1}
+	if _, err := RestoreWindower(st, one); err != nil {
+		t.Errorf("valid state refused: %v", err)
 	}
 }
 

@@ -24,25 +24,6 @@ type Window struct {
 	Trace obs.SpanContext
 }
 
-// Windower partitions a time-ordered message stream into fixed-duration
-// windows. Late (out-of-order across a window boundary) messages are dropped
-// and counted, mirroring a collector that has already closed the window.
-type Windower struct {
-	width   time.Duration
-	current int
-	open    []sensor.Reading
-	started bool
-	late    int
-}
-
-// NewWindower builds a windower with the given window duration w.
-func NewWindower(width time.Duration) (*Windower, error) {
-	if width <= 0 {
-		return nil, errors.New("network: window width must be positive")
-	}
-	return &Windower{width: width}, nil
-}
-
 // WindowIndex returns the ordinal of the window containing t for the given
 // window duration.
 func WindowIndex(t, width time.Duration) int {
@@ -51,8 +32,7 @@ func WindowIndex(t, width time.Duration) int {
 
 // BuildWindow assembles the Window with ordinal idx for the given window
 // duration. It is the single place window bounds are derived from an index,
-// shared by the in-order Windower here and the out-of-order-tolerant
-// streaming windower in internal/ingest.
+// shared by WindowAll here and the streaming windower in internal/ingest.
 func BuildWindow(idx int, width time.Duration, readings []sensor.Reading) Window {
 	return Window{
 		Index:    idx,
@@ -62,76 +42,36 @@ func BuildWindow(idx int, width time.Duration, readings []sensor.Reading) Window
 	}
 }
 
-// Add folds one message in. When the message opens a later window, every
-// window between the previously open one and the new one is emitted (in
-// order, possibly empty) and returned.
-func (w *Windower) Add(r sensor.Reading) []Window {
-	idx := WindowIndex(r.Time, w.width)
-	if !w.started {
-		w.started = true
-		w.current = idx
-	}
-	switch {
-	case idx == w.current:
-		w.open = append(w.open, r)
-		return nil
-	case idx < w.current:
-		w.late++
-		return nil
-	}
-	out := w.flushUpTo(idx)
-	w.open = append(w.open, r)
-	return out
-}
-
-// flushUpTo emits all windows from current up to (but excluding) idx and
-// makes idx the open window.
-func (w *Windower) flushUpTo(idx int) []Window {
-	var out []Window
-	out = append(out, w.makeWindow(w.current, w.open))
-	for i := w.current + 1; i < idx; i++ {
-		out = append(out, w.makeWindow(i, nil))
-	}
-	w.current = idx
-	w.open = nil
-	return out
-}
-
-func (w *Windower) makeWindow(idx int, readings []sensor.Reading) Window {
-	return BuildWindow(idx, w.width, readings)
-}
-
-// Flush emits the currently open window, if any.
-func (w *Windower) Flush() *Window {
-	if !w.started {
-		return nil
-	}
-	win := w.makeWindow(w.current, w.open)
-	w.open = nil
-	w.started = false
-	return &win
-}
-
-// Late returns the number of messages dropped for arriving after their
-// window closed.
-func (w *Windower) Late() int { return w.late }
-
-// WindowAll is a convenience that sorts a complete message trace and
-// partitions it into windows, flushing the final partial window.
+// WindowAll partitions a complete message trace into the windows of Eq. (1).
+// It sorts a copy of the trace with SortReadings and cuts the copy at window
+// boundaries, from the first reading's window through the last reading's.
+// Gap windows in between are emitted with nil Readings, so indices stay
+// contiguous. Each window's Readings is a sub-slice of the sorted copy capped
+// at its own length, so an append to one window cannot spill into the next.
 func WindowAll(readings []sensor.Reading, width time.Duration) ([]Window, error) {
-	wd, err := NewWindower(width)
-	if err != nil {
-		return nil, err
+	if width <= 0 {
+		return nil, errors.New("network: window width must be positive")
+	}
+	if len(readings) == 0 {
+		return nil, nil
 	}
 	sorted := make([]sensor.Reading, len(readings))
 	copy(sorted, readings)
 	SortReadings(sorted)
-	var out []Window
-	for _, r := range sorted {
-		out = append(out, wd.Add(r)...)
-	}
-	if last := wd.Flush(); last != nil {
-		out = append(out, *last)
+	first := WindowIndex(sorted[0].Time, width)
+	last := WindowIndex(sorted[len(sorted)-1].Time, width)
+	out := make([]Window, 0, last-first+1)
+	for idx, lo := first, 0; idx <= last; idx++ {
+		hi := lo
+		for hi < len(sorted) && WindowIndex(sorted[hi].Time, width) == idx {
+			hi++
+		}
+		var rs []sensor.Reading
+		if hi > lo {
+			rs = sorted[lo:hi:hi]
+		}
+		out = append(out, BuildWindow(idx, width, rs))
+		lo = hi
 	}
 	return out, nil
 }

@@ -57,44 +57,3 @@ func TestWindowAllInvariantsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: the in-order Windower drops exactly the late messages and keeps
-// everything else.
-func TestWindowerConservationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		wd, err := NewWindower(time.Hour)
-		if err != nil {
-			return false
-		}
-		n := 1 + rng.Intn(200)
-		kept, late := 0, 0
-		highWater := time.Duration(-1)
-		var emitted int
-		for i := 0; i < n; i++ {
-			// Mostly increasing times with occasional regressions.
-			tt := time.Duration(rng.Int63n(int64(24 * time.Hour)))
-			r := sensor.Reading{Sensor: 0, Time: tt, Values: vecmat.Vector{1}}
-			windowOfT := int(tt / time.Hour)
-			windowHigh := int(highWater / time.Hour)
-			if highWater >= 0 && windowOfT < windowHigh {
-				late++
-			} else {
-				kept++
-				if tt > highWater {
-					highWater = tt
-				}
-			}
-			for _, w := range wd.Add(r) {
-				emitted += len(w.Readings)
-			}
-		}
-		if last := wd.Flush(); last != nil {
-			emitted += len(last.Readings)
-		}
-		return emitted == kept && wd.Late() == late
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

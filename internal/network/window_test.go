@@ -12,82 +12,73 @@ func r(sensorID int, t time.Duration) sensor.Reading {
 	return sensor.Reading{Sensor: sensorID, Time: t, Values: vecmat.Vector{1}}
 }
 
+// TestNewWindowerValidation: WindowAll refuses a window width that is not
+// positive, as the offline windower's constructor did.
 func TestNewWindowerValidation(t *testing.T) {
-	if _, err := NewWindower(0); err == nil {
-		t.Error("zero width accepted")
+	for _, width := range []time.Duration{0, -time.Hour} {
+		if _, err := WindowAll([]sensor.Reading{r(0, 0)}, width); err == nil {
+			t.Errorf("width %v accepted", width)
+		}
 	}
-	if _, err := NewWindower(time.Hour); err != nil {
+	if _, err := WindowAll([]sensor.Reading{r(0, 0)}, time.Hour); err != nil {
 		t.Errorf("valid width rejected: %v", err)
 	}
 }
 
-func TestWindowerGroupsByWindow(t *testing.T) {
-	w, err := NewWindower(time.Hour)
+func TestWindowAllGroupsByWindow(t *testing.T) {
+	wins, err := WindowAll([]sensor.Reading{r(0, 10*time.Minute), r(1, 50*time.Minute), r(0, 70*time.Minute)}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := w.Add(r(0, 10*time.Minute)); out != nil {
-		t.Errorf("premature emit: %v", out)
+	if len(wins) != 2 {
+		t.Fatalf("%d windows, want 2", len(wins))
 	}
-	if out := w.Add(r(1, 50*time.Minute)); out != nil {
-		t.Errorf("premature emit: %v", out)
+	if win := wins[0]; win.Index != 0 || win.Start != 0 || win.End != time.Hour || len(win.Readings) != 2 {
+		t.Errorf("window 0 = %+v", win)
 	}
-	out := w.Add(r(0, 70*time.Minute))
-	if len(out) != 1 {
-		t.Fatalf("emitted %d windows, want 1", len(out))
+	if win := wins[1]; win.Index != 1 || win.Start != time.Hour || win.End != 2*time.Hour || len(win.Readings) != 1 {
+		t.Errorf("window 1 = %+v", win)
 	}
-	win := out[0]
-	if win.Index != 0 || win.Start != 0 || win.End != time.Hour {
-		t.Errorf("window bounds = %+v", win)
-	}
-	if len(win.Readings) != 2 {
-		t.Errorf("window holds %d readings, want 2", len(win.Readings))
-	}
-	last := w.Flush()
-	if last == nil || last.Index != 1 || len(last.Readings) != 1 {
-		t.Errorf("flush = %+v", last)
-	}
-	if w.Flush() != nil {
-		t.Error("double flush emitted a window")
+	if wins, err := WindowAll(nil, time.Hour); err != nil || wins != nil {
+		t.Errorf("empty trace = %v, %v; want no windows", wins, err)
 	}
 }
 
-func TestWindowerEmitsEmptyGapWindows(t *testing.T) {
-	w, _ := NewWindower(time.Hour)
-	w.Add(r(0, 0))
-	out := w.Add(r(0, 3*time.Hour+time.Minute))
-	if len(out) != 3 {
-		t.Fatalf("emitted %d windows, want 3 (one full, two empty)", len(out))
+// TestWindowAllEmitsEmptyGapWindows: windows between two readings are
+// emitted with nil Readings, and each window's Readings is capped at its
+// own length, so appending to one cannot overwrite the next window's.
+func TestWindowAllEmitsEmptyGapWindows(t *testing.T) {
+	wins, err := WindowAll([]sensor.Reading{r(0, 0), r(1, time.Minute), r(0, 3*time.Hour+time.Minute)}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(out[0].Readings) != 1 || len(out[1].Readings) != 0 || len(out[2].Readings) != 0 {
-		t.Errorf("gap windows malformed: %v", out)
+	if len(wins) != 4 {
+		t.Fatalf("%d windows, want 4 (one full, two empty, one full)", len(wins))
 	}
-	if out[1].Index != 1 || out[2].Index != 2 {
-		t.Errorf("gap indices = %d,%d", out[1].Index, out[2].Index)
+	if len(wins[0].Readings) != 2 || wins[1].Readings != nil || wins[2].Readings != nil || len(wins[3].Readings) != 1 {
+		t.Errorf("gap windows malformed: %+v", wins)
 	}
-}
-
-func TestWindowerDropsLateMessages(t *testing.T) {
-	w, _ := NewWindower(time.Hour)
-	w.Add(r(0, 2*time.Hour))
-	if out := w.Add(r(1, 30*time.Minute)); out != nil {
-		t.Errorf("late message emitted windows: %v", out)
+	for i, win := range wins {
+		if win.Index != i {
+			t.Errorf("window %d has index %d", i, win.Index)
+		}
+		if cap(win.Readings) != len(win.Readings) {
+			t.Errorf("window %d: cap %d past len %d", i, cap(win.Readings), len(win.Readings))
+		}
 	}
-	if w.Late() != 1 {
-		t.Errorf("Late = %d, want 1", w.Late())
-	}
-	last := w.Flush()
-	if len(last.Readings) != 1 {
-		t.Errorf("late message leaked into window: %+v", last)
+	_ = append(wins[0].Readings, r(9, 0))
+	if wins[3].Readings[0].Sensor != 0 {
+		t.Error("append to window 0 overwrote window 3")
 	}
 }
 
-func TestWindowerFirstWindowNotZero(t *testing.T) {
-	w, _ := NewWindower(time.Hour)
-	w.Add(r(0, 5*time.Hour))
-	win := w.Flush()
-	if win.Index != 5 {
-		t.Errorf("first window index = %d, want 5", win.Index)
+func TestWindowAllFirstWindowNotZero(t *testing.T) {
+	wins, err := WindowAll([]sensor.Reading{r(0, 5*time.Hour)}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wins) != 1 || wins[0].Index != 5 {
+		t.Errorf("windows = %+v, want one with index 5", wins)
 	}
 }
 

@@ -93,8 +93,9 @@ type (
 	MetricsRegistry = obs.Registry
 	// DetectorStats is the cheap counter snapshot Detector.Stats returns.
 	DetectorStats = core.Stats
-	// Tracer is the sampling span tracer: assign one to Config.Tracer (or
-	// FleetConfig.Tracer) to record end-to-end traces for sampled readings.
+	// Tracer is the sampling span tracer: install one with
+	// Detector.SetTracer (or assign it to FleetConfig.Tracer) to record
+	// end-to-end traces for sampled readings.
 	Tracer = obs.Tracer
 	// TracerConfig parameterises sampling and retention.
 	TracerConfig = obs.TracerConfig
