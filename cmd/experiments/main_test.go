@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -76,4 +78,43 @@ func TestRunTimingsStayOffStdout(t *testing.T) {
 			t.Errorf("%s: stdout carries a timing (%q):\n%s", name, m, out.String())
 		}
 	}
+}
+
+// TestPaperTablesGolden regenerates every paper table at -days 31 and
+// compares stdout byte for byte with the committed output. A change that
+// moves a paper number regenerates the file in the same commit:
+//
+//	go run ./cmd/experiments -days 31 > cmd/experiments/testdata/days31.golden
+func TestPaperTablesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/days31.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-days", "31"}, &out, io.Discard); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("-days 31 stdout differs from testdata/days31.golden (-golden +run):\n%s", lineDiff(string(want), out.String()))
+	}
+}
+
+// lineDiff lists the lines that differ between two texts, position by
+// position, as -want/+got pairs.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n-%s\n+%s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }

@@ -26,20 +26,20 @@ import (
 // and the stage's busy time is the histogram's sum.
 func TestQueueWaitCountsEveryReading(t *testing.T) {
 	tr := stuckTrace(t, 2)
-	rs := interleave(tagged(tr, "alpha", 0, len(tr.Readings), true), tagged(tr, "beta", 0, len(tr.Readings), true))
+	rs := fanOut(tr.Readings, "alpha", "beta")
 	for _, durable := range []bool{false, true} {
 		for _, batched := range []bool{false, true} {
 			t.Run(fmt.Sprintf("durable=%v,batched=%v", durable, batched), func(t *testing.T) {
 				cfg := Config{Shards: 2, Seed: 1, QueueLen: 64, Metrics: obs.NewRegistry()}
 				if durable {
-					cfg.Durability = Durability{Dir: t.TempDir(), EveryN: 500}
+					cfg.Durability = Durability{Dir: "mem", EveryN: 500, FS: newMemFS()}
 				}
 				p, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if batched {
-					submitBatches(t, p, rs, 300) // longer than the queue: runs are cut
+					cell{path: viaBatch, batch: 300}.feed(t, p, rs) // longer than the queue: runs are cut
 				} else {
 					for i, r := range rs {
 						if err := p.Submit(r); err != nil {
@@ -73,51 +73,8 @@ func TestQueueWaitCountsEveryReading(t *testing.T) {
 // TestDurableSubmitBatchLongerThanQueue: batches far longer than the queue
 // under Block, from two producers whose deployments share shards, so runs
 // are cut at the queue depth and slot reservations must not starve each
-// other. The final reports must match the one-producer reference.
-func TestSubmitBatchLongerThanQueue(t *testing.T) {
-	tr := stuckTrace(t, 3)
-	n := len(tr.Readings)
-	deps := []string{"alpha", "beta", "gamma", "delta"}
-	want := referenceReports(t, tr, deps)
-
-	cfg := Config{Shards: 2, Seed: 1, QueueLen: 8}
-	producers := [][]ingest.Reading{
-		interleave(tagged(tr, "alpha", 0, n, true), tagged(tr, "beta", 0, n, true)),
-		interleave(tagged(tr, "gamma", 0, n, true), tagged(tr, "delta", 0, n, true)),
-	}
-	shared := false
-	for _, a := range []string{"alpha", "beta"} {
-		for _, b := range []string{"gamma", "delta"} {
-			shared = shared || shardIndex(a, cfg.Shards) == shardIndex(b, cfg.Shards)
-		}
-	}
-	if !shared {
-		t.Fatal("the producers' deployments share no shard")
-	}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withDeadline(t, time.Minute, func() {
-		var wg sync.WaitGroup
-		for _, rs := range producers {
-			wg.Add(1)
-			go func(rs []ingest.Reading) {
-				defer wg.Done()
-				for i := 0; i < len(rs); i += 100 {
-					batch := rs[i:min(i+100, len(rs))]
-					if a, d, err := p.SubmitBatch(batch); err != nil || a != len(batch) || d != 0 {
-						t.Errorf("batch at %d: accepted %d dropped %d of %d: %v", i, a, d, len(batch), err)
-						return
-					}
-				}
-			}(rs)
-		}
-		wg.Wait()
-	})
-	p.Drain()
-	compareReports(t, collectReports(t, p, deps), want)
-}
+// other. The final reports must match the offline reference.
+func TestSubmitBatchLongerThanQueue(t *testing.T) { submitBatchesLongerThanQueue(t, false) }
 
 // TestDropNewestNeverQueuesDrops is the non-durable twin of
 // TestDurableDropNewestNeverJournalsDrops: a DropNewest queue backed up by a
@@ -127,8 +84,7 @@ func TestSubmitBatchLongerThanQueue(t *testing.T) {
 func TestDropNewestNeverQueuesDrops(t *testing.T) {
 	const queueLen, burst = 16, 200
 	tr := stuckTrace(t, 3)
-	n := len(tr.Readings)
-	all := tagged(tr, "alpha", 0, n, true)
+	all := tagged(tr.Readings, "alpha", true)
 
 	release, stalled := make(chan struct{}), make(chan struct{})
 	var stallOnce sync.Once
@@ -191,7 +147,21 @@ func TestDropNewestNeverQueuesDrops(t *testing.T) {
 	close(release)
 
 	// Everything after the burst is retried until admitted.
-	for _, r := range all[1+burst:] {
+	submitRetrying(t, p, all[1+burst:])
+	p.Drain()
+	close(stop)
+	<-watched
+	if got := peak.Load(); got > queueLen {
+		t.Fatalf("queue held %d readings, more than QueueLen %d", got, queueLen)
+	}
+	admitted := append(append([]ingest.Reading(nil), all[:1+queueLen]...), all[1+burst:]...)
+	newStream(t, admitted).check(t, p)
+}
+
+// submitRetrying submits each reading until the DropNewest queue admits it.
+func submitRetrying(t *testing.T, p *Pool, rs []ingest.Reading) {
+	t.Helper()
+	for _, r := range rs {
 		for {
 			err := p.Submit(r)
 			if err == nil {
@@ -203,12 +173,4 @@ func TestDropNewestNeverQueuesDrops(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	p.Drain()
-	close(stop)
-	<-watched
-	if got := peak.Load(); got > queueLen {
-		t.Fatalf("queue held %d readings, more than QueueLen %d", got, queueLen)
-	}
-	admitted := append(append([]ingest.Reading(nil), all[:1+queueLen]...), all[1+burst:]...)
-	compareReports(t, collectReports(t, p, []string{"alpha"}), reportsOf(t, admitted, []string{"alpha"}))
 }

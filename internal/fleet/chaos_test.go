@@ -43,8 +43,8 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // the disk heals the breaker's half-open probe restores durability and the
 // degraded signals clear.
 func TestJournalFaultDegradesThenRecovers(t *testing.T) {
-	dir := t.TempDir()
-	ffs := chaos.NewFaultFS(chaos.OS)
+	dir := "mem"
+	ffs := chaos.NewFaultFS(newMemFS())
 	reg := obs.NewRegistry()
 	cfg := chaosConfig(dir, false, ffs)
 	cfg.Metrics = reg
@@ -142,52 +142,45 @@ func TestJournalFaultDegradesThenRecovers(t *testing.T) {
 // run — the journal held everything acknowledged durable, dedup absorbs the
 // overlap, and the retransmission covers the non-durable window.
 func TestDegradedCrashConvergence(t *testing.T) {
-	tr := stuckTrace(t, 5)
-	deployments := []string{"alpha", "beta"}
-	want := referenceReports(t, tr, deployments)
-
-	dir := t.TempDir()
-	n := len(tr.Readings)
+	st := newStream(t, fanOut(stuckTrace(t, 5).Readings, "alpha", "beta"))
+	dir, mem := "mem", newMemFS()
+	n := len(st.rs)
 	healthy := n / 2     // journaled durably
 	faulted := 3 * n / 4 // accepted non-durable, lost at the crash
 
-	ffs := chaos.NewFaultFS(chaos.OS)
+	ffs := chaos.NewFaultFS(mem)
 	first, err := New(chaosConfig(dir, false, ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, first, deployments, tr, 0, healthy)
+	cell{}.feed(t, first, st.rs[:healthy])
 	ffs.AddRule(&chaos.Rule{Op: chaos.OpWrite, Path: "journal-", Err: syscall.EIO})
-	submitInterleaved(t, first, deployments, tr, healthy, faulted)
+	cell{}.feed(t, first, st.rs[healthy:faulted])
 	if len(first.degradedShards()) == 0 {
 		t.Fatal("journal faults never degraded any shard")
 	}
 	first.abort() // crash while degraded: the non-durable tail is gone
 
-	second, err := New(durableConfig(dir, true))
+	cfg := durableConfig(dir, true)
+	cfg.Durability.FS = mem
+	second, err := New(cfg)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	// The producer retries from before the fault window; wire-seq dedup
 	// absorbs whatever the journal already held.
 	retry := healthy - healthy/4
-	submitInterleaved(t, second, deployments, tr, retry, n)
+	cell{}.feed(t, second, st.rs[retry:])
 	second.Drain()
-
-	got := collectReports(t, second, deployments)
-	for _, dep := range deployments {
-		if !bytes.Equal(got[dep], want[dep]) {
-			t.Errorf("deployment %s: post-chaos report differs from fault-free reference", dep)
-		}
-	}
+	st.check(t, second)
 }
 
 // TestCheckpointFailureCoolsDownAndSurfaces pins the checkpoint failure path:
 // a failing checkpoint is recorded (sticky error on ShardStatuses), retried
 // on a cooldown instead of every reading, and a later success clears it.
 func TestCheckpointFailureCoolsDownAndSurfaces(t *testing.T) {
-	dir := t.TempDir()
-	ffs := chaos.NewFaultFS(chaos.OS)
+	dir := "mem"
+	ffs := chaos.NewFaultFS(newMemFS())
 	pool, err := New(chaosConfig(dir, false, ffs))
 	if err != nil {
 		t.Fatal(err)

@@ -206,63 +206,47 @@ var badFrames = map[string]func([]byte) []byte{
 
 // TestCheckpointBadFrameFallsBack: a damaged frame invalidates its whole
 // checkpoint — restoring it yields nothing — and recovery falls back to the
-// previous checkpoint plus a longer replay, converging on the uninterrupted
+// previous checkpoint plus a longer replay, converging on the offline
 // run's reports.
 func TestCheckpointBadFrameFallsBack(t *testing.T) {
-	tr := stuckTrace(t, 3)
-	deployments := []string{"alpha", "beta"}
-	want := referenceReports(t, tr, deployments)
-	n := len(tr.Readings)
-	cut := n / 5 // inside the bootstrap: every checkpoint holds pending frames
+	st := newStream(t, fanOut(stuckTrace(t, 3).Readings, "alpha", "beta"))
+	cut := len(st.rs) / 5 // inside the bootstrap: every checkpoint holds pending frames
 
 	for name, bad := range badFrames {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			first, err := New(durableConfig(dir, false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			submitInterleaved(t, first, deployments, tr, 0, cut)
-			first.abort()
-
-			tampered := 0
-			for id := 0; id < 2; id++ {
-				ckpts, err := checkpointFiles.list(chaos.OS, shardDir(dir, id))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ckpts) < 2 {
-					continue
-				}
-				newest := ckpts[len(ckpts)-1].path
-				if !tamperFrame(t, newest, id, 2, bad) {
-					continue
-				}
-				tampered++
-				data, err := os.ReadFile(newest)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cf, err := decodeCheckpoint(data, id, 2)
-				if err != nil {
-					t.Fatalf("shard %d: tampered checkpoint no longer frames cleanly: %v", id, err)
-				}
-				s := codecShard()
-				if deps, err := s.restoreAll(cf); err == nil || deps != nil {
-					t.Fatalf("shard %d: damaged frame restored (%d deployments, err %v)", id, len(deps), err)
-				}
-			}
-			if tampered == 0 {
-				t.Fatal("no checkpoint with frames to damage")
-			}
-
-			second, err := New(durableConfig(dir, true))
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			submitInterleaved(t, second, deployments, tr, cut, n)
-			second.Drain()
-			compareReports(t, collectReports(t, second, deployments), want)
+			cell{path: viaSubmit, shards: 2, durable: true, onDisk: true, crash: name, cut: cut,
+				crashed: func(t *testing.T, _ chaos.FS, dir string) {
+					tampered := 0
+					for id := 0; id < 2; id++ {
+						ckpts, err := checkpointFiles.list(chaos.OS, shardDir(dir, id))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(ckpts) < 2 {
+							continue
+						}
+						newest := ckpts[len(ckpts)-1].path
+						if !tamperFrame(t, newest, id, 2, bad) {
+							continue
+						}
+						tampered++
+						data, err := os.ReadFile(newest)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cf, err := decodeCheckpoint(data, id, 2)
+						if err != nil {
+							t.Fatalf("shard %d: tampered checkpoint no longer frames cleanly: %v", id, err)
+						}
+						s := codecShard()
+						if deps, err := s.restoreAll(cf); err == nil || deps != nil {
+							t.Fatalf("shard %d: damaged frame restored (%d deployments, err %v)", id, len(deps), err)
+						}
+					}
+					if tampered == 0 {
+						t.Fatal("no checkpoint with frames to damage")
+					}
+				}}.run(t, st)
 		})
 	}
 }
@@ -272,9 +256,9 @@ func TestCheckpointBadFrameFallsBack(t *testing.T) {
 // runCheckpoint's bookkeeping — error counter, sticky error, cooldown —
 // writes nothing, and never panics.
 func TestCheckpointEncodeErrorCoolsDown(t *testing.T) {
-	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	cfg := durableConfig(dir, false)
+	cfg := durableConfig("mem", false)
+	cfg.Durability.FS = newMemFS()
 	cfg.Metrics = reg
 	p, err := New(cfg)
 	if err != nil {
@@ -284,7 +268,7 @@ func TestCheckpointEncodeErrorCoolsDown(t *testing.T) {
 	s := p.shards[0]
 	s.deployments["bad"] = &deployment{name: "bad", started: true,
 		pending: []sensor.Reading{{Sensor: 1, Time: time.Minute, Values: vecmat.Vector{math.NaN()}}}}
-	before, err := checkpointFiles.list(chaos.OS, s.dur.dir)
+	before, err := checkpointFiles.list(s.dur.fs, s.dur.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,14 +295,14 @@ func TestCheckpointEncodeErrorCoolsDown(t *testing.T) {
 	if !strings.Contains(buf.String(), "fleet_shard0_checkpoint_errors_total 1") {
 		t.Error("checkpoint error not counted")
 	}
-	after, err := checkpointFiles.list(chaos.OS, s.dur.dir)
+	after, err := checkpointFiles.list(s.dur.fs, s.dur.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(after) != len(before) {
 		t.Errorf("%d checkpoints after the failure, %d before", len(after), len(before))
 	}
-	entries, err := os.ReadDir(s.dur.dir)
+	entries, err := s.dur.fs.ReadDir(s.dur.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -37,141 +38,37 @@ func durableConfig(dir string, recover bool) Config {
 	}
 }
 
-// referenceReports runs the trace uninterrupted through a pool WITHOUT
-// durability and returns each deployment's final report bytes — the ground
-// truth every crash variant must reproduce exactly.
-func referenceReports(t *testing.T, tr gdi.Trace, deployments []string) map[string][]byte {
-	t.Helper()
-	pool, err := New(Config{Shards: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitInterleaved(t, pool, deployments, tr, 0, len(tr.Readings))
-	pool.Drain()
-	return collectReports(t, pool, deployments)
-}
-
-// submitInterleaved submits readings[lo:hi] round-robin across deployments,
-// stamping each with its wire sequence (index+1) so dedup is exercised.
-func submitInterleaved(t *testing.T, p *Pool, deployments []string, tr gdi.Trace, lo, hi int) {
-	t.Helper()
-	for i := lo; i < hi; i++ {
-		for _, dep := range deployments {
-			if err := p.Submit(ingest.Reading{
-				Deployment: dep,
-				Seq:        uint64(i + 1),
-				Reading:    tr.Readings[i],
-			}); err != nil {
-				t.Fatalf("submit %s reading %d: %v", dep, i, err)
-			}
-		}
-	}
-}
-
-func collectReports(t *testing.T, p *Pool, deployments []string) map[string][]byte {
-	t.Helper()
-	out := make(map[string][]byte, len(deployments))
-	for _, dep := range deployments {
-		rep, err := p.Report(dep)
-		if err != nil {
-			t.Fatalf("report %s: %v", dep, err)
-		}
-		raw, err := rep.MarshalIndentJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[dep] = raw
-	}
-	return out
-}
-
 // TestCrashRecoveryEquivalence is the durability tentpole guarantee: kill the
 // pool mid-stream (no drain, no final checkpoint — exactly what SIGKILL
 // leaves), recover a fresh pool from the same directory, stream the rest, and
-// the final reports must be byte-identical to an uninterrupted run's. Crash
+// the final reports must be byte-identical to the offline run's. Crash
 // points cover a deployment still buffering its bootstrap horizon, one just
 // past it, and one deep into the stream with open tracks and checkpoints
-// behind it.
+// behind it. Each is a differential harness cell; mid-stream runs on the
+// real disk, so the os filesystem stays covered.
 func TestCrashRecoveryEquivalence(t *testing.T) {
-	tr := stuckTrace(t, 7)
-	deployments := []string{"alpha", "beta", "gamma"}
-	want := referenceReports(t, tr, deployments)
-
-	n := len(tr.Readings)
-	cuts := map[string]int{
-		"during-bootstrap": n / 10,     // inside the 24h buffering horizon
-		"mid-stream":       n / 2,      // detectors live, tracks open
-		"near-end":         9 * n / 10, // quarantine state accumulated
-	}
-	for name, cut := range cuts {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-
-			first, err := New(durableConfig(dir, false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			submitInterleaved(t, first, deployments, tr, 0, cut)
-			first.abort() // crash: no drain, no final checkpoint
-
-			second, err := New(durableConfig(dir, true))
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			submitInterleaved(t, second, deployments, tr, cut, n)
-			second.Drain()
-
-			got := collectReports(t, second, deployments)
-			for _, dep := range deployments {
-				if !bytes.Equal(got[dep], want[dep]) {
-					t.Errorf("deployment %s: recovered report differs from uninterrupted run:\n--- recovered\n%s\n--- reference\n%s",
-						dep, got[dep], want[dep])
-				}
-			}
-		})
+	st := newStream(t, fanOut(stuckTrace(t, 7).Readings, "alpha", "beta", "gamma"))
+	n := len(st.rs)
+	for _, c := range []cell{
+		{crash: "during-bootstrap", cut: n / 10},        // inside the 24h buffering horizon
+		{crash: "mid-stream", cut: n / 2, onDisk: true}, // detectors live, tracks open
+		{crash: "near-end", cut: 9 * n / 10},            // quarantine state accumulated
+	} {
+		c.path, c.shards, c.durable = viaSubmit, 2, true
+		t.Run(c.crash, func(t *testing.T) { c.run(t, st) })
 	}
 }
 
 // TestCrashRecoveryRetransmission covers the producer-retry path: after the
 // crash, the producer replays a chunk it already sent (same wire sequences).
 // The journal-recovered state must skip the duplicates and the final report
-// must still match the uninterrupted run.
+// must still match the offline run (the harness's retransmit cell).
 func TestCrashRecoveryRetransmission(t *testing.T) {
-	tr := stuckTrace(t, 5)
-	deployments := []string{"alpha", "beta"}
-	want := referenceReports(t, tr, deployments)
-
-	dir := t.TempDir()
-	n := len(tr.Readings)
-	cut := n / 2
-
-	first, err := New(durableConfig(dir, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitInterleaved(t, first, deployments, tr, 0, cut)
-	first.abort()
-
-	reg := obs.NewRegistry()
-	cfg := durableConfig(dir, true)
-	cfg.Metrics = reg
-	second, err := New(cfg)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	// Producer retries conservatively from before the crash point.
-	retry := cut - cut/4
-	submitInterleaved(t, second, deployments, tr, retry, n)
-	second.Drain()
-
-	got := collectReports(t, second, deployments)
-	for _, dep := range deployments {
-		if !bytes.Equal(got[dep], want[dep]) {
-			t.Errorf("deployment %s: report with retransmissions differs from reference", dep)
-		}
-	}
+	st := newStream(t, fanOut(stuckTrace(t, 5).Readings, "alpha", "beta"))
+	cut := len(st.rs) / 2 // the producer retries conservatively from before it
+	second := cell{path: viaSubmit, shards: 2, durable: true, crash: "mid", cut: cut, resend: cut - cut/4}.run(t, st)
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := second.cfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "duplicates_total") {
@@ -183,113 +80,84 @@ func TestCrashRecoveryRetransmission(t *testing.T) {
 // mid-record (what a crash during an append leaves) and corrupts the newest
 // checkpoint outright; recovery must fall back to the previous checkpoint
 // plus the intact journal prefix without error, and resubmitting from the
-// surviving sequence must converge to the reference report.
+// surviving sequence must converge to the offline report. The damage lost
+// an unknown tail of accepted readings, so the producer replays generously
+// from well before the crash (wire-seq dedup skips what survived).
 func TestRecoveryToleratesTornTail(t *testing.T) {
-	tr := stuckTrace(t, 5)
-	deployments := []string{"alpha", "beta"}
-	want := referenceReports(t, tr, deployments)
-
-	dir := t.TempDir()
-	n := len(tr.Readings)
-	cut := 3 * n / 4
-
-	first, err := New(durableConfig(dir, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitInterleaved(t, first, deployments, tr, 0, cut)
-	first.abort()
-
-	// Damage every shard directory: tear the newest journal's tail and
-	// flip bytes in the newest checkpoint.
-	for shardID := 0; shardID < 2; shardID++ {
-		sdir := shardDir(dir, shardID)
-		segs, err := journalFiles.list(chaos.OS, sdir)
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("shard %d journals: %v (%d)", shardID, err, len(segs))
-		}
-		newest := segs[len(segs)-1].path
-		data, err := os.ReadFile(newest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(newest, data[:len(data)-len(data)/4], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ckpts, err := checkpointFiles.list(chaos.OS, sdir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ckpts) > 1 { // keep at least one valid checkpoint to fall back to
-			cdata, err := os.ReadFile(ckpts[len(ckpts)-1].path)
-			if err != nil {
-				t.Fatal(err)
+	st := newStream(t, fanOut(stuckTrace(t, 5).Readings, "alpha", "beta"))
+	cut := 3 * len(st.rs) / 4
+	cell{path: viaSubmit, shards: 2, durable: true, onDisk: true, crash: "torn-tail", cut: cut, resend: cut / 2,
+		crashed: func(t *testing.T, _ chaos.FS, dir string) {
+			// Damage every shard directory: tear the newest journal's tail and
+			// flip bytes in the newest checkpoint.
+			for shardID := 0; shardID < 2; shardID++ {
+				sdir := shardDir(dir, shardID)
+				segs, err := journalFiles.list(chaos.OS, sdir)
+				if err != nil || len(segs) == 0 {
+					t.Fatalf("shard %d journals: %v (%d)", shardID, err, len(segs))
+				}
+				newest := segs[len(segs)-1].path
+				data, err := os.ReadFile(newest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(newest, data[:len(data)-len(data)/4], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ckpts, err := checkpointFiles.list(chaos.OS, sdir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ckpts) > 1 { // keep at least one valid checkpoint to fall back to
+					cdata, err := os.ReadFile(ckpts[len(ckpts)-1].path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := len(cdata) / 2; i < len(cdata)/2+32 && i < len(cdata); i++ {
+						cdata[i] ^= 0xff
+					}
+					if err := os.WriteFile(ckpts[len(ckpts)-1].path, cdata, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			for i := len(cdata) / 2; i < len(cdata)/2+32 && i < len(cdata); i++ {
-				cdata[i] ^= 0xff
-			}
-			if err := os.WriteFile(ckpts[len(ckpts)-1].path, cdata, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	second, err := New(durableConfig(dir, true))
-	if err != nil {
-		t.Fatalf("recover from damaged state: %v", err)
-	}
-	// The damage lost an unknown tail of accepted readings; the producer
-	// replays generously from well before the crash (wire-seq dedup skips
-	// what survived).
-	submitInterleaved(t, second, deployments, tr, cut/2, n)
-	second.Drain()
-
-	got := collectReports(t, second, deployments)
-	for _, dep := range deployments {
-		if !bytes.Equal(got[dep], want[dep]) {
-			t.Errorf("deployment %s: report after torn-tail recovery differs from reference", dep)
-		}
-	}
+		}}.run(t, st)
 }
 
 // TestRecoverEmptyDir pins down that Recover against a directory with no
 // prior state is a plain fresh start.
 func TestRecoverEmptyDir(t *testing.T) {
-	tr := stuckTrace(t, 2)
-	deployments := []string{"alpha"}
-	want := referenceReports(t, tr, deployments)
-
+	st := newStream(t, fanOut(stuckTrace(t, 2).Readings, "alpha"))
 	pool, err := New(durableConfig(t.TempDir(), true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, pool, deployments, tr, 0, len(tr.Readings))
+	cell{}.feed(t, pool, st.rs)
 	pool.Drain()
-	got := collectReports(t, pool, deployments)
-	if !bytes.Equal(got["alpha"], want["alpha"]) {
-		t.Error("fresh durable run differs from reference")
-	}
+	st.check(t, pool)
 }
 
 // TestRecoveryRejectsConfigMismatch: state written under one shard count or
 // window must not silently load into a pool configured differently.
 func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 	tr := stuckTrace(t, 2)
-	dir := t.TempDir()
-	first, err := New(durableConfig(dir, false))
+	cfg := durableConfig("mem", false)
+	cfg.Durability.FS = newMemFS()
+	first, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, first, []string{"alpha"}, tr, 0, len(tr.Readings)/2)
+	cell{}.feed(t, first, tagged(tr.Readings[:len(tr.Readings)/2], "alpha", true))
 	first.abort()
 
-	bad := durableConfig(dir, true)
+	cfg.Durability.Recover = true
+	bad := cfg
 	bad.Shards = 3
 	if _, err := New(bad); err == nil {
 		t.Error("recovery accepted a shard-count mismatch")
 	}
 
-	badWindow := durableConfig(dir, true)
+	badWindow := cfg
 	badWindow.Window = 30 * time.Minute
 	if _, err := New(badWindow); err == nil {
 		t.Error("recovery accepted a window mismatch")
@@ -303,8 +171,7 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 // counters tick.
 func TestPanicQuarantinesDeployment(t *testing.T) {
 	tr := stuckTrace(t, 5)
-	deployments := []string{"alpha", "beta", "victim"}
-	want := referenceReports(t, tr, deployments)
+	st := newStream(t, fanOut(tr.Readings, "alpha", "beta", "victim"))
 
 	reg := obs.NewRegistry()
 	boom := tr.Readings[len(tr.Readings)/2].Time
@@ -319,34 +186,32 @@ func TestPanicQuarantinesDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, pool, deployments, tr, 0, len(tr.Readings))
+	cell{}.feed(t, pool, st.rs)
 	pool.Drain()
 
-	st, err := pool.Status("victim")
+	vs, err := pool.Status("victim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateQuarantined {
-		t.Errorf("victim state %q, want %q", st.State, StateQuarantined)
+	if vs.State != StateQuarantined {
+		t.Errorf("victim state %q, want %q", vs.State, StateQuarantined)
 	}
-	if st.Err == "" || !strings.Contains(st.Err, "panic") {
-		t.Errorf("victim error %q does not identify the panic", st.Err)
+	if vs.Err == "" || !strings.Contains(vs.Err, "panic") {
+		t.Errorf("victim error %q does not identify the panic", vs.Err)
 	}
 	if _, err := pool.Report("victim"); err == nil {
 		t.Error("quarantined deployment still serves reports")
 	}
 
-	got := collectReports(t, pool, []string{"alpha", "beta"})
+	delete(st.want, "victim")
+	st.check(t, pool)
 	for _, dep := range []string{"alpha", "beta"} {
-		st, err := pool.Status(dep)
+		ds, err := pool.Status(dep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateRunning {
-			t.Errorf("%s state %q, want %q", dep, st.State, StateRunning)
-		}
-		if !bytes.Equal(got[dep], want[dep]) {
-			t.Errorf("deployment %s: report diverged after a sibling's panic", dep)
+		if ds.State != StateRunning {
+			t.Errorf("%s state %q, want %q", dep, ds.State, StateRunning)
 		}
 	}
 
@@ -367,24 +232,26 @@ func TestPanicQuarantinesDeployment(t *testing.T) {
 // two checkpoints and only the journal segments recovery needs.
 func TestCheckpointRetention(t *testing.T) {
 	tr := stuckTrace(t, 5)
-	dir := t.TempDir()
-	pool, err := New(durableConfig(dir, false))
+	dir, fsys := "mem", newMemFS()
+	cfg := durableConfig(dir, false)
+	cfg.Durability.FS = fsys
+	pool, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, pool, []string{"alpha", "beta"}, tr, 0, len(tr.Readings))
+	cell{}.feed(t, pool, fanOut(tr.Readings, "alpha", "beta"))
 	pool.Drain()
 
 	for shardID := 0; shardID < 2; shardID++ {
 		sdir := shardDir(dir, shardID)
-		ckpts, err := checkpointFiles.list(chaos.OS, sdir)
+		ckpts, err := checkpointFiles.list(fsys, sdir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ckpts) == 0 || len(ckpts) > 2 {
 			t.Errorf("shard %d holds %d checkpoints, want 1-2", shardID, len(ckpts))
 		}
-		segs, err := journalFiles.list(chaos.OS, sdir)
+		segs, err := journalFiles.list(fsys, sdir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +265,7 @@ func TestCheckpointRetention(t *testing.T) {
 				covered = true
 			}
 		}
-		entries, err := os.ReadDir(sdir)
+		entries, err := fsys.ReadDir(sdir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +285,8 @@ func TestStatusStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, pool, []string{"alpha"}, tr, 0, 10)
+	rs := tagged(tr.Readings, "alpha", true)
+	cell{}.feed(t, pool, rs[:10])
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, err := pool.Status("alpha")
@@ -436,7 +304,7 @@ func TestStatusStates(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	submitInterleaved(t, pool, []string{"alpha"}, tr, 10, len(tr.Readings))
+	cell{}.feed(t, pool, rs[10:])
 	pool.Drain()
 	st, err := pool.Status("alpha")
 	if err != nil {
@@ -457,8 +325,8 @@ type journaled struct {
 }
 
 // readSegment decodes a segment file completely.
-func readSegment(path string, shard, shards int) ([]journaled, error) {
-	data, err := os.ReadFile(path)
+func readSegment(fsys chaos.FS, path string, shard, shards int) ([]journaled, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +404,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := journalFiles.path(dir, 100)
-	got, err := readSegment(path, 1, 4)
+	got, err := readSegment(chaos.OS, path, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,10 +416,10 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("reading %d mismatch: %+v != %+v", i, got[i], want[i])
 		}
 	}
-	if _, err := readSegment(path, 0, 4); err == nil {
+	if _, err := readSegment(chaos.OS, path, 0, 4); err == nil {
 		t.Error("journal for shard 1 accepted by shard 0")
 	}
-	if _, err := readSegment(path, 1, 8); err == nil {
+	if _, err := readSegment(chaos.OS, path, 1, 8); err == nil {
 		t.Error("journal for 4-shard layout accepted by 8-shard pool")
 	}
 
@@ -564,7 +432,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = readSegment(path, 1, 4)
+	got, err = readSegment(chaos.OS, path, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,73 +492,54 @@ func bootstrapCut(tr gdi.Trace) int {
 
 // TestCrashRecoveryParallelShards: four shards, deployments on every one,
 // killed while each shard's newest checkpoint holds its deployments'
-// bootstrap buffers, recover in parallel and must still match the
-// uninterrupted run.
+// bootstrap buffers, recover in parallel and must still match the offline
+// run (a harness cell).
 func TestCrashRecoveryParallelShards(t *testing.T) {
 	tr := stuckTrace(t, 3)
 	deployments := spreadDeployments(4, 2)
-	want := referenceReports(t, tr, deployments)
-	cut := bootstrapCut(tr)
-
-	dir := t.TempDir()
-	cfg := durableConfig(dir, false)
-	cfg.Shards = 4
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitInterleaved(t, first, deployments, tr, 0, cut)
-	first.abort()
-	for id := 0; id < 4; id++ {
-		ckpts, err := checkpointFiles.list(chaos.OS, shardDir(dir, id))
-		if err != nil || len(ckpts) == 0 {
-			t.Fatalf("shard %d: no checkpoint (%v)", id, err)
-		}
-		data, err := os.ReadFile(ckpts[len(ckpts)-1].path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cf, err := decodeCheckpoint(data, id, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cf.deployments) != 2 {
-			t.Fatalf("shard %d checkpoint holds %d deployments, want 2", id, len(cf.deployments))
-		}
-		for _, d := range cf.deployments {
-			if d.State != StateBootstrapping || d.Pending == 0 || len(d.frames) == 0 {
-				t.Fatalf("shard %d: %s is %s with %d pending readings, want a bootstrap buffer", id, d.Name, d.State, d.Pending)
+	st := newStream(t, fanOut(tr.Readings, deployments...))
+	cell{path: viaSubmit, shards: 4, durable: true, crash: "bootstrap", cut: bootstrapCut(tr) * len(deployments),
+		crashed: func(t *testing.T, fsys chaos.FS, dir string) {
+			for id := 0; id < 4; id++ {
+				ckpts, err := checkpointFiles.list(fsys, shardDir(dir, id))
+				if err != nil || len(ckpts) == 0 {
+					t.Fatalf("shard %d: no checkpoint (%v)", id, err)
+				}
+				data, err := fsys.ReadFile(ckpts[len(ckpts)-1].path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cf, err := decodeCheckpoint(data, id, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cf.deployments) != 2 {
+					t.Fatalf("shard %d checkpoint holds %d deployments, want 2", id, len(cf.deployments))
+				}
+				for _, d := range cf.deployments {
+					if d.State != StateBootstrapping || d.Pending == 0 || len(d.frames) == 0 {
+						t.Fatalf("shard %d: %s is %s with %d pending readings, want a bootstrap buffer", id, d.Name, d.State, d.Pending)
+					}
+				}
 			}
-		}
-	}
-
-	cfg.Durability.Recover = true
-	second, err := New(cfg)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	submitInterleaved(t, second, deployments, tr, cut, len(tr.Readings))
-	second.Drain()
-	compareReports(t, collectReports(t, second, deployments), want)
+		}}.run(t, st)
 }
 
-// snapshotTree reads every file under dir, keyed by relative path.
-func snapshotTree(t *testing.T, dir string) map[string][]byte {
+// snapshotTree reads every file under dir, keyed by path.
+func snapshotTree(t *testing.T, fsys chaos.FS, dir string) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		out[rel], err = os.ReadFile(path)
-		return err
-	})
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		if e.IsDir() {
+			maps.Copy(out, snapshotTree(t, fsys, path))
+		} else if out[path], err = fsys.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out
 }
@@ -726,24 +575,22 @@ func (f *countedFile) Close() error {
 // shard's error, and closes every journal it opened; a later recovery with
 // a healthy disk still matches the uninterrupted run.
 func TestRecoveryFailureLeavesDiskUntouched(t *testing.T) {
-	tr := stuckTrace(t, 3)
-	deployments := spreadDeployments(4, 1)
-	want := referenceReports(t, tr, deployments)
-	n := len(tr.Readings)
-	cut := n / 2
+	st := newStream(t, fanOut(stuckTrace(t, 3).Readings, spreadDeployments(4, 1)...))
+	cut := len(st.rs) / 2
 
-	dir := t.TempDir()
+	dir, mem := "mem", newMemFS()
 	cfg := durableConfig(dir, false)
 	cfg.Shards = 4
+	cfg.Durability.FS = mem
 	first, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, first, deployments, tr, 0, cut)
+	cell{}.feed(t, first, st.rs[:cut])
 	first.abort()
-	image := snapshotTree(t, dir)
+	image := snapshotTree(t, mem, dir)
 
-	ffs := chaos.NewFaultFS(chaos.OS)
+	ffs := chaos.NewFaultFS(mem)
 	counter := &handleCountFS{FS: ffs}
 	cfg.Durability.Recover = true
 	cfg.Durability.FS = counter
@@ -759,7 +606,7 @@ func TestRecoveryFailureLeavesDiskUntouched(t *testing.T) {
 	if !strings.Contains(err.Error(), "shard-1") {
 		t.Errorf("error %q is not shard 1's", err)
 	}
-	after := snapshotTree(t, dir)
+	after := snapshotTree(t, mem, dir)
 	if len(after) != len(image) {
 		t.Errorf("failed recovery left %d files, image has %d", len(after), len(image))
 	}
@@ -788,9 +635,9 @@ func TestRecoveryFailureLeavesDiskUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	submitInterleaved(t, p, deployments, tr, cut, n)
+	cell{}.feed(t, p, st.rs[cut:])
 	p.Drain()
-	compareReports(t, collectReports(t, p, deployments), want)
+	st.check(t, p)
 	if open := counter.open.Load(); open != 0 {
 		t.Errorf("drained pool left %d files open", open)
 	}
@@ -800,7 +647,7 @@ func TestRecoveryFailureLeavesDiskUntouched(t *testing.T) {
 // for byte.
 func sameTree(t *testing.T, dir string, image map[string][]byte) {
 	t.Helper()
-	after := snapshotTree(t, dir)
+	after := snapshotTree(t, chaos.OS, dir)
 	if len(after) != len(image) {
 		t.Errorf("directory holds %d files, image has %d", len(after), len(image))
 	}
@@ -825,7 +672,7 @@ func crashImage(t *testing.T, dir string, n int) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitInterleaved(t, p, []string{"old"}, stuckTrace(t, 3), 0, n)
+	cell{}.feed(t, p, tagged(stuckTrace(t, 3).Readings[:n], "old", true))
 	p.abort()
 	cfg.Durability.Recover = true
 	return cfg
@@ -860,7 +707,7 @@ func TestRecoveryRefusesRetiredFormat(t *testing.T) {
 			if err := os.WriteFile(newest, append([]byte(kind.retro), data[len(kind.magic):]...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			image := snapshotTree(t, dir)
+			image := snapshotTree(t, chaos.OS, dir)
 
 			_, err = New(cfg)
 			if !errors.Is(err, ErrRetiredFormat) {
@@ -901,7 +748,7 @@ func TestRecoveryRefusesWithoutUsableCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	image := snapshotTree(t, dir)
+	image := snapshotTree(t, chaos.OS, dir)
 
 	p, err := New(cfg)
 	if !errors.Is(err, ErrNoUsableCheckpoint) {
@@ -954,7 +801,7 @@ func TestRecoveryRefusesUnreadableSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	image := snapshotTree(t, dir)
+	image := snapshotTree(t, chaos.OS, dir)
 
 	p, err := New(cfg)
 	if !errors.Is(err, ErrSegmentUnreadable) {
@@ -1017,7 +864,7 @@ func TestRecoveryToleratesTornNewestSegmentHeader(t *testing.T) {
 func TestRecoveryRefusesStateWithoutRecover(t *testing.T) {
 	dir := t.TempDir()
 	cfg := crashImage(t, dir, 2000)
-	image := snapshotTree(t, dir)
+	image := snapshotTree(t, chaos.OS, dir)
 
 	cfg.Durability.Recover = false
 	_, err := New(cfg)

@@ -358,11 +358,12 @@ func shardIndex(deployment string, n int) int {
 
 // Submit routes one reading to its deployment's shard. It returns ErrClosed
 // after Drain, ingest.ErrDropped when the DropNewest policy sheds the
-// reading, and otherwise blocks until the shard accepts it. With durability
-// on, the reading is journaled before it is enqueued — once Submit returns
-// nil, a crash cannot lose the reading — and a reading the journal could not
-// replay intact is refused with ErrInvalidReading. An empty deployment key
-// names DefaultDeployment, as it does on the wire.
+// reading, and otherwise blocks until the shard accepts it. A reading the
+// journal could not replay intact is refused with ErrInvalidReading, with
+// durability on or off. With durability on, the reading is journaled before
+// it is enqueued — once Submit returns nil, a crash cannot lose the
+// reading. An empty deployment key names DefaultDeployment, as it does on
+// the wire.
 //
 // Submit is a one-reading SubmitBatch: both go through the same admission
 // path.
@@ -379,10 +380,10 @@ func (p *Pool) Submit(r ingest.Reading) error {
 // acquisition — the staged path both wire decoders feed (it makes Pool an
 // ingest.Consumer). Readings route to their shards exactly as Submit
 // would: accepted counts enqueued readings, dropped those shed by the
-// overflow policy. A terminal error (shutdown, or with durability on an
-// invalid reading) stops the batch where it stands; the counts cover the
-// prefix processed before it. The pool copies what it keeps: rs is the
-// caller's again once SubmitBatch returns.
+// overflow policy. A terminal error (shutdown, or an invalid reading) stops
+// the batch where it stands; the counts cover the prefix processed before
+// it. The pool copies what it keeps: rs is the caller's again once
+// SubmitBatch returns.
 func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err error) {
 	if len(rs) == 0 {
 		return 0, 0, nil
@@ -395,8 +396,8 @@ func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err erro
 	return p.admit(rs)
 }
 
-// ErrInvalidReading reports a reading the durable admission path refused
-// before journaling it: one the journal's frame codec could not replay
+// ErrInvalidReading reports a reading admission refused before journaling
+// or enqueueing it: one the journal's frame codec could not replay
 // intact (non-finite or missing values, a negative time, too many values, an
 // oversize deployment key). The wrapped error names the reading and the
 // fault.
@@ -447,23 +448,22 @@ func readingBudget(r *ingest.Reading) int {
 }
 
 // admit is the one admission path under Submit and SubmitBatch; the caller
-// holds p.mu.RLock and has checked p.closed. With durability on it first
-// validates the batch — a reading the journal could not replay ends the
-// batch there, so the journal never holds a gap or a record that replay
-// would stop at. It then splits the (valid prefix of the) batch by shard in
-// arrival order, cutting each shard's share into runs of at most QueueLen
-// readings and one frame's worth of bytes, and hands every run to
-// admitRun as soon as it is cut.
+// holds p.mu.RLock and has checked p.closed. It first validates the batch —
+// a reading the journal could not replay ends the batch there, so the
+// journal never holds a gap or a record that replay would stop at, and a
+// pool without a journal diagnoses the same readings as one with it. It
+// then splits the (valid prefix of the) batch by shard in arrival order,
+// cutting each shard's share into runs of at most QueueLen readings and one
+// frame's worth of bytes, and hands every run to admitRun as soon as it is
+// cut.
 func (p *Pool) admit(rs []ingest.Reading) (accepted, dropped int, err error) {
 	valid := len(rs)
-	if p.cfg.Durability.Dir != "" {
-		for i := range rs {
-			if verr := ingest.CheckFrameReading(rs[i]); verr != nil {
-				valid = i
-				err = fmt.Errorf("%w %d of %d (deployment %q, sensor %d): %w",
-					ErrInvalidReading, i, len(rs), rs[i].Deployment, rs[i].Sensor, verr)
-				break
-			}
+	for i := range rs {
+		if verr := ingest.CheckFrameReading(rs[i]); verr != nil {
+			valid = i
+			err = fmt.Errorf("%w %d of %d (deployment %q, sensor %d): %w",
+				ErrInvalidReading, i, len(rs), rs[i].Deployment, rs[i].Sensor, verr)
+			break
 		}
 	}
 	sc := p.scratch.Get().(*admitScratch)

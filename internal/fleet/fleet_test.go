@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"sensorguard/internal/classify"
-	"sensorguard/internal/cluster"
 	"sensorguard/internal/core"
 	"sensorguard/internal/fault"
 	"sensorguard/internal/gdi"
@@ -43,41 +41,6 @@ func stuckTrace(t testing.TB, days int) gdi.Trace {
 	return tr
 }
 
-// offlineReport replays the trace through the batch path exactly as the
-// offline CLI does: k-means seeds over the first day, then ProcessTrace.
-func offlineReport(t testing.TB, tr gdi.Trace) core.Report {
-	t.Helper()
-	det := offlineDetector(t, tr)
-	if _, err := det.ProcessTrace(tr.Readings); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := det.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
-func offlineDetector(t testing.TB, tr gdi.Trace) *core.Detector {
-	t.Helper()
-	dayEnd := tr.Readings[0].Time + 24*time.Hour
-	var pts []vecmat.Vector
-	for _, r := range tr.Readings {
-		if r.Time < dayEnd {
-			pts = append(pts, r.Values)
-		}
-	}
-	seeds, err := cluster.KMeans(pts, 6, rand.New(rand.NewSource(1)), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := core.NewDetector(core.DefaultConfig(seeds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return det
-}
-
 func submitAll(t testing.TB, p *Pool, deployment string, readings []sensor.Reading) {
 	t.Helper()
 	if err := submitErr(p, deployment, readings); err != nil {
@@ -97,25 +60,13 @@ func submitErr(p *Pool, deployment string, readings []sensor.Reading) error {
 // TestStreamingMatchesBatch is the serving equivalence guarantee: streaming
 // a trace in order through the sharded fleet yields exactly the diagnosis of
 // the offline batch pipeline — same bootstrap clustering, same windows, same
-// report.
+// report. The comparison is the differential harness's Submit cell.
 func TestStreamingMatchesBatch(t *testing.T) {
 	tr := stuckTrace(t, 7)
-	want := offlineReport(t, tr)
-
-	pool, err := New(Config{Shards: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, pool, "gdi", tr.Readings)
-	pool.Drain()
+	pool := cell{path: viaSubmit, shards: 3}.run(t, newStream(t, tagged(tr.Readings, "gdi", false)))
 	got, err := pool.Report("gdi")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		gj, _ := got.MarshalIndentJSON()
-		wj, _ := want.MarshalIndentJSON()
-		t.Fatalf("streamed report differs from batch report:\n--- streamed\n%s\n--- batch\n%s", gj, wj)
 	}
 	if got.Overall() != classify.KindStuckAt {
 		t.Fatalf("overall %v, want stuck-at", got.Overall())
@@ -127,7 +78,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 // seeds from the whole trace when it is under a day).
 func TestShortTraceBootstrapsOnDrain(t *testing.T) {
 	tr := stuckTrace(t, 1)
-	want := offlineReport(t, tr)
+	st := newStream(t, tagged(tr.Readings, "gdi", false))
 	pool, err := New(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -157,13 +108,7 @@ func TestShortTraceBootstrapsOnDrain(t *testing.T) {
 	}
 	submitAll(t, pool, "gdi", tr.Readings[10:])
 	pool.Drain()
-	got, err := pool.Report("gdi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("sub-horizon streamed report differs from batch report")
-	}
+	st.check(t, pool)
 }
 
 // TestConcurrentProducers exercises the pool under -race: 8 producers

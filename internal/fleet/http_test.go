@@ -185,7 +185,7 @@ func TestTCPIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := offlineReport(t, tr)
+	want := newStream(t, tagged(tr.Readings, "tcp-dep", false)).want["tcp-dep"].report
 	if rep.Overall() != want.Overall() {
 		t.Errorf("TCP-streamed overall %v, want %v", rep.Overall(), want.Overall())
 	}

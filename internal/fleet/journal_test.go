@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sensorguard/internal/chaos"
-	"sensorguard/internal/gdi"
 	"sensorguard/internal/ingest"
 	"sensorguard/internal/obs"
 	"sensorguard/internal/sensor"
@@ -19,76 +17,8 @@ import (
 )
 
 // Tests for the batch journal: one record per shard run on the durable
-// submit path, and replay of those records (and of legacy JSON segments)
-// after a crash. Each compares final reports byte for byte against an
-// uninterrupted run.
-
-// tagged stamps tr.Readings[lo:hi] with a deployment key and, when seq is
-// set, wire sequence index+1.
-func tagged(tr gdi.Trace, dep string, lo, hi int, seq bool) []ingest.Reading {
-	out := make([]ingest.Reading, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		r := ingest.Reading{Deployment: dep, Reading: tr.Readings[i]}
-		if seq {
-			r.Seq = uint64(i + 1)
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// interleave merges per-deployment streams round-robin, the arrival order
-// submitInterleaved uses.
-func interleave(streams ...[]ingest.Reading) []ingest.Reading {
-	var out []ingest.Reading
-	for i := 0; ; i++ {
-		more := false
-		for _, s := range streams {
-			if i < len(s) {
-				out = append(out, s[i])
-				more = true
-			}
-		}
-		if !more {
-			return out
-		}
-	}
-}
-
-// submitBatches feeds rs through SubmitBatch in batches of size, failing on
-// any refusal or drop.
-func submitBatches(t *testing.T, p *Pool, rs []ingest.Reading, size int) {
-	t.Helper()
-	for lo := 0; lo < len(rs); lo += size {
-		batch := rs[lo:min(lo+size, len(rs))]
-		accepted, dropped, err := p.SubmitBatch(batch)
-		if err != nil || dropped != 0 || accepted != len(batch) {
-			t.Fatalf("batch at %d: accepted %d dropped %d of %d: %v", lo, accepted, dropped, len(batch), err)
-		}
-	}
-}
-
-// reportsOf runs rs uninterrupted through a non-durable pool and returns the
-// final reports of deployments.
-func reportsOf(t *testing.T, rs []ingest.Reading, deployments []string) map[string][]byte {
-	t.Helper()
-	p, err := New(Config{Shards: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitBatches(t, p, rs, 500)
-	p.Drain()
-	return collectReports(t, p, deployments)
-}
-
-func compareReports(t *testing.T, got, want map[string][]byte) {
-	t.Helper()
-	for dep, w := range want {
-		if !bytes.Equal(got[dep], w) {
-			t.Errorf("deployment %s: report differs from the uninterrupted run:\n--- got\n%s\n--- want\n%s", dep, got[dep], w)
-		}
-	}
-}
+// submit path, and replay of those records after a crash. Each compares
+// final reports with the offline run's and keeps its files on a memFS.
 
 // withDeadline fails the test if fn has not returned within d — the
 // deadlock guard for the blocking submit paths.
@@ -108,15 +38,15 @@ func withDeadline(t *testing.T, d time.Duration, fn func()) {
 
 // journalSeqs reads every segment of one shard directory and returns the
 // sequences they hold, in order.
-func journalSeqs(t *testing.T, dir string, shard, shards int) []uint64 {
+func journalSeqs(t *testing.T, fsys chaos.FS, dir string, shard, shards int) []uint64 {
 	t.Helper()
-	segs, err := journalFiles.list(chaos.OS, shardDir(dir, shard))
+	segs, err := journalFiles.list(fsys, shardDir(dir, shard))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seqs []uint64
 	for _, sg := range segs {
-		got, err := readSegment(sg.path, shard, shards)
+		got, err := readSegment(fsys, sg.path, shard, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,74 +61,58 @@ func journalSeqs(t *testing.T, dir string, shard, shards int) []uint64 {
 // sequence falls inside a batch record: replay must skip exactly the
 // readings the checkpoint covers and apply the rest of that record. The
 // readings carry no wire sequence, so wire-seq dedup cannot hide a reading
-// applied twice.
+// applied twice. It is the harness's SubmitBatch cell on one shard.
 func TestCrashRecoveryCheckpointInsideRecord(t *testing.T) {
 	const width = 100 // one single-shard run, so one record, per batch
 	tr := stuckTrace(t, 3)
-	n := len(tr.Readings)
-	all := interleave(tagged(tr, "alpha", 0, n, false), tagged(tr, "beta", 0, n, false))
-	deps := []string{"alpha", "beta"}
-	want := reportsOf(t, all, deps)
-
-	dir := t.TempDir()
-	cfg := Config{Shards: 1, Seed: 1, Durability: Durability{Dir: dir, EveryN: 64}}
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStream(t, interleave(tagged(tr.Readings, "alpha", false), tagged(tr.Readings, "beta", false)))
 	cut := 47 * width // a record boundary well past bootstrap
-	submitBatches(t, first, all[:cut], width)
-	first.abort()
-
-	// Checkpoints land every 64 readings and records span 100, so at most
-	// one of the newest two sits on a record boundary. Recover from one
-	// that does not.
-	ckpts, err := checkpointFiles.list(chaos.OS, shardDir(dir, 0))
-	if err != nil || len(ckpts) == 0 {
-		t.Fatalf("no checkpoints to recover from: %v", err)
-	}
-	newest := ckpts[len(ckpts)-1]
-	if newest.seq%width == 0 {
-		if len(ckpts) < 2 {
-			t.Fatal("only checkpoint sits on a record boundary")
-		}
-		if err := os.Remove(newest.path); err != nil {
-			t.Fatal(err)
-		}
-		newest = ckpts[len(ckpts)-2]
-	}
-	if newest.seq%width == 0 || newest.seq >= uint64(cut) {
-		t.Fatalf("checkpoint seq %d does not fall inside a journaled record", newest.seq)
-	}
-
-	cfg.Durability.Recover = true
-	second, err := New(cfg)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	submitBatches(t, second, all[cut:], width)
-	second.Drain()
-	compareReports(t, collectReports(t, second, deps), want)
+	cell{path: viaBatch, shards: 1, batch: width, durable: true, crash: "inside-record", cut: cut,
+		crashed: func(t *testing.T, fsys chaos.FS, dir string) {
+			// Checkpoints land every 64 readings and records span 100, so
+			// at most one of the newest two sits on a record boundary.
+			// Recover from one that does not.
+			ckpts, err := checkpointFiles.list(fsys, shardDir(dir, 0))
+			if err != nil || len(ckpts) == 0 {
+				t.Fatalf("no checkpoints to recover from: %v", err)
+			}
+			newest := ckpts[len(ckpts)-1]
+			if newest.seq%width == 0 {
+				if len(ckpts) < 2 {
+					t.Fatal("only checkpoint sits on a record boundary")
+				}
+				if err := fsys.Remove(newest.path); err != nil {
+					t.Fatal(err)
+				}
+				newest = ckpts[len(ckpts)-2]
+			}
+			if newest.seq%width == 0 || newest.seq >= uint64(cut) {
+				t.Fatalf("checkpoint seq %d does not fall inside a journaled record", newest.seq)
+			}
+		}}.run(t, st)
 }
 
 // TestDurableSubmitBatchLongerThanQueue submits batches far longer than the
 // queue under Block, from two goroutines whose deployments share shards, so
 // runs must be cut at the queue depth and slot reservations must not starve
-// each other. A crash midway must recover to the uninterrupted reports.
-func TestDurableSubmitBatchLongerThanQueue(t *testing.T) {
+// each other. A crash midway must recover to the offline reports.
+func TestDurableSubmitBatchLongerThanQueue(t *testing.T) { submitBatchesLongerThanQueue(t, true) }
+
+// submitBatchesLongerThanQueue runs two producers, each owning two
+// deployments' streams, through a queue of 8 in batches of 100. When durable,
+// the pool crashes halfway and a recovered one takes the rest.
+func submitBatchesLongerThanQueue(t *testing.T, durable bool) {
 	tr := stuckTrace(t, 3)
 	n := len(tr.Readings)
-	deps := []string{"alpha", "beta", "gamma", "delta"}
-	want := referenceReports(t, tr, deps)
+	st := newStream(t, fanOut(tr.Readings, "alpha", "beta", "gamma", "delta"))
 
-	dir := t.TempDir()
-	cfg := durableConfig(dir, false)
-	cfg.QueueLen = 8
-	// Two producers, each owning two deployments' streams.
-	producers := [][]ingest.Reading{
-		interleave(tagged(tr, "alpha", 0, n, true), tagged(tr, "beta", 0, n, true)),
-		interleave(tagged(tr, "gamma", 0, n, true), tagged(tr, "delta", 0, n, true)),
+	cfg := Config{Shards: 2, Seed: 1}
+	if durable {
+		cfg = durableConfig("mem", false)
+		cfg.Durability.FS = newMemFS()
 	}
+	cfg.QueueLen = 8
+	producers := [][]ingest.Reading{fanOut(tr.Readings, "alpha", "beta"), fanOut(tr.Readings, "gamma", "delta")}
 	shared := false
 	for _, a := range []string{"alpha", "beta"} {
 		for _, b := range []string{"gamma", "delta"} {
@@ -225,21 +139,26 @@ func TestDurableSubmitBatchLongerThanQueue(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	cut := n // half of each producer's 2n readings
-	first, err := New(cfg)
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withDeadline(t, time.Minute, func() { run(first, 0, cut) })
-	first.abort()
-
-	second, err := New(durableConfig(dir, true))
-	if err != nil {
-		t.Fatalf("recover: %v", err)
+	cut := 2 * n // each producer's whole stream
+	if durable {
+		cut = n // half of it
 	}
-	withDeadline(t, time.Minute, func() { run(second, cut, 2*n) })
-	second.Drain()
-	compareReports(t, collectReports(t, second, deps), want)
+	withDeadline(t, time.Minute, func() { run(p, 0, cut) })
+	if durable {
+		p.abort()
+		cfg.QueueLen = 0
+		cfg.Durability.Recover = true
+		if p, err = New(cfg); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		withDeadline(t, time.Minute, func() { run(p, cut, 2*n) })
+	}
+	p.Drain()
+	st.check(t, p)
 }
 
 // TestDurableDropNewestNeverJournalsDrops backs a DropNewest queue up with a
@@ -250,15 +169,15 @@ func TestDurableDropNewestNeverJournalsDrops(t *testing.T) {
 	const queueLen, burst = 16, 200
 	tr := stuckTrace(t, 3)
 	n := len(tr.Readings)
-	all := tagged(tr, "alpha", 0, n, true)
+	all := tagged(tr.Readings, "alpha", true)
 
 	release, stalled := make(chan struct{}), make(chan struct{})
 	var stallOnce sync.Once
 	reg := obs.NewRegistry()
-	dir := t.TempDir()
+	dir, fsys := "mem", newMemFS()
 	first, err := New(Config{
 		Shards: 1, Seed: 1, QueueLen: queueLen, Policy: DropNewest, Metrics: reg,
-		Durability: Durability{Dir: dir, EveryN: 500},
+		Durability: Durability{Dir: dir, EveryN: 500, FS: fsys},
 		stallOn: func(ingest.Reading) <-chan struct{} {
 			var ch <-chan struct{}
 			stallOnce.Do(func() { ch = release; close(stalled) })
@@ -286,7 +205,7 @@ func TestDurableDropNewestNeverJournalsDrops(t *testing.T) {
 	if journaled != 1+queueLen {
 		t.Fatalf("journal holds %d readings after the burst, want the %d accepted", journaled, 1+queueLen)
 	}
-	if got := journalSeqs(t, dir, 0, 1); len(got) != 1+queueLen {
+	if got := journalSeqs(t, fsys, dir, 0, 1); len(got) != 1+queueLen {
 		t.Fatalf("journal segment holds %d readings, want %d", len(got), 1+queueLen)
 	}
 	var buf bytes.Buffer
@@ -300,71 +219,35 @@ func TestDurableDropNewestNeverJournalsDrops(t *testing.T) {
 
 	// Everything after the burst is retried until admitted, so the
 	// accepted stream is all[:1+queueLen] + all[1+burst:].
-	submitRetrying := func(p *Pool, rs []ingest.Reading) {
-		for _, r := range rs {
-			for {
-				err := p.Submit(r)
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, ingest.ErrDropped) {
-					t.Fatal(err)
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}
 	cut := n / 2
-	submitRetrying(first, all[1+burst:cut])
+	submitRetrying(t, first, all[1+burst:cut])
 	first.abort()
 
 	second, err := New(Config{
 		Shards: 1, Seed: 1, QueueLen: queueLen, Policy: DropNewest,
-		Durability: Durability{Dir: dir, EveryN: 500, Recover: true},
+		Durability: Durability{Dir: dir, EveryN: 500, Recover: true, FS: fsys},
 	})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	submitRetrying(second, all[cut:])
+	submitRetrying(t, second, all[cut:])
 	second.Drain()
 
 	admitted := append(append([]ingest.Reading(nil), all[:1+queueLen]...), all[1+burst:]...)
-	compareReports(t, collectReports(t, second, []string{"alpha"}), reportsOf(t, admitted, []string{"alpha"}))
+	newStream(t, admitted).check(t, second)
 }
 
 // TestDurableEmptyDeploymentKey: the pool normalises an empty deployment key
 // to ingest.DefaultDeployment at intake — as both wire codecs do — so a
 // reading journaled under "" replays into the same deployment, on the same
-// shard, as one submitted under the default key.
+// shard, as one submitted under the default key (a harness cell crashed
+// mid-stream).
 func TestDurableEmptyDeploymentKey(t *testing.T) {
-	tr := stuckTrace(t, 3)
-	n := len(tr.Readings)
-	deps := []string{ingest.DefaultDeployment}
-	want := reportsOf(t, tagged(tr, ingest.DefaultDeployment, 0, n, true), deps)
-
-	dir := t.TempDir()
-	first, err := New(durableConfig(dir, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := n / 2
-	submitBatches(t, first, tagged(tr, "", 0, cut, true), 250)
-	first.abort()
-
-	second, err := New(durableConfig(dir, true))
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	for _, r := range tagged(tr, "", cut, n, true) {
-		if err := second.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	second.Drain()
+	st := newStream(t, tagged(stuckTrace(t, 3).Readings, "", true))
+	second := cell{path: viaBatch, batch: 250, shards: 2, durable: true, crash: "mid", cut: len(st.rs) / 2}.run(t, st)
 	if got := second.Deployments(); len(got) != 1 || got[0] != ingest.DefaultDeployment {
 		t.Fatalf("deployments %v, want only %q", got, ingest.DefaultDeployment)
 	}
-	compareReports(t, collectReports(t, second, deps), want)
 	rep, err := second.Report("")
 	if err != nil {
 		t.Fatal(err)
@@ -373,15 +256,19 @@ func TestDurableEmptyDeploymentKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, want[ingest.DefaultDeployment]) {
+	want, err := st.want[ingest.DefaultDeployment].report.MarshalIndentJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
 		t.Error(`Report("") does not resolve to the default deployment`)
 	}
 }
 
 // TestDurableRejectsInvalidReadings: a reading the journal could not replay
-// intact is refused at the durable boundary with ErrInvalidReading naming
-// it; SubmitBatch commits exactly the prefix before it, and the journal
-// stays gap-free and replayable.
+// intact is refused at admission with ErrInvalidReading naming it, with
+// durability on or off; SubmitBatch commits exactly the prefix before it,
+// and the journal stays gap-free and replayable.
 func TestDurableRejectsInvalidReadings(t *testing.T) {
 	good := func(i int) ingest.Reading {
 		return ingest.Reading{Deployment: "alpha", Seq: uint64(i + 1), Reading: sensor.Reading{
@@ -396,51 +283,61 @@ func TestDurableRejectsInvalidReadings(t *testing.T) {
 		"too-many":      {Deployment: "alpha", Reading: sensor.Reading{Values: make(vecmat.Vector, 4097)}},
 		"oversize-key":  {Deployment: strings.Repeat("k", 4097), Reading: sensor.Reading{Values: vecmat.Vector{1}}},
 	}
-	dir := t.TempDir()
-	cfg := Config{Shards: 2, Seed: 1, Durability: Durability{Dir: dir, EveryN: 1 << 30}}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	for name, r := range bad {
-		batch := []ingest.Reading{good(next), good(next + 1), good(next + 2), r, good(next + 3)}
-		accepted, dropped, err := p.SubmitBatch(batch)
-		if !errors.Is(err, ErrInvalidReading) {
-			t.Fatalf("%s: SubmitBatch error %v, want ErrInvalidReading", name, err)
-		}
-		if !strings.Contains(err.Error(), "3 of 5") {
-			t.Errorf("%s: error %q does not name reading 3 of 5", name, err)
-		}
-		if accepted != 3 || dropped != 0 {
-			t.Errorf("%s: accepted %d dropped %d, want the 3-reading prefix", name, accepted, dropped)
-		}
-		next += 3
-		if err := p.Submit(r); !errors.Is(err, ErrInvalidReading) {
-			t.Errorf("%s: Submit error %v, want ErrInvalidReading", name, err)
-		}
-	}
-	p.abort()
-
-	var seqs []uint64
-	for shard := 0; shard < cfg.Shards; shard++ {
-		got := journalSeqs(t, dir, shard, cfg.Shards)
-		for i, seq := range got {
-			if seq != uint64(i+1) {
-				t.Fatalf("shard %d journal not gap-free: %v", shard, got)
+	for _, durable := range []bool{true, false} {
+		t.Run(map[bool]string{true: "durability on", false: "durability off"}[durable], func(t *testing.T) {
+			dir, fsys := "mem", newMemFS()
+			cfg := Config{Shards: 2, Seed: 1}
+			if durable {
+				cfg.Durability = Durability{Dir: dir, EveryN: 1 << 30, FS: fsys}
 			}
-		}
-		seqs = append(seqs, got...)
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := 0
+			for name, r := range bad {
+				batch := []ingest.Reading{good(next), good(next + 1), good(next + 2), r, good(next + 3)}
+				accepted, dropped, err := p.SubmitBatch(batch)
+				if !errors.Is(err, ErrInvalidReading) {
+					t.Fatalf("%s: SubmitBatch error %v, want ErrInvalidReading", name, err)
+				}
+				if !strings.Contains(err.Error(), "3 of 5") {
+					t.Errorf("%s: error %q does not name reading 3 of 5", name, err)
+				}
+				if accepted != 3 || dropped != 0 {
+					t.Errorf("%s: accepted %d dropped %d, want the 3-reading prefix", name, accepted, dropped)
+				}
+				next += 3
+				if err := p.Submit(r); !errors.Is(err, ErrInvalidReading) {
+					t.Errorf("%s: Submit error %v, want ErrInvalidReading", name, err)
+				}
+			}
+			p.abort()
+			if !durable {
+				return
+			}
+
+			var seqs []uint64
+			for shard := 0; shard < cfg.Shards; shard++ {
+				got := journalSeqs(t, fsys, dir, shard, cfg.Shards)
+				for i, seq := range got {
+					if seq != uint64(i+1) {
+						t.Fatalf("shard %d journal not gap-free: %v", shard, got)
+					}
+				}
+				seqs = append(seqs, got...)
+			}
+			if len(seqs) != next {
+				t.Fatalf("journal holds %d readings, want the %d accepted", len(seqs), next)
+			}
+			cfg.Durability.Recover = true
+			again, err := New(cfg)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			again.Drain()
+		})
 	}
-	if len(seqs) != next {
-		t.Fatalf("journal holds %d readings, want the %d accepted", len(seqs), next)
-	}
-	cfg.Durability.Recover = true
-	again, err := New(cfg)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	again.Drain()
 }
 
 // TestDurableSplitsRunsAtFrameSize submits one shard run too large for a
@@ -453,8 +350,8 @@ func TestDurableSplitsRunsAtFrameSize(t *testing.T) {
 			Sensor: i % 8, Time: time.Duration(i) * time.Second, Values: make(vecmat.Vector, 4096),
 		}}
 	}
-	dir := t.TempDir()
-	p, err := New(Config{Shards: 1, Seed: 1, Durability: Durability{Dir: dir, EveryN: 1 << 30}})
+	dir, fsys := "mem", newMemFS()
+	p, err := New(Config{Shards: 1, Seed: 1, Durability: Durability{Dir: dir, EveryN: 1 << 30, FS: fsys}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +359,7 @@ func TestDurableSplitsRunsAtFrameSize(t *testing.T) {
 		t.Fatalf("accepted %d dropped %d: %v", a, d, err)
 	}
 	p.abort()
-	if got := journalSeqs(t, dir, 0, 1); len(got) != len(rs) {
+	if got := journalSeqs(t, fsys, dir, 0, 1); len(got) != len(rs) {
 		t.Fatalf("journal holds %d readings, want %d", len(got), len(rs))
 	}
 }
@@ -479,10 +376,10 @@ func TestDurableWorkerAppliesJournalOrder(t *testing.T) {
 	tr := stuckTrace(t, 1)
 	var mu sync.Mutex
 	var applied []key
-	dir := t.TempDir()
+	dir, mem := "mem", newMemFS()
 	// Slow journal writes make committers pile up behind the batch leader,
 	// so batches carry several producers' runs.
-	slow := chaos.NewFaultFS(chaos.OS, &chaos.Rule{Op: chaos.OpWrite, Path: "journal-", Delay: 200 * time.Microsecond})
+	slow := chaos.NewFaultFS(mem, &chaos.Rule{Op: chaos.OpWrite, Path: "journal-", Delay: 200 * time.Microsecond})
 	p, err := New(Config{
 		Shards: 1, Seed: 1, QueueLen: 16,
 		Durability: Durability{Dir: dir, EveryN: 1 << 30, FS: slow},
@@ -507,7 +404,7 @@ func TestDurableWorkerAppliesJournalOrder(t *testing.T) {
 					return
 				}
 			}
-		}(tagged(tr, dep, 0, len(tr.Readings), true))
+		}(tagged(tr.Readings, dep, true))
 	}
 	wg.Wait()
 	// Abort rather than drain once everything is applied: the final
@@ -528,13 +425,13 @@ func TestDurableWorkerAppliesJournalOrder(t *testing.T) {
 	}
 	p.abort()
 
-	segs, err := journalFiles.list(chaos.OS, shardDir(dir, 0))
+	segs, err := journalFiles.list(mem, shardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var journaled []key
 	for _, sg := range segs {
-		got, err := readSegment(sg.path, 0, 1)
+		got, err := readSegment(mem, sg.path, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,8 +78,9 @@ func TestEndToEndTraceChain(t *testing.T) {
 		Metrics:   reg,
 		Tracer:    tracer,
 		Durability: Durability{
-			Dir:    t.TempDir(),
+			Dir:    "mem",
 			EveryN: 1,
+			FS:     newMemFS(),
 		},
 	})
 	if err != nil {

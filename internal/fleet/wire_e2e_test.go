@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
-	"sensorguard/internal/core"
 	"sensorguard/internal/ingest"
 	"sensorguard/internal/obs"
 	"sensorguard/internal/sensor"
@@ -18,137 +16,28 @@ import (
 // The pool is the consumer both wire decoders feed batches to.
 var _ ingest.Consumer = (*Pool)(nil)
 
-// postBatch posts one batch over the given codec to a live /ingest and fails
-// the test on any non-200.
-func postWireBatch(t *testing.T, url string, readings []ingest.Reading, binary bool) {
-	t.Helper()
-	var body bytes.Buffer
-	contentType := "application/x-ndjson"
-	if binary {
-		var enc ingest.FrameEncoder
-		for _, r := range readings {
-			enc.Add(r)
-		}
-		frame, err := enc.Frame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body.Write(frame)
-		contentType = ingest.FrameContentType
-	} else {
-		for _, r := range readings {
-			line, err := ingest.EncodeLine(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body.Write(line)
-			body.WriteByte('\n')
-		}
-	}
-	resp, err := http.Post(url+"/ingest", contentType, &body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("POST /ingest (%s) = %d", contentType, resp.StatusCode)
-	}
-}
-
 // TestE2EMixedCodecMatchesOffline is the codec-equivalence acceptance test:
-// a trace streamed through POST /ingest with batches alternating between
-// NDJSON and binary frames must land every deployment in exactly the
-// detector state of (a) a pure-NDJSON replay and (b) the offline batch
-// pipeline — the binary codec is a wire change, not a semantic one.
+// a trace streamed through POST /ingest, as pure NDJSON and with batches
+// alternating between NDJSON and binary frames, must land every deployment
+// in exactly the detector state of the offline batch pipeline — the binary
+// codec is a wire change, not a semantic one. Both are differential harness
+// cells.
 func TestE2EMixedCodecMatchesOffline(t *testing.T) {
-	tr := stuckTrace(t, 7)
-	want := offlineReport(t, tr)
-
-	readings := make([]ingest.Reading, len(tr.Readings))
-	for i, r := range tr.Readings {
-		readings[i] = ingest.Reading{Deployment: "gdi", Reading: r}
-	}
-
-	replay := func(mixed bool) core.Report {
-		pool, err := New(Config{Shards: 3, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(Handler(pool, nil))
-		defer srv.Close()
-		const batch = 500
-		for i := 0; i < len(readings); i += batch {
-			end := min(i+batch, len(readings))
-			binary := mixed && (i/batch)%2 == 1
-			postWireBatch(t, srv.URL, readings[i:end], binary)
-		}
-		pool.Drain()
-		rep, err := pool.Report("gdi")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	pure := replay(false)
-	mixed := replay(true)
-	for name, got := range map[string]core.Report{"pure-NDJSON": pure, "mixed-codec": mixed} {
-		if !reflect.DeepEqual(got, want) {
-			gj, _ := got.MarshalIndentJSON()
-			wj, _ := want.MarshalIndentJSON()
-			t.Fatalf("%s replay differs from offline report:\n--- replay\n%s\n--- offline\n%s", name, gj, wj)
-		}
+	st := newStream(t, tagged(stuckTrace(t, 7).Readings, "gdi", false))
+	for _, path := range []ingestPath{viaNDJSON, viaMixed} {
+		t.Run(pathNames[path], func(t *testing.T) { cell{path: path, shards: 3}.run(t, st) })
 	}
 }
 
 // TestSubmitBatchMatchesSubmit pins the staged submit path to the
-// one-reading path: same readings, same shard routing, same final reports.
+// one-reading path: both harness cells give the offline reports. A drained
+// pool still takes an empty batch and refuses any other with ErrClosed.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
-	tr := stuckTrace(t, 3)
+	st := newStream(t, tagged(stuckTrace(t, 3).Readings, "gdi", false))
+	cell{path: viaSubmit, shards: 4}.run(t, st)
+	batched := cell{path: viaBatch, shards: 4, batch: 256}.run(t, st)
 
-	one, err := New(Config{Shards: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, one, "gdi", tr.Readings)
-	one.Drain()
-	want, err := one.Report("gdi")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batched, err := New(Config{Shards: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]ingest.Reading, 0, 256)
-	flush := func() {
-		accepted, dropped, err := batched.SubmitBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if accepted != len(batch) || dropped != 0 {
-			t.Fatalf("accepted %d dropped %d of %d", accepted, dropped, len(batch))
-		}
-		batch = batch[:0]
-	}
-	for _, r := range tr.Readings {
-		batch = append(batch, ingest.Reading{Deployment: "gdi", Reading: r})
-		if len(batch) == cap(batch) {
-			flush()
-		}
-	}
-	flush()
-	batched.Drain()
-	got, err := batched.Report("gdi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("SubmitBatch replay diverged from Submit replay")
-	}
-
-	if _, _, err := batched.SubmitBatch(batch[:0]); err != nil {
+	if _, _, err := batched.SubmitBatch([]ingest.Reading{}); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 	if _, _, err := batched.SubmitBatch([]ingest.Reading{{Deployment: "gdi"}}); err != ErrClosed {

@@ -2,6 +2,7 @@ package hmm
 
 import (
 	"fmt"
+	"maps"
 
 	"sensorguard/internal/vecmat"
 )
@@ -29,15 +30,15 @@ func (o *Online) Export() OnlineState {
 	st := OnlineState{
 		HiddenIDs: append([]int(nil), o.hiddenIDs...),
 		SymbolIDs: append([]int(nil), o.symbolIDs...),
-		A:         exportMatrix(o.a),
-		B:         exportMatrix(o.b),
+		A:         o.a.ExportRows(),
+		B:         o.b.ExportRows(),
 		Prev:      o.prev,
 		Started:   o.started,
 		Steps:     o.steps,
 	}
-	st.Visits = cloneFloatMap(o.visits)
-	st.Emissions = cloneFloatMap(o.emits)
-	st.Transitions = cloneFloatMap(o.transitions)
+	st.Visits = maps.Clone(o.visits)
+	st.Emissions = maps.Clone(o.emits)
+	st.Transitions = maps.Clone(o.transitions)
 	return st
 }
 
@@ -79,9 +80,9 @@ func RestoreOnline(beta, gamma float64, st OnlineState) (*Online, error) {
 	o.hiddenIDs = append([]int(nil), st.HiddenIDs...)
 	o.symbolIDs = append([]int(nil), st.SymbolIDs...)
 	o.a, o.b = a, b
-	o.visits = cloneFloatMap(st.Visits)
-	o.emits = cloneFloatMap(st.Emissions)
-	o.transitions = cloneFloatMap(st.Transitions)
+	o.visits = maps.Clone(st.Visits)
+	o.emits = maps.Clone(st.Emissions)
+	o.transitions = maps.Clone(st.Transitions)
 	if o.visits == nil {
 		o.visits = make(map[int]float64)
 	}
@@ -97,37 +98,11 @@ func RestoreOnline(beta, gamma float64, st OnlineState) (*Online, error) {
 	return o, nil
 }
 
-func exportMatrix(m *vecmat.Matrix) [][]float64 {
-	out := make([][]float64, m.Rows())
-	for i := range out {
-		out[i] = []float64(m.Row(i))
-	}
-	return out
-}
-
+// restoreMatrix rebuilds matrix name from its exported rows.
 func restoreMatrix(rows [][]float64, wantRows, wantCols int, name string) (*vecmat.Matrix, error) {
-	if len(rows) != wantRows {
-		return nil, fmt.Errorf("hmm: restore: matrix %s has %d rows, want %d", name, len(rows), wantRows)
-	}
-	m := vecmat.NewMatrix(wantRows, wantCols)
-	for i, row := range rows {
-		if len(row) != wantCols {
-			return nil, fmt.Errorf("hmm: restore: matrix %s row %d has %d cols, want %d", name, i, len(row), wantCols)
-		}
-		for j, v := range row {
-			m.Set(i, j, v)
-		}
+	m, err := vecmat.MatrixFromRows(rows, wantRows, wantCols)
+	if err != nil {
+		return nil, fmt.Errorf("hmm: restore: matrix %s %w", name, err)
 	}
 	return m, nil
-}
-
-func cloneFloatMap(in map[int]float64) map[int]float64 {
-	if in == nil {
-		return nil
-	}
-	out := make(map[int]float64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package markov
 
 import (
 	"fmt"
+	"maps"
 
 	"sensorguard/internal/vecmat"
 )
@@ -24,17 +25,12 @@ type ChainState struct {
 func (c *Chain) Export() ChainState {
 	st := ChainState{
 		IDs:     append([]int(nil), c.ids...),
-		P:       exportRows(c.p),
-		Counts:  exportRows(c.counts),
+		P:       c.p.ExportRows(),
+		Counts:  c.counts.ExportRows(),
 		Prev:    c.prev,
 		Started: c.started,
 		Steps:   c.steps,
-	}
-	if c.visits != nil {
-		st.Visits = make(map[int]float64, len(c.visits))
-		for k, v := range c.visits {
-			st.Visits[k] = v
-		}
+		Visits:  maps.Clone(c.visits),
 	}
 	return st
 }
@@ -78,26 +74,11 @@ func RestoreChain(beta float64, st ChainState) (*Chain, error) {
 	return c, nil
 }
 
-func exportRows(m *vecmat.Matrix) [][]float64 {
-	out := make([][]float64, m.Rows())
-	for i := range out {
-		out[i] = []float64(m.Row(i))
-	}
-	return out
-}
-
+// restoreSquare rebuilds the n×n matrix name from its exported rows.
 func restoreSquare(rows [][]float64, n int, name string) (*vecmat.Matrix, error) {
-	if len(rows) != n {
-		return nil, fmt.Errorf("markov: restore: matrix %s has %d rows, want %d", name, len(rows), n)
-	}
-	m := vecmat.NewMatrix(n, n)
-	for i, row := range rows {
-		if len(row) != n {
-			return nil, fmt.Errorf("markov: restore: matrix %s row %d has %d cols, want %d", name, i, len(row), n)
-		}
-		for j, v := range row {
-			m.Set(i, j, v)
-		}
+	m, err := vecmat.MatrixFromRows(rows, n, n)
+	if err != nil {
+		return nil, fmt.Errorf("markov: restore: matrix %s %w", name, err)
 	}
 	return m, nil
 }

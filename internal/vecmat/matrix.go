@@ -90,6 +90,33 @@ func (m *Matrix) Col(j int) Vector {
 	return out
 }
 
+// ExportRows returns the matrix as one copied slice per row, the form
+// checkpoints serialise.
+func (m *Matrix) ExportRows() [][]float64 {
+	out := make([][]float64, m.rows)
+	for i := range out {
+		out[i] = m.Row(i)
+	}
+	return out
+}
+
+// MatrixFromRows rebuilds a rows×cols matrix from ExportRows output. The
+// error says which dimension is wrong; callers prefix it with the matrix's
+// name.
+func MatrixFromRows(data [][]float64, rows, cols int) (*Matrix, error) {
+	if len(data) != rows {
+		return nil, fmt.Errorf("has %d rows, want %d", len(data), rows)
+	}
+	m := NewMatrix(rows, cols)
+	for i, row := range data {
+		if len(row) != cols {
+			return nil, fmt.Errorf("row %d has %d cols, want %d", i, len(row), cols)
+		}
+		copy(m.data[i*cols:], row)
+	}
+	return m, nil
+}
+
 // SetRow overwrites row i with v.
 func (m *Matrix) SetRow(i int, v Vector) error {
 	if len(v) != m.cols {

@@ -191,3 +191,38 @@ func TestMatrixOutOfRangePanics(t *testing.T) {
 	}()
 	NewMatrix(1, 1).At(1, 0)
 }
+
+func TestMatrixRowsRoundTrip(t *testing.T) {
+	m := NewMatrix(2, 3)
+	m.Set(0, 2, 0.25)
+	m.Set(1, 0, math.Nextafter(1, 2))
+	rows := m.ExportRows()
+	rows[0][0] = 7 // the export is a copy
+	if m.At(0, 0) != 0 {
+		t.Fatal("ExportRows aliases the matrix")
+	}
+	rows[0][0] = 0
+	back, err := MatrixFromRows(rows, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			if math.Float64bits(back.At(i, j)) != math.Float64bits(m.At(i, j)) {
+				t.Errorf("(%d,%d) = %v, want %v", i, j, back.At(i, j), m.At(i, j))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		rows       [][]float64
+		want       string
+		nrow, ncol int
+	}{
+		{[][]float64{{1}}, "has 1 rows, want 2", 2, 1},
+		{[][]float64{{1, 2}, {3}}, "row 1 has 1 cols, want 2", 2, 2},
+	} {
+		if _, err := MatrixFromRows(tc.rows, tc.nrow, tc.ncol); err == nil || err.Error() != tc.want {
+			t.Errorf("MatrixFromRows(%v) error %v, want %q", tc.rows, err, tc.want)
+		}
+	}
+}
