@@ -458,7 +458,7 @@ func TestRestoreRejectsBadDeploymentRecords(t *testing.T) {
 	}
 	s := &shard{pool: &Pool{cfg: cfg}}
 	for name, rec := range cases {
-		if _, err := s.restoreDeployment(rec); err == nil {
+		if _, err := s.restoreDeployment(rec, new([]ingest.Reading)); err == nil {
 			t.Errorf("%s: restored without error", name)
 		}
 	}

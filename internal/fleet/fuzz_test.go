@@ -69,7 +69,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		// A decoded checkpoint must restore all-or-nothing.
 		restored := 0
 		for _, rec := range cf.deployments {
-			d, err := fuzzShard.restoreDeployment(rec)
+			d, err := fuzzShard.restoreDeployment(rec, new([]ingest.Reading))
 			if err != nil {
 				continue // rejected record: the whole checkpoint is discarded
 			}

@@ -216,6 +216,104 @@ func (e *FrameEncoder) AppendFrame(dst []byte, rs []Reading) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(payload)), nil
 }
 
+// FrameAppender builds one frame of a single deployment's readings one
+// reading at a time, so a buffer that only grows is encoded once rather
+// than at every render. Frame renders the readings appended so far byte for
+// byte as AppendFrame renders them. The zero value is ready to use; not
+// safe for concurrent use.
+type FrameAppender struct {
+	deployment string
+	n          int
+	dim        int      // values per reading while uniform, 0 once ragged
+	dims       []byte   // ragged only: the dims column
+	cols       [][]byte // uniform: one column per attribute; ragged: cols[0], row-major
+	sensors    []byte
+	seqs       []byte
+	times      []byte
+	prevSeq    uint64
+	prevNS     int64
+}
+
+// Len reports the number of appended readings.
+func (a *FrameAppender) Len() int { return a.n }
+
+// Append encodes r into the frame's columns. It refuses, and leaves the
+// frame as it was, a reading CheckFrameReading refuses or one of another
+// deployment than the first reading's.
+func (a *FrameAppender) Append(r *Reading) error {
+	if err := checkFrameReading(r); err != nil {
+		return err
+	}
+	switch {
+	case a.n == 0:
+		a.deployment, a.dim = r.Deployment, len(r.Values)
+		a.cols = make([][]byte, a.dim)
+	case r.Deployment != a.deployment:
+		return fmt.Errorf("ingest: frame holds deployment %q, reading is of %q", a.deployment, r.Deployment)
+	case a.dim > 0 && len(r.Values) != a.dim:
+		a.ragged()
+	}
+	a.sensors = binary.AppendUvarint(a.sensors, zigzag(int64(r.Sensor)))
+	a.seqs = binary.AppendUvarint(a.seqs, zigzag(int64(r.Seq-a.prevSeq)))
+	a.times = binary.AppendUvarint(a.times, zigzag(int64(r.Time)-a.prevNS))
+	a.prevSeq, a.prevNS = r.Seq, int64(r.Time)
+	if a.dim > 0 {
+		for j, v := range r.Values {
+			a.cols[j] = binary.LittleEndian.AppendUint64(a.cols[j], math.Float64bits(v))
+		}
+	} else {
+		a.dims = binary.AppendUvarint(a.dims, uint64(len(r.Values)))
+		for _, v := range r.Values {
+			a.cols[0] = binary.LittleEndian.AppendUint64(a.cols[0], math.Float64bits(v))
+		}
+	}
+	a.n++
+	return nil
+}
+
+// ragged turns the uniform columns into the ragged layout: a dims column
+// and the values row-major.
+func (a *FrameAppender) ragged() {
+	rows := make([]byte, 0, a.n*a.dim*8)
+	for i := 0; i < a.n; i++ {
+		for _, col := range a.cols {
+			rows = append(rows, col[8*i:8*i+8]...)
+		}
+		a.dims = binary.AppendUvarint(a.dims, uint64(a.dim))
+	}
+	a.cols, a.dim = append(a.cols[:0], rows), 0
+}
+
+// Frame appends the frame of the readings appended so far to dst.
+func (a *FrameAppender) Frame(dst []byte) ([]byte, error) {
+	if a.n == 0 {
+		return dst, errors.New("ingest: empty frame")
+	}
+	start := len(dst)
+	p := append(dst, make([]byte, frameHeaderLen)...) // header placeholder
+	p = binary.AppendUvarint(p, 1)
+	p = binary.AppendUvarint(p, uint64(len(a.deployment)))
+	p = append(p, a.deployment...)
+	p = binary.AppendUvarint(p, uint64(a.n))
+	p = binary.AppendUvarint(p, uint64(a.dim))
+	p = append(p, a.dims...)
+	p = append(p, make([]byte, a.n)...) // every deployment index is 0, one byte
+	p = append(p, a.sensors...)
+	p = append(p, a.seqs...)
+	p = append(p, a.times...)
+	for _, col := range a.cols {
+		p = append(p, col...)
+	}
+	payload := p[start+frameHeaderLen:]
+	if len(payload) > MaxFramePayload {
+		return dst, fmt.Errorf("ingest: frame payload %d bytes (max %d)", len(payload), MaxFramePayload)
+	}
+	p[start] = FrameMagic
+	p[start+1] = FrameVersion
+	binary.LittleEndian.PutUint32(p[start+2:start+6], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(payload)), nil
+}
+
 // CheckFrameReading reports why DecodeFrame would refuse r after it went
 // through a frame, or nil when r round-trips intact: the semantic checks
 // DecodeFrame applies (non-negative time, at least one value, every value

@@ -151,6 +151,49 @@ func TestAppendFrame(t *testing.T) {
 	}
 }
 
+// TestFrameAppender: after every Append, Frame equals AppendFrame over the
+// readings so far, through uniform readings, a switch to ragged dims, and
+// negative sensor, seq and time deltas; and a refused reading leaves the
+// frame as it was.
+func TestFrameAppender(t *testing.T) {
+	rs := []Reading{
+		{Deployment: "d", Seq: 9, Reading: sensor.Reading{Sensor: 3, Time: 5 * time.Second, Values: vecmat.Vector{20.5, 61}}},
+		{Deployment: "d", Seq: 4, Reading: sensor.Reading{Sensor: -2, Time: time.Second, Values: vecmat.Vector{-0.0, 1e300}}},
+		{Deployment: "d", Seq: 1 << 63, Reading: sensor.Reading{Sensor: 7, Time: 7 * time.Hour, Values: vecmat.Vector{math.SmallestNonzeroFloat64, 2}}},
+		{Deployment: "d", Reading: sensor.Reading{Sensor: 0, Time: 7 * time.Hour, Values: vecmat.Vector{1, 2, 3}}},
+		{Deployment: "d", Seq: 2, Reading: sensor.Reading{Sensor: 1, Time: 8 * time.Hour, Values: vecmat.Vector{4}}},
+	}
+	var a FrameAppender
+	var enc FrameEncoder
+	for i := range rs {
+		if err := a.Append(&rs[i]); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []Reading{
+			{Deployment: "other", Reading: sensor.Reading{Values: vecmat.Vector{1}}},
+			{Deployment: "d", Reading: sensor.Reading{Values: vecmat.Vector{math.NaN()}}},
+		} {
+			if err := a.Append(&bad); err == nil {
+				t.Fatalf("after %d readings: appended %+v", i+1, bad)
+			}
+		}
+		want, err := enc.AppendFrame(nil, rs[:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Frame([]byte("head"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Len() != i+1 || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("after %d readings: Frame differs from AppendFrame", i+1)
+		}
+	}
+	if _, err := new(FrameAppender).Frame(nil); err == nil {
+		t.Fatal("empty appender rendered a frame")
+	}
+}
+
 // TestCheckFrameReading: every reading CheckFrameReading passes survives a
 // frame round trip, and every one it refuses would not.
 func TestCheckFrameReading(t *testing.T) {
