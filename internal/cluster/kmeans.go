@@ -27,20 +27,29 @@ import (
 // keeps its centroid, so the assignments, and with them every sum and draw,
 // are the textbook's.
 func KMeans(points []vecmat.Vector, k int, rng *rand.Rand, maxIter int) ([]vecmat.Vector, error) {
+	return KMeansOf(points, func(p vecmat.Vector) vecmat.Vector { return p }, k, rng, maxIter)
+}
+
+// KMeansOf is KMeans over the points vectorOf reads off items, in order. It
+// copies each point straight into the kernel's flat working copy, so a
+// caller whose points sit inside other values (a buffered reading's
+// Values) builds no slice of them first.
+func KMeansOf[T any](items []T, vectorOf func(T) vecmat.Vector, k int, rng *rand.Rand, maxIter int) ([]vecmat.Vector, error) {
 	switch {
 	case k <= 0:
 		return nil, errors.New("cluster: k must be positive")
-	case len(points) < k:
-		return nil, fmt.Errorf("cluster: %d points cannot seed %d clusters", len(points), k)
+	case len(items) < k:
+		return nil, fmt.Errorf("cluster: %d points cannot seed %d clusters", len(items), k)
 	case rng == nil:
 		return nil, errors.New("cluster: nil rng")
 	}
-	n, dim := len(points), len(points[0])
+	n, dim := len(items), len(vectorOf(items[0]))
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
 	flat := resize(&ws.flat, n*dim)
 	prune := k > 1 && dim <= pruneMaxDim
-	for i, p := range points {
+	for i, item := range items {
+		p := vectorOf(item)
 		if len(p) != dim {
 			return nil, fmt.Errorf("cluster: ragged point %v: %w", p, vecmat.ErrDimensionMismatch)
 		}

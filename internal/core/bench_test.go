@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -211,45 +212,52 @@ func BenchmarkStepServing(b *testing.B) {
 }
 
 // BenchmarkDecisionRingRetained prices the decision rings' memory on
-// perfbench's traffic shape: 64 generated GDI deployments of 6 days each
-// (seeds 1..64, bootstrapped as gdiInput does) step through detectors
-// that each record into a 256-record ring, the serving default. It reports
-// the live heap the rings keep once the detectors are gone, per retained
-// record and per deployment.
+// perfbench's traffic shape: 64 generated GDI deployments (seeds 1..64,
+// bootstrapped as gdiInput does) step through detectors that each record
+// into a 256-record ring, the serving default. It reports the live heap the
+// rings keep once the detectors are gone, per retained record and per
+// deployment. At days=6, perfbench's trace length, each ring holds 144
+// records and has never wrapped; at days=16 each has taken 384 and evicted
+// 128, so the figure includes the room a full ring's arena keeps for
+// moving its live records down.
 func BenchmarkDecisionRingRetained(b *testing.B) {
-	const deployments = 64
-	cfgs := make([]Config, deployments)
-	wins := make([][]network.Window, deployments)
-	for dep := range cfgs {
-		cfgs[dep], wins[dep] = gdiInput(b, 6, int64(dep+1))
-	}
-	var perRecord, perDeployment float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rings := make([]*DecisionRing, deployments)
-		before := liveHeap()
-		records := 0
-		for dep := range rings {
-			rings[dep] = NewDecisionRing(256)
-			cfg := cfgs[dep]
-			cfg.Decisions = rings[dep]
-			d, err := NewDetector(cfg)
-			if err != nil {
-				b.Fatal(err)
+	for _, days := range []int{6, 16} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			const deployments = 64
+			cfgs := make([]Config, deployments)
+			wins := make([][]network.Window, deployments)
+			for dep := range cfgs {
+				cfgs[dep], wins[dep] = gdiInput(b, days, int64(dep+1))
 			}
-			for _, w := range wins[dep] {
-				if _, err := d.Step(w); err != nil {
-					b.Fatal(err)
+			var perRecord, perDeployment float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rings := make([]*DecisionRing, deployments)
+				before := liveHeap()
+				records := 0
+				for dep := range rings {
+					rings[dep] = NewDecisionRing(256)
+					cfg := cfgs[dep]
+					cfg.Decisions = rings[dep]
+					d, err := NewDetector(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, w := range wins[dep] {
+						if _, err := d.Step(w); err != nil {
+							b.Fatal(err)
+						}
+					}
+					records += rings[dep].Len()
 				}
+				retained := float64(liveHeap() - before)
+				perRecord, perDeployment = retained/float64(records), retained/deployments
+				runtime.KeepAlive(rings)
 			}
-			records += rings[dep].Len()
-		}
-		retained := float64(liveHeap() - before)
-		perRecord, perDeployment = retained/float64(records), retained/deployments
-		runtime.KeepAlive(rings)
+			b.ReportMetric(perRecord, "B/record")
+			b.ReportMetric(perDeployment/1024, "KiB/deployment")
+		})
 	}
-	b.ReportMetric(perRecord, "B/record")
-	b.ReportMetric(perDeployment/1024, "KiB/deployment")
 }
 
 // liveHeap returns the heap bytes still reachable after a full collection.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -210,17 +211,25 @@ func (r DecisionRecord) Clone() DecisionRecord {
 // DecisionRing retains the most recent records in a bounded buffer — the
 // store behind /debug/decisions/{deployment}. Safe for concurrent use.
 //
-// Each record is kept packed (see decisionSlot) and decoded back into an
-// identical DecisionRecord only when Records reads it. Slots are added as
-// records arrive, up to capacity; after that each record reuses the evicted
-// slot's buffer, so Record allocates nothing in steady state.
+// Records are kept packed (see appendRecord), each behind its uvarint
+// length, one after another in a single pointer-free byte arena, and
+// decoded back into identical DecisionRecords only when Records reads
+// them. The ring evicts by count: past capacity, each record drops the
+// oldest, whose bytes are left dead at the front of the arena. The arena
+// grows by a quarter at a time until the ring is full; after that, a record
+// that finds no room at the tail moves the live records down over the dead
+// ones, so Record allocates nothing in steady state.
 type DecisionRing struct {
 	mu       sync.Mutex
 	capacity int
-	slots    []decisionSlot // oldest at start once len(slots) == capacity
-	start    int
-	emitted  int
-	scratch  []byte // encoding buffer for the record being packed
+	// deployment is the first record's deployment, which every later
+	// record of the same deployment refers to instead of repeating it.
+	deployment string
+	arena      []byte // the retained records, oldest first from arena[head:]
+	head       int    // where the oldest retained record starts
+	n          int    // retained records
+	largest    int    // the largest packed record so far
+	emitted    int
 }
 
 // NewDecisionRing returns a ring retaining the last capacity records
@@ -235,47 +244,64 @@ func (r *DecisionRing) Record(rec DecisionRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.emitted++
-	var slot *decisionSlot
-	if n := len(r.slots); n < r.capacity {
-		if n == cap(r.slots) {
-			// Grow by a quarter, not append's doubling: a deployment that
-			// never fills the ring should not pay for the empty half.
-			grown := make([]decisionSlot, n, n+min(max(n/4, 16), r.capacity-n))
-			copy(grown, r.slots)
-			r.slots = grown
-		}
-		r.slots = r.slots[:n+1]
-		slot = &r.slots[n]
-	} else {
-		slot = &r.slots[r.start]
-		r.start = (r.start + 1) % n
+	if r.emitted == 1 {
+		r.deployment = rec.Deployment
 	}
-	r.scratch = slot.pack(&rec, r.scratch)
+	if r.n == r.capacity {
+		size, w := binary.Uvarint(r.arena[r.head:])
+		r.head += w + int(size)
+		r.n--
+	}
+	// With room for the largest record so far, the record packs in place;
+	// a larger one grows the arena as append does.
+	if need := r.largest + binary.MaxVarintLen64; cap(r.arena)-len(r.arena) < need {
+		r.makeRoom(need)
+	}
+	// The record packs behind two bytes for its length, the width of every
+	// length from 128 to 16383; any other length moves it by a byte or two.
+	at := len(r.arena)
+	r.arena = appendRecord(append(r.arena, 0, 0), &rec, r.deployment)
+	size := len(r.arena) - at - 2
+	r.largest = max(r.largest, size)
+	var length [binary.MaxVarintLen64]byte
+	if w := binary.PutUvarint(length[:], uint64(size)); w == 2 {
+		copy(r.arena[at:], length[:w])
+	} else {
+		r.arena = slices.Replace(r.arena, at, at+2, length[:w]...)
+	}
+	r.n++
 }
 
-// Records returns the retained records, oldest first. The packed slots are
+// makeRoom leaves at least need bytes free past the newest record. When
+// moving the live records down over the dead ones frees that and an eighth
+// of the live bytes more, so the next move is many records away, it moves
+// them in place; otherwise it moves them into a new arena with a quarter of
+// the live bytes to spare.
+func (r *DecisionRing) makeRoom(need int) {
+	live := r.arena[r.head:]
+	if cap(r.arena)-len(live) >= need+len(live)/8 {
+		r.arena = r.arena[:copy(r.arena, live)]
+	} else {
+		r.arena = append(slices.Grow([]byte(nil), len(live)+need+len(live)/4), live...)
+	}
+	r.head = 0
+}
+
+// Records returns the retained records, oldest first. The live bytes are
 // copied out under the lock and decoded after it is released, so a reader
 // holds up the detector only for the copy.
 func (r *DecisionRing) Records() []DecisionRecord {
 	r.mu.Lock()
-	slots := make([]decisionSlot, len(r.slots))
-	size := 0
-	for _, s := range r.slots {
-		size += len(s.data)
-	}
-	data := make([]byte, 0, size)
-	for i := range slots {
-		s := r.slots[(r.start+i)%len(r.slots)]
-		at := len(data)
-		data = append(data, s.data...)
-		s.data = data[at:len(data):len(data)]
-		slots[i] = s
-	}
+	data, n, deployment := slices.Clone(r.arena[r.head:]), r.n, r.deployment
 	r.mu.Unlock()
 
-	out := make([]DecisionRecord, len(slots))
-	for i := range slots {
-		out[i] = slots[i].record()
+	out := make([]DecisionRecord, n)
+	rd := &recordReader{b: data}
+	for i := range out {
+		out[i] = readRecord(rd.next(int(rd.uvarint())), deployment)
+	}
+	if len(rd.b) != 0 {
+		panic("core: decision ring has trailing bytes")
 	}
 	return out
 }
@@ -284,14 +310,14 @@ func (r *DecisionRing) Records() []DecisionRecord {
 func (r *DecisionRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.slots)
+	return r.n
 }
 
 // Dropped returns the number of records evicted from the buffer.
 func (r *DecisionRing) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.emitted - len(r.slots)
+	return r.emitted - r.n
 }
 
 // DecisionLog streams records as NDJSON — the -audit-log sink. Safe for

@@ -89,7 +89,7 @@ type stepScratch struct {
 	sums    []vecmat.Vector    // per-slot sum, then mean, of the window's readings
 	counts  []int              // per-slot reading count
 	points  []vecmat.Vector    // per-sensor means in ids order (aliases sums rows)
-	values  []vecmat.Vector    // non-quarantined raw readings for Eq. (2)
+	values  []vecmat.Vector    // non-quarantined raw readings for Eq. (2), cleared once summed
 	mapped  []int              // Eq. (3) assignment output
 	overall vecmat.Vector      // Eq. (2) network mean
 	states  map[int]int        // majority vote tally
@@ -374,6 +374,9 @@ func (d *Detector) step(w network.Window) (StepResult, error) {
 		}
 	}
 	overall, err := d.meanInto(sc.values)
+	// The headers point into the readings' value storage (a binary frame's
+	// whole slab); dropped now, they cannot keep it alive past the window.
+	clear(sc.values)
 	if err != nil {
 		return res, err
 	}

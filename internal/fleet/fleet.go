@@ -20,6 +20,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1365,13 +1366,15 @@ func (s *shard) handle(d *deployment, r ingest.Reading) {
 // replays the buffer through the fresh windower and detector.
 func (s *shard) bootstrap(d *deployment) error {
 	cfg := s.pool.cfg
-	pts := make([]vecmat.Vector, 0, len(d.pending))
-	for _, r := range d.pending {
-		if r.Time < d.first+cfg.Bootstrap {
-			pts = append(pts, r.Values)
-		}
+	seedFrom := d.pending
+	pastHorizon := func(r sensor.Reading) bool { return r.Time >= d.first+cfg.Bootstrap }
+	if slices.ContainsFunc(seedFrom, pastHorizon) {
+		// Only a checkpoint taken under a longer bootstrap horizon buffers
+		// readings past this one: they replay below but do not seed.
+		seedFrom = slices.DeleteFunc(slices.Clone(seedFrom), pastHorizon)
 	}
-	seeds, err := cluster.KMeans(pts, cfg.States, rand.New(rand.NewSource(cfg.Seed)), 100)
+	seeds, err := cluster.KMeansOf(seedFrom, func(r sensor.Reading) vecmat.Vector { return r.Values },
+		cfg.States, rand.New(rand.NewSource(cfg.Seed)), 100)
 	if err != nil {
 		return fmt.Errorf("seed states: %w", err)
 	}

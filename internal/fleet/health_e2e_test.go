@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -242,20 +243,16 @@ func TestE2EDetectorDriftAlert(t *testing.T) {
 		feed(w, 4)
 	}
 
-	// The shard worker folds the queued windows in behind Submit. Until it
-	// has finished the bootstrap the endpoint answers 503 with a plain-text
-	// body, so only a 200 is decoded.
+	// The shard worker folds the queued windows in behind Submit. Drift can
+	// turn on from the B^CO orthogonality margin alone while it is still
+	// folding them in, before the filtered-alarm rate has climbed, so the
+	// health document is read only once every window the watermark closes
+	// has been stepped: windows 0-77 (the newest reading, in window 79, less
+	// the one-window lateness leaves 78 and 79 open).
+	waitStepped(t, p, "drift", 78)
 	var hd healthDoc
-	stop := time.Now().Add(10 * time.Second)
-	for {
-		url := srv.URL + "/debug/health/drift"
-		if getJSON(t, url, nil) == 200 && getJSON(t, url, &hd) == 200 && hd.Health.Drifting {
-			break
-		}
-		if time.Now().After(stop) {
-			t.Fatalf("deployment never reported drifting: %+v", hd.Health)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if code := getJSON(t, srv.URL+"/debug/health/drift", &hd); code != http.StatusOK || !hd.Health.Drifting {
+		t.Fatalf("/debug/health/drift = %d after every window, want 200 and drifting: %+v", code, hd.Health)
 	}
 	if hd.Health.FilteredAlarmRate <= 0.25 {
 		t.Fatalf("drifting without filtered-alarm threshold crossed: %+v", hd.Health)
@@ -280,7 +277,7 @@ func TestE2EDetectorDriftAlert(t *testing.T) {
 	}
 
 	// The sweep also publishes per-deployment labeled gauges.
-	stop = time.Now().Add(5 * time.Second)
+	stop := time.Now().Add(5 * time.Second)
 	for {
 		snap := cfg.Metrics.Snapshot()
 		if v, ok := snap[`fleet_deployment_drifting{deployment="drift"}`].(float64); ok && v == 1 {
@@ -290,6 +287,24 @@ func TestE2EDetectorDriftAlert(t *testing.T) {
 			t.Fatalf("drifting gauge never published; metrics: %v", snap)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitStepped waits until the deployment's detector has stepped n windows.
+func waitStepped(t *testing.T, p *Pool, deployment string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := p.Status(deployment)
+		if err != nil && !errors.Is(err, ErrUnknownDeployment) { // the worker has yet to take its first run
+			t.Fatal(err)
+		}
+		stepped := st.Detector.Steps + st.Detector.SkippedWindows
+		if stepped == n {
+			return
+		}
+		if stepped > n || time.Now().After(deadline) {
+			t.Fatalf("%s stepped %d windows, want %d", deployment, stepped, n)
+		}
 	}
 }
 
