@@ -254,8 +254,9 @@ func (w *Workspace) Network(co hmm.EmissionView, states map[int]vecmat.Vector, c
 	}
 	w.sub.Reshape(len(w.active), len(w.cols))
 	for i, ri := range w.rows {
+		src, dst := co.B.RowView(ri), w.sub.RowView(i)
 		for j, cj := range w.cols {
-			w.sub.Set(i, j, co.B.At(ri, cj))
+			dst[j] = src[cj]
 		}
 	}
 	sub := &w.sub

@@ -190,15 +190,8 @@ func BenchmarkStepWithDecisions(b *testing.B) {
 // Comparing against BenchmarkStep prices serving-mode observability as one
 // number.
 func BenchmarkStepServing(b *testing.B) {
-	cfg := DefaultConfig(keyStates())
-	cfg.Decisions = NewDecisionRing(256)
-	d, err := NewDetector(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.SetTracer(obs.NewTracer(obs.TracerConfig{SampleEvery: 16}))
-	d.SetHealthTracker(obs.NewHealthTracker())
-	d.SetStepClock(obs.NewStageSet(obs.NewRegistry(), "detector_step").Clock("detector_step"))
+	tracer, clock := servingHooks()
+	d := servingDetector(b, DefaultConfig(keyStates()), tracer, clock)
 	wins := benchWindows(10)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -209,6 +202,66 @@ func BenchmarkStepServing(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStepFleet prices the serving step on perfbench's traffic shape,
+// which one hot detector over uniform windows (BenchmarkStepServing)
+// under-prices: 64 generated GDI deployments (seeds 1..64, 6 days,
+// bootstrapped as gdiInput does) with BenchmarkStepServing's hooks, stepped
+// round-robin one window each, as a shard interleaves its deployments. Each
+// detector first replays its trace twice, so every ring has wrapped; a
+// deployment past its last window replays it from the start. One op is one
+// window.
+func BenchmarkStepFleet(b *testing.B) {
+	const deployments, days, warm = 64, 6, 2
+	tracer, clock := servingHooks()
+	dets := make([]*Detector, deployments)
+	wins := make([][]network.Window, deployments)
+	for dep := range dets {
+		var cfg Config
+		cfg, wins[dep] = gdiInput(b, days, int64(dep+1))
+		dets[dep] = servingDetector(b, cfg, tracer, clock)
+	}
+	next := make([]int, deployments) // each deployment's next window ordinal
+	step := func(dep int) {
+		ws := wins[dep]
+		w := ws[next[dep]%len(ws)]
+		w.Index = next[dep]
+		next[dep]++
+		if _, err := dets[dep].Step(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < warm*len(wins[0])*deployments; i++ {
+		step(i % deployments)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i % deployments)
+	}
+}
+
+// servingHooks returns the pool-wide hooks of a serving fleet: one idle
+// tracer and one detector_step stage clock shared by every deployment.
+func servingHooks() (*obs.Tracer, *obs.StageClock) {
+	return obs.NewTracer(obs.TracerConfig{SampleEvery: 16}),
+		obs.NewStageSet(obs.NewRegistry(), "detector_step").Clock("detector_step")
+}
+
+// servingDetector builds a detector with the per-deployment hooks the
+// serving fleet attaches: a 256-record decision ring and a health tracker,
+// plus the shared tracer and step clock.
+func servingDetector(b *testing.B, cfg Config, tracer *obs.Tracer, clock *obs.StageClock) *Detector {
+	cfg.Decisions = NewDecisionRing(256)
+	d, err := NewDetector(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.SetTracer(tracer)
+	d.SetHealthTracker(obs.NewHealthTracker())
+	d.SetStepClock(clock)
+	return d
 }
 
 // BenchmarkDecisionRingRetained prices the decision rings' memory on

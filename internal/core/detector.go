@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -84,12 +84,21 @@ type Detector struct {
 // returned StepResult borrows the sensors map, which is why Step's result is
 // only valid until the next call (see StepResult).
 type stepScratch struct {
-	slot    map[int]int        // sensor ID → accumulation slot
-	ids     []int              // sensor IDs, sorted ascending after grouping
+	// Grouping (see group). cache is a direct-mapped front for slot: an
+	// entry whose gen is this window's maps its sensor to its slot. slot
+	// holds only the sensors whose cache entry another sensor took first
+	// this window, so a window without such a collision never touches it.
+	cache   [slotCacheSize]slotEntry
+	gen     uint32
+	slot    map[int]int        // sensor ID → slot, for cache collisions
+	slotIDs []int              // sensor ID of each slot, in order of first reading
+	of      []int32            // slot of each reading, in reading order
+	quar    []bool             // per-slot quarantine flag, for Eq. (2)
+	order   []idSlot           // the slots, ascending by sensor ID
+	ids     []int              // sensor IDs, ascending
 	sums    []vecmat.Vector    // per-slot sum, then mean, of the window's readings
 	counts  []int              // per-slot reading count
 	points  []vecmat.Vector    // per-sensor means in ids order (aliases sums rows)
-	values  []vecmat.Vector    // non-quarantined raw readings for Eq. (2), cleared once summed
 	mapped  []int              // Eq. (3) assignment output
 	overall vecmat.Vector      // Eq. (2) network mean
 	states  map[int]int        // majority vote tally
@@ -107,6 +116,20 @@ type stepScratch struct {
 	divergence          []AttributeDivergence
 	network             classify.Workspace // the evidence's §3.4 analysis, run on M_CO in place
 }
+
+// slotCacheSize is the grouping cache's entry count, a power of two. A
+// deployment's sensors with distinct IDs modulo it never collide; the size
+// is fixed, so the cache costs the same whatever the IDs are.
+const slotCacheSize = 64
+
+// A slotEntry maps sensor id to its slot in window generation gen.
+type slotEntry struct {
+	id   int
+	slot int32
+	gen  uint32
+}
+
+type idSlot struct{ id, slot int }
 
 // SensorStep is the per-sensor outcome of one window.
 type SensorStep struct {
@@ -338,7 +361,7 @@ func (d *Detector) step(w network.Window) (StepResult, error) {
 	*st = obs.WindowStats{Window: w.Index, Readings: int32(len(w.Readings))}
 
 	// Per-sensor window means are the observations p_j of Eq. (2)-(4).
-	ids, points, err := d.sensorMeans(w.Readings)
+	ids, points, err := d.group(w.Readings)
 	if err != nil {
 		return res, err
 	}
@@ -356,30 +379,7 @@ func (d *Detector) step(w network.Window) (StepResult, error) {
 	d.refreshQuarantine(w.Index)
 	d.lap(&st.Latency.ClassifyNS)
 
-	// Eq. (2) averages over *all* observations in the window, not over
-	// per-sensor means: a sensor's influence on the observable state is
-	// proportional to the traffic it actually delivers (a dying, thinning
-	// sensor fades from the network view). Quarantined sensors — already
-	// diagnosed as erroneous — are excluded from the network view.
-	sc.values = sc.values[:0]
-	for _, r := range w.Readings {
-		if d.quarantined[r.Sensor] {
-			continue
-		}
-		sc.values = append(sc.values, r.Values)
-	}
-	if len(sc.values) == 0 {
-		for _, r := range w.Readings {
-			sc.values = append(sc.values, r.Values)
-		}
-	}
-	overall, err := d.meanInto(sc.values)
-	// The headers point into the readings' value storage (a binary frame's
-	// whole slab); dropped now, they cannot keep it alive past the window.
-	clear(sc.values)
-	if err != nil {
-		return res, err
-	}
+	overall := d.networkMean(w.Readings)
 	observable, distO, err := d.states.Nearest(overall) // Eq. (2)
 	if err != nil {
 		return res, err
@@ -673,84 +673,149 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// sensorMeans groups the window's readings by sensor and returns the sensor
-// IDs (ascending) with their mean observation vectors. Both returned slices
-// are backed by the detector's scratch space and are valid until the next
-// step.
-func (d *Detector) sensorMeans(readings []sensor.Reading) ([]int, []vecmat.Vector, error) {
+// group is the window's one grouping pass. It finds each reading's slot,
+// records it for networkMean, and sums the per-sensor readings in reading
+// order; it returns the sensor IDs (ascending) with their mean observation
+// vectors. Both returned slices are backed by the detector's scratch space
+// and are valid until the next step.
+func (d *Detector) group(readings []sensor.Reading) ([]int, []vecmat.Vector, error) {
 	sc := &d.scratch
-	if sc.slot == nil {
-		sc.slot = make(map[int]int)
-	} else {
+	if sc.gen++; sc.gen == 0 { // wrapped: no entry may claim the new generation
+		sc.cache = [slotCacheSize]slotEntry{}
+		sc.gen = 1
+	}
+	if len(sc.slot) > 0 {
 		clear(sc.slot)
 	}
-	sc.ids = sc.ids[:0]
-	sc.counts = sc.counts[:0]
-	for _, r := range readings {
+	sc.slotIDs, sc.counts = sc.slotIDs[:0], sc.counts[:0]
+	sc.of = slices.Grow(sc.of[:0], len(readings))[:len(readings)]
+	if len(sc.overall) != d.cfg.Dim {
+		sc.overall = vecmat.NewVector(d.cfg.Dim)
+	}
+	clear(sc.overall)
+	for n, r := range readings {
 		if len(r.Values) != d.cfg.Dim {
 			return nil, nil, fmt.Errorf("core: reading from sensor %d has dimension %d, want %d",
 				r.Sensor, len(r.Values), d.cfg.Dim)
 		}
-		i, ok := sc.slot[r.Sensor]
-		if !ok {
-			i = len(sc.ids)
-			sc.slot[r.Sensor] = i
-			if i == len(sc.sums) {
-				sc.sums = append(sc.sums, vecmat.NewVector(d.cfg.Dim))
-			}
-			sum := sc.sums[i]
-			for k := range sum {
-				sum[k] = 0
-			}
-			sc.ids = append(sc.ids, r.Sensor)
-			sc.counts = append(sc.counts, 0)
+		e := &sc.cache[uint(r.Sensor)%slotCacheSize]
+		i := int(e.slot)
+		if e.gen != sc.gen || e.id != r.Sensor { // not cached this window
+			i = d.slotOf(r.Sensor)
 		}
-		if err := sc.sums[i].AddInPlace(r.Values); err != nil {
-			return nil, nil, err
-		}
+		sc.of[n] = int32(i)
+		accumulate(sc.sums[i], r.Values)
+		accumulate(sc.overall, r.Values)
 		sc.counts[i]++
 	}
-	// Sort IDs ascending; slot still maps each ID to its accumulation row,
-	// so the points slice is rebuilt in sorted order from the (unsorted)
-	// sum rows, scaling each row into a mean in place.
-	slices.Sort(sc.ids)
-	sc.points = sc.points[:0]
-	for _, id := range sc.ids {
-		i := sc.slot[id]
-		sum := sc.sums[i]
-		inv := 1 / float64(sc.counts[i])
+	// Scale each slot's sum into its mean in place and list the slots in
+	// ascending sensor order.
+	sc.order = sc.order[:0]
+	for i, id := range sc.slotIDs {
+		sc.order = append(sc.order, idSlot{id, i})
+	}
+	slices.SortFunc(sc.order, func(a, b idSlot) int { return cmp.Compare(a.id, b.id) })
+	sc.ids, sc.points = sc.ids[:0], sc.points[:0]
+	for _, o := range sc.order {
+		sum := sc.sums[o.slot]
+		inv := 1 / float64(sc.counts[o.slot])
 		for k := range sum {
 			sum[k] *= inv
 		}
+		sc.ids = append(sc.ids, o.id)
 		sc.points = append(sc.points, sum)
 	}
 	return sc.ids, sc.points, nil
 }
 
-// meanInto computes the component-wise mean of vs into the scratch overall
-// vector (Eq. (2)'s network view) without allocating.
-func (d *Detector) meanInto(vs []vecmat.Vector) (vecmat.Vector, error) {
+// slotOf returns sensor id's slot this window when its cache entry does
+// not name it (group checks for a hit inline). A free entry means the
+// sensor has no slot yet: a zeroed one opens and takes the entry. An entry
+// another sensor took first this window leaves id to the map.
+func (d *Detector) slotOf(id int) int {
 	sc := &d.scratch
-	if len(sc.overall) != d.cfg.Dim {
-		sc.overall = vecmat.NewVector(d.cfg.Dim)
+	e := &sc.cache[uint(id)%slotCacheSize]
+	if e.gen != sc.gen {
+		i := d.openSlot(id)
+		*e = slotEntry{id: id, slot: int32(i), gen: sc.gen}
+		return i
 	}
-	out := sc.overall
-	for k := range out {
-		out[k] = 0
+	if i, ok := sc.slot[id]; ok {
+		return i
 	}
-	if len(vs) == 0 {
-		return nil, errors.New("core: mean of zero observations")
+	if sc.slot == nil {
+		sc.slot = make(map[int]int)
 	}
-	for _, v := range vs {
-		if err := out.AddInPlace(v); err != nil {
-			return nil, err
+	i := d.openSlot(id)
+	sc.slot[id] = i
+	return i
+}
+
+// openSlot appends a slot for sensor id with a zero sum.
+func (d *Detector) openSlot(id int) int {
+	sc := &d.scratch
+	i := len(sc.slotIDs)
+	if i == len(sc.sums) {
+		sc.sums = append(sc.sums, vecmat.NewVector(d.cfg.Dim))
+	} else {
+		clear(sc.sums[i])
+	}
+	sc.slotIDs = append(sc.slotIDs, id)
+	sc.counts = append(sc.counts, 0)
+	return i
+}
+
+// networkMean is Eq. (2)'s network view, into the scratch overall vector.
+// It averages over *all* observations in the window, not over per-sensor
+// means: a sensor's influence on the observable state is proportional to
+// the traffic it actually delivers (a dying, thinning sensor fades from the
+// network view). Quarantined sensors — already diagnosed as erroneous — are
+// excluded, unless that leaves no reading. It runs after group and
+// refreshQuarantine of the same window. group has summed every reading, in
+// reading order, into the overall vector; only when a sensor of the window
+// is quarantined does the sum run again, over the readings whose slot is
+// not flagged.
+func (d *Detector) networkMean(readings []sensor.Reading) vecmat.Vector {
+	sc := &d.scratch
+	out, n := sc.overall, len(readings)
+	some := false
+	if len(d.quarantined) > 0 {
+		sc.quar = slices.Grow(sc.quar[:0], len(sc.slotIDs))[:len(sc.slotIDs)]
+		for i, id := range sc.slotIDs {
+			sc.quar[i] = d.quarantined[id]
+			some = some || sc.quar[i]
 		}
 	}
-	inv := 1 / float64(len(vs))
+	if some {
+		clear(out)
+		n = 0
+		for j, r := range readings {
+			if !sc.quar[sc.of[j]] {
+				accumulate(out, r.Values)
+				n++
+			}
+		}
+		if n == 0 { // every reading's sensor is quarantined: keep them all
+			for _, r := range readings {
+				accumulate(out, r.Values)
+			}
+			n = len(readings)
+		}
+	}
+	inv := 1 / float64(n)
 	for k := range out {
 		out[k] *= inv
 	}
-	return out, nil
+	return out
+}
+
+// accumulate adds v into sum component by component; group has checked
+// that v has the detector's dimension.
+func accumulate(sum, v vecmat.Vector) {
+	v = v[:len(sum)]
+	for k, x := range v {
+		sum[k] += x
+	}
 }
 
 // majorityState returns the state ID backing the largest group of mapped

@@ -527,7 +527,7 @@ func (s *shard) recoverState() (collapse bool, err error) {
 	if loaded != nil {
 		base = loaded.header.Seq
 		s.mu.Lock()
-		s.deployments = restored
+		s.deployments, s.last = restored, nil
 		s.mu.Unlock()
 	}
 
@@ -576,7 +576,7 @@ func (s *shard) recoverState() (collapse bool, err error) {
 			}
 			maxSeq = seq
 			s.applied = seq
-			s.handle(s.deployment(r.Deployment), r)
+			s.handle(s.deployment(r.Deployment), &r)
 			replayed++
 			return true
 		})

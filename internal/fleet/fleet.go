@@ -460,7 +460,7 @@ func readingBudget(r *ingest.Reading) int {
 func (p *Pool) admit(rs []ingest.Reading) (accepted, dropped int, err error) {
 	valid := len(rs)
 	for i := range rs {
-		if verr := ingest.CheckFrameReading(rs[i]); verr != nil {
+		if verr := ingest.CheckFrameReading(&rs[i]); verr != nil {
 			valid = i
 			err = fmt.Errorf("%w %d of %d (deployment %q, sensor %d): %w",
 				ErrInvalidReading, i, len(rs), rs[i].Deployment, rs[i].Sensor, verr)
@@ -474,12 +474,17 @@ func (p *Pool) admit(rs []ingest.Reading) (accepted, dropped int, err error) {
 		dropped += d
 		sc.open[i] = nil
 	}
+	var lastDep string
+	var lastShard int
 	for j := range rs[:valid] {
 		dep := rs[j].Deployment
 		if dep == "" {
 			dep = ingest.DefaultDeployment
 		}
-		i := shardIndex(dep, len(p.shards))
+		if dep != lastDep { // batches carry a deployment's readings in stretches
+			lastDep, lastShard = dep, shardIndex(dep, len(p.shards))
+		}
+		i := lastShard
 		size := readingBudget(&rs[j])
 		if b := sc.open[i]; b != nil && (len(b.rs) == p.cfg.QueueLen || sc.budget[i]+size > ingest.MaxFramePayload) {
 			flush(i)
@@ -1043,6 +1048,10 @@ type shard struct {
 	ckptCooldownUntil time.Time
 	ckptErr           atomic.Pointer[checkpointError]
 	current           *deployment // deployment being handled, for panic attribution
+	// last is the deployment the worker looked up last: a shard's runs
+	// carry a deployment's readings in stretches, so most lookups end here
+	// without hashing the name (worker-owned).
+	last *deployment
 	// admitTick drives the 1-in-2^admitSampleShift window-admit timing
 	// sample (worker-owned).
 	admitTick uint64
@@ -1288,7 +1297,7 @@ func (s *shard) workRun() bool {
 			s.applied = r.first + uint64(s.pos)
 		}
 		s.current = s.deployment(rd.Deployment)
-		s.handle(s.current, *rd)
+		s.handle(s.current, rd)
 		s.current = nil
 		s.maybeCheckpoint()
 		s.pos++
@@ -1312,20 +1321,24 @@ func (s *shard) bookkeep() {
 }
 
 func (s *shard) deployment(name string) *deployment {
+	if d := s.last; d != nil && d.name == name {
+		return d
+	}
 	// Lock-free read: the worker goroutine is the map's only writer (its
 	// own insert below runs under mu solely for Report/Health readers),
 	// so its reads cannot race anything.
-	if d := s.deployments[name]; d != nil {
-		return d
+	d := s.deployments[name]
+	if d == nil {
+		d = &deployment{name: name}
+		s.mu.Lock()
+		s.deployments[name] = d
+		s.mu.Unlock()
 	}
-	d := &deployment{name: name}
-	s.mu.Lock()
-	s.deployments[name] = d
-	s.mu.Unlock()
+	s.last = d
 	return d
 }
 
-func (s *shard) handle(d *deployment, r ingest.Reading) {
+func (s *shard) handle(d *deployment, r *ingest.Reading) {
 	if d.deadW {
 		return // deployment died or is quarantined; swallow its stream
 	}
@@ -1336,11 +1349,11 @@ func (s *shard) handle(d *deployment, r ingest.Reading) {
 		}
 		d.lastWireSeq = r.Seq
 	}
-	if hook := s.pool.cfg.panicOn; hook != nil && hook(r) {
+	if hook := s.pool.cfg.panicOn; hook != nil && hook(*r) {
 		panic(fmt.Sprintf("injected fault for deployment %s", r.Deployment))
 	}
 	if hook := s.pool.cfg.stallOn; hook != nil {
-		if ch := hook(r); ch != nil {
+		if ch := hook(*r); ch != nil {
 			<-ch
 		}
 	}
@@ -1481,7 +1494,10 @@ func (s *shard) feed(d *deployment, r sensor.Reading, tc obs.SpanContext) {
 			admitStart = time.Now()
 		}
 	}
-	sp := s.pool.cfg.Tracer.StartSpan("window.admit", tc)
+	var sp *obs.Span
+	if tc.Recording() { // only a sampled context yields a span
+		sp = s.pool.cfg.Tracer.StartSpan("window.admit", tc)
+	}
 	wins := d.wd.AddTraced(r, tc)
 	if timed {
 		s.pool.clkAdmit.Observe(time.Since(admitStart)<<admitSampleShift, 1<<admitSampleShift)

@@ -154,7 +154,7 @@ func FuzzJournalRecords(f *testing.F) {
 			if n > 0 && seq != last+1 {
 				t.Fatalf("reading %d has seq %d after %d", n, seq, last)
 			}
-			if err := ingest.CheckFrameReading(r); err != nil {
+			if err := ingest.CheckFrameReading(&r); err != nil {
 				t.Fatalf("reading %d (seq %d) delivered invalid: %v", n, seq, err)
 			}
 			last = seq

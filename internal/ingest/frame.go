@@ -241,7 +241,7 @@ func (a *FrameAppender) Len() int { return a.n }
 // frame as it was, a reading CheckFrameReading refuses or one of another
 // deployment than the first reading's.
 func (a *FrameAppender) Append(r *Reading) error {
-	if err := checkFrameReading(r); err != nil {
+	if err := CheckFrameReading(r); err != nil {
 		return err
 	}
 	switch {
@@ -320,10 +320,7 @@ func (a *FrameAppender) Frame(dst []byte) ([]byte, error) {
 // finite) plus the structural bounds on attribute count and deployment key
 // length. An empty deployment key is accepted, but note that it decodes as
 // DefaultDeployment.
-func CheckFrameReading(r Reading) error { return checkFrameReading(&r) }
-
-// checkFrameReading is CheckFrameReading without the copy of r.
-func checkFrameReading(r *Reading) error {
+func CheckFrameReading(r *Reading) error {
 	if r.Time < 0 {
 		return fmt.Errorf("ingest: time %v is negative", r.Time)
 	}
@@ -554,7 +551,7 @@ func decodeFramePayload(payload []byte, dst []Reading) ([]Reading, int, error) {
 	// that would poison the detector, keep the rest of the frame.
 	kept := 0
 	for i := range readings {
-		if checkFrameReading(&readings[i]) != nil {
+		if CheckFrameReading(&readings[i]) != nil {
 			continue
 		}
 		if kept != i {

@@ -198,7 +198,7 @@ func TestFrameAppender(t *testing.T) {
 // frame round trip, and every one it refuses would not.
 func TestCheckFrameReading(t *testing.T) {
 	ok := frameReadings()[0]
-	if err := CheckFrameReading(ok); err != nil {
+	if err := CheckFrameReading(&ok); err != nil {
 		t.Fatal(err)
 	}
 	bad := map[string]Reading{
@@ -210,7 +210,7 @@ func TestCheckFrameReading(t *testing.T) {
 		"oversize-key":  {Deployment: strings.Repeat("k", maxDeploymentLen+1), Reading: sensor.Reading{Values: vecmat.Vector{1}}},
 	}
 	for name, r := range bad {
-		if CheckFrameReading(r) == nil {
+		if CheckFrameReading(&r) == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		frame, err := EncodeFrame([]Reading{ok, r})

@@ -38,7 +38,7 @@ func referenceDecodeLine(line []byte) (Reading, error) {
 			Values: vecmat.Vector(w.Values),
 		},
 	}
-	if err := CheckFrameReading(r); err != nil {
+	if err := CheckFrameReading(&r); err != nil {
 		return Reading{}, err
 	}
 	return r, nil

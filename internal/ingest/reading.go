@@ -108,7 +108,7 @@ func decodeLine(line []byte, prevDeployment string) (Reading, error) {
 			Values: vecmat.Vector(w.Values),
 		},
 	}
-	if err := CheckFrameReading(r); err != nil {
+	if err := CheckFrameReading(&r); err != nil {
 		return Reading{}, err
 	}
 	return r, nil

@@ -61,10 +61,29 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
+// check is small enough to inline into At and Set: it panics with an
+// indexError, whose message is formatted only if someone prints it.
 func (m *Matrix) check(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("vecmat: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
 	}
+}
+
+// indexError is the panic value of an out-of-range element access.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("vecmat: index (%d,%d) out of range for %dx%d matrix", e.i, e.j, e.rows, e.cols)
+}
+
+// RowView returns row i in place: a slice of the matrix's own storage, so
+// writes go through. It is valid until the matrix is next reshaped or grows
+// or loses a row or column.
+func (m *Matrix) RowView(i int) []float64 {
+	if uint(i) >= uint(m.rows) {
+		panic(indexError{i, 0, m.rows, m.cols})
+	}
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
 // Clone returns an independent copy of m.

@@ -75,10 +75,14 @@ func (m *Matrix) ColsOrthogonal(dst []OrthoViolation, th OrthoThresholds, active
 	return dst
 }
 
+// rowDot and colDot index the row slices directly; each sum runs in
+// ascending k, as a loop over At would.
 func (m *Matrix) rowDot(i, j int) float64 {
+	a, b := m.RowView(i), m.RowView(j)
+	b = b[:len(a)]
 	var s float64
-	for k := 0; k < m.cols; k++ {
-		s += m.At(i, k) * m.At(j, k)
+	for k, v := range a {
+		s += v * b[k]
 	}
 	return s
 }
@@ -86,7 +90,8 @@ func (m *Matrix) rowDot(i, j int) float64 {
 func (m *Matrix) colDot(i, j int) float64 {
 	var s float64
 	for k := 0; k < m.rows; k++ {
-		s += m.At(k, i) * m.At(k, j)
+		row := m.RowView(k)
+		s += row[i] * row[j]
 	}
 	return s
 }
@@ -112,8 +117,8 @@ func index(active []int, a int) int {
 // symbol it most often emits (footnote 6 of the paper).
 func (m *Matrix) DominantCol(i int) (col int, mass float64) {
 	col = -1
-	for j := 0; j < m.cols; j++ {
-		if v := m.At(i, j); v > mass {
+	for j, v := range m.RowView(i) {
+		if v > mass {
 			mass, col = v, j
 		}
 	}
