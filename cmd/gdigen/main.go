@@ -259,7 +259,9 @@ func streamTraceBinary(out io.Writer, tr sensorguard.Trace, o options) error {
 			time.Sleep(time.Duration(float64(r.Time-prev) / o.rate))
 		}
 		prev = r.Time
-		enc.Add(ingest.Reading{Deployment: o.deployment, Reading: r})
+		if err := enc.Add(ingest.Reading{Deployment: o.deployment, Reading: r}); err != nil {
+			return err
+		}
 		if enc.Len() >= o.postBatch {
 			if err := flush(); err != nil {
 				return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,24 +124,21 @@ func TestStepResultCloneIndependent(t *testing.T) {
 	}
 	borrowed := res.Sensors
 	clone := res.Clone()
-	want := make(map[int]SensorStep, len(clone.Sensors))
-	for id, s := range clone.Sensors {
-		want[id] = s
-	}
-	// Step a window with a different sensor population; the borrowed map
+	want := slices.Clone(clone.Sensors)
+	// Step a window with a different sensor population; the borrowed slice
 	// is rewritten in place, the clone must not move.
 	if _, err := d.Step(uniformWindow(1, 4, points[1])); err != nil {
 		t.Fatal(err)
 	}
-	if len(borrowed) == len(want) {
-		t.Fatalf("test is vacuous: borrowed map unchanged (len %d)", len(borrowed))
+	if slices.Equal(borrowed, want) {
+		t.Fatalf("test is vacuous: borrowed slice unchanged (len %d)", len(borrowed))
 	}
 	if len(clone.Sensors) != len(want) {
 		t.Fatalf("clone mutated by later Step: len %d, want %d", len(clone.Sensors), len(want))
 	}
-	for id, s := range want {
-		if clone.Sensors[id] != s {
-			t.Fatalf("clone entry %d mutated: %+v != %+v", id, clone.Sensors[id], s)
+	for i, s := range want {
+		if clone.Sensors[i] != s {
+			t.Fatalf("clone entry %d mutated: %+v != %+v", i, clone.Sensors[i], s)
 		}
 	}
 }

@@ -375,10 +375,11 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 		rec.CorrectAttrs = sc.corrAttrs
 	}
 
-	// The scratch IDs are this window's sensors, already ascending.
-	sc.rows = slices.Grow(sc.rows[:0], len(sc.ids))[:len(sc.ids)]
-	for i, id := range sc.ids {
-		st := res.Sensors[id]
+	// The result's per-sensor outcomes are already ascending by sensor ID.
+	sc.rows = slices.Grow(sc.rows[:0], len(res.Sensors))[:len(res.Sensors)]
+	for i := range res.Sensors {
+		st := &res.Sensors[i]
+		id := st.Sensor
 		sd := SensorDecision{
 			Sensor:        id,
 			Nearest:       st.Mapped,

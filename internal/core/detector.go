@@ -81,8 +81,8 @@ type Detector struct {
 
 // stepScratch is the detector's reusable per-window working set. Every slice
 // and map here is cleared (not reallocated) at the start of each step; the
-// returned StepResult borrows the sensors map, which is why Step's result is
-// only valid until the next call (see StepResult).
+// returned StepResult borrows the sensors slice, which is why Step's result
+// is only valid until the next call (see StepResult).
 type stepScratch struct {
 	// Grouping (see group). cache is a direct-mapped front for slot: an
 	// entry whose gen is this window's maps its sensor to its slot. slot
@@ -90,21 +90,21 @@ type stepScratch struct {
 	// this window, so a window without such a collision never touches it.
 	cache   [slotCacheSize]slotEntry
 	gen     uint32
-	slot    map[int]int        // sensor ID → slot, for cache collisions
-	slotIDs []int              // sensor ID of each slot, in order of first reading
-	of      []int32            // slot of each reading, in reading order
-	quar    []bool             // per-slot quarantine flag, for Eq. (2)
-	order   []idSlot           // the slots, ascending by sensor ID
-	ids     []int              // sensor IDs, ascending
-	sums    []vecmat.Vector    // per-slot sum, then mean, of the window's readings
-	counts  []int              // per-slot reading count
-	points  []vecmat.Vector    // per-sensor means in ids order (aliases sums rows)
-	mapped  []int              // Eq. (3) assignment output
-	overall vecmat.Vector      // Eq. (2) network mean
-	states  map[int]int        // majority vote tally
-	sensors map[int]SensorStep // StepResult.Sensors backing store
-	opened  []int              // sensors whose track opened this window, ascending
-	closed  []int              // sensors whose track closed this window, ascending
+	slot    map[int]int     // sensor ID → slot, for cache collisions
+	slotIDs []int           // sensor ID of each slot, in order of first reading
+	of      []int32         // slot of each reading, in reading order
+	quar    []bool          // per-slot quarantine flag, for Eq. (2)
+	order   []idSlot        // the slots, ascending by sensor ID
+	ids     []int           // sensor IDs, ascending
+	sums    []vecmat.Vector // per-slot sum, then mean, of the window's readings
+	counts  []int           // per-slot reading count
+	points  []vecmat.Vector // per-sensor means in ids order (aliases sums rows)
+	mapped  []int           // Eq. (3) assignment output
+	overall vecmat.Vector   // Eq. (2) network mean
+	states  map[int]int     // majority vote tally
+	sensors []SensorStep    // StepResult.Sensors backing store
+	opened  []int           // sensors whose track opened this window, ascending
+	closed  []int           // sensors whose track closed this window, ascending
 
 	// attrs is the state-attribute map stateAttrs refills; the rest is the
 	// decision record's backing store (see decide), lent to the sink.
@@ -133,6 +133,8 @@ type idSlot struct{ id, slot int }
 
 // SensorStep is the per-sensor outcome of one window.
 type SensorStep struct {
+	// Sensor is the sensor's ID.
+	Sensor int
 	// Mapped is the model state the sensor's observation mapped to (l_j).
 	Mapped int
 	// Raw and Filtered are the alarm levels this window.
@@ -148,8 +150,8 @@ type SensorStep struct {
 
 // StepResult is the outcome of one observation window.
 //
-// The Sensors map is borrowed from the detector's reusable scratch space: it
-// is valid until the next call to Step on the same detector, which clears and
+// The Sensors slice is borrowed from the detector's reusable scratch space:
+// it is valid until the next call to Step on the same detector, which
 // refills it in place. Callers that retain results across windows (slices of
 // step outcomes, test fixtures) must take a Clone first; callers that consume
 // the result before stepping again (the streaming fleet, metric sinks) read
@@ -162,9 +164,9 @@ type StepResult struct {
 	Skipped bool
 	// Observable and Correct are o_i and c_i (model-state IDs).
 	Observable, Correct int
-	// Sensors holds the per-sensor outcomes, keyed by sensor ID. Borrowed:
-	// valid until the next Step.
-	Sensors map[int]SensorStep
+	// Sensors holds the per-sensor outcomes, ascending by sensor ID.
+	// Borrowed: valid until the next Step.
+	Sensors []SensorStep
 	// Events are the structural model-state changes after this window.
 	Events []cluster.Event
 }
@@ -173,12 +175,7 @@ type StepResult struct {
 // the next Step.
 func (r StepResult) Clone() StepResult {
 	out := r
-	if r.Sensors != nil {
-		out.Sensors = make(map[int]SensorStep, len(r.Sensors))
-		for id, s := range r.Sensors {
-			out.Sensors[id] = s
-		}
-	}
+	out.Sensors = slices.Clone(r.Sensors)
 	if r.Events != nil {
 		out.Events = append([]cluster.Event(nil), r.Events...)
 	}
@@ -350,13 +347,8 @@ func (d *Detector) emitSpans(ctx obs.SpanContext) {
 // counts are taken — and, on timed windows, its stage latencies.
 func (d *Detector) step(w network.Window) (StepResult, error) {
 	sc := &d.scratch
-	if sc.sensors == nil {
-		sc.sensors = make(map[int]SensorStep)
-	} else {
-		clear(sc.sensors)
-	}
 	sc.opened, sc.closed = sc.opened[:0], sc.closed[:0]
-	res := StepResult{Index: w.Index, Sensors: sc.sensors}
+	res := StepResult{Index: w.Index, Sensors: sc.sensors[:0]}
 	st := &d.win
 	*st = obs.WindowStats{Window: w.Index, Readings: int32(len(w.Readings))}
 
@@ -428,6 +420,7 @@ func (d *Detector) step(w network.Window) (StepResult, error) {
 			}
 		}
 		step := SensorStep{
+			Sensor:    id,
 			Mapped:    mapped[i],
 			Raw:       raw,
 			Filtered:  filtered,
@@ -449,8 +442,9 @@ func (d *Detector) step(w network.Window) (StepResult, error) {
 				d.recordProfile(id, correct, points[i])
 			}
 		}
-		res.Sensors[id] = step
+		res.Sensors = append(res.Sensors, step)
 	}
+	sc.sensors = res.Sensors
 	d.lap(&st.Latency.AlarmNS)
 
 	// Environment models.

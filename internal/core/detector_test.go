@@ -94,12 +94,12 @@ func TestStepIdentifiesStates(t *testing.T) {
 	if res.Observable != 0 || res.Correct != 0 {
 		t.Errorf("o=%d c=%d, want state 0 for a (12,94)-like window", res.Observable, res.Correct)
 	}
-	for id, s := range res.Sensors {
+	for _, s := range res.Sensors {
 		if s.Raw || s.Filtered || s.TrackOpen {
-			t.Errorf("sensor %d alarmed in an agreeing window: %+v", id, s)
+			t.Errorf("sensor %d alarmed in an agreeing window: %+v", s.Sensor, s)
 		}
 		if s.Mapped != 0 {
-			t.Errorf("sensor %d mapped to %d", id, s.Mapped)
+			t.Errorf("sensor %d mapped to %d", s.Sensor, s.Mapped)
 		}
 	}
 	if d.Steps() != 1 {
@@ -144,7 +144,10 @@ func TestOutlierSensorRaisesAlarmAndTrack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s9 := res.Sensors[9]
+		s9 := res.Sensors[len(res.Sensors)-1]
+		if s9.Sensor != 9 {
+			t.Fatalf("window %d: last outcome is sensor %d, want 9", i, s9.Sensor)
+		}
 		if !s9.Raw {
 			t.Fatalf("window %d: no raw alarm for the outlier", i)
 		}

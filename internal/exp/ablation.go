@@ -281,7 +281,7 @@ func AblationAlarmFilters(cfg Config) (AlarmFilterAblationResult, error) {
 		}
 		out := FilterOutcome{Name: f.name, DetectionWindow: -1}
 		for _, s := range steps {
-			if st, ok := s.Sensors[6]; ok && st.TrackOpen {
+			if st, ok := sensorStep(s, 6); ok && st.TrackOpen {
 				out.DetectionWindow = s.Index
 				break
 			}

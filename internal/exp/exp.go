@@ -164,6 +164,16 @@ type runResult struct {
 	Steps    []core.StepResult
 }
 
+// sensorStep returns sensor id's outcome in step s, if it reported.
+func sensorStep(s core.StepResult, id int) (core.SensorStep, bool) {
+	for _, st := range s.Sensors {
+		if st.Sensor == id {
+			return st, true
+		}
+	}
+	return core.SensorStep{}, false
+}
+
 // runWithSteps is run, keeping the per-window step results (needed by the
 // alarm-series experiment).
 func runWithSteps(cfg Config, opts ...network.Option) (runResult, error) {

@@ -435,10 +435,10 @@ func Figure12(cfg Config) (Figure12Result, error) {
 		if s.Skipped {
 			continue
 		}
-		if st, ok := s.Sensors[6]; ok {
+		if st, ok := sensorStep(s, 6); ok {
 			res.FaultySeries = append(res.FaultySeries, st.Raw)
 		}
-		if st, ok := s.Sensors[9]; ok {
+		if st, ok := sensorStep(s, 9); ok {
 			res.HealthySeries = append(res.HealthySeries, st.Raw)
 		}
 	}

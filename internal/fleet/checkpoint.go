@@ -81,7 +81,7 @@ func frameBuffered(name string, pending, open []sensor.Reading) ([][]byte, error
 // next reading overflowed it, and tail the readings after them.
 type framedBuffer struct {
 	sealed [][]byte
-	tail   ingest.FrameAppender
+	tail   ingest.FrameEncoder
 	budget int // the tail's readingBudget total
 	n      int // readings in sealed and tail
 }
@@ -91,23 +91,24 @@ type framedBuffer struct {
 func (f *framedBuffer) frames(name string, buf []sensor.Reading) ([][]byte, error) {
 	for ; f.n < len(buf); f.n++ {
 		r := ingest.Reading{Deployment: name, Reading: buf[f.n]}
+		if err := ingest.CheckFrameReading(&r); err != nil {
+			return nil, fmt.Errorf("fleet: deployment %s buffered reading %d: %w", name, f.n, err)
+		}
 		b := readingBudget(&r)
 		if f.tail.Len() > 0 && f.budget+b > ingest.MaxFramePayload {
-			frame, err := f.tail.Frame(nil)
+			frame, err := f.tail.Frame()
 			if err != nil {
 				return nil, fmt.Errorf("fleet: deployment %s: %w", name, err)
 			}
 			f.sealed = append(f.sealed, frame)
-			f.tail, f.budget = ingest.FrameAppender{}, 0
+			f.tail, f.budget = ingest.FrameEncoder{}, 0
 		}
-		if err := f.tail.Append(&r); err != nil {
-			return nil, fmt.Errorf("fleet: deployment %s buffered reading %d: %w", name, f.n, err)
-		}
+		_ = f.tail.Add(r) // Add refuses no reading CheckFrameReading passes
 		f.budget += b
 	}
 	frames := f.sealed[:len(f.sealed):len(f.sealed)]
 	if f.tail.Len() > 0 {
-		frame, err := f.tail.Frame(nil)
+		frame, err := f.tail.Frame()
 		if err != nil {
 			return nil, fmt.Errorf("fleet: deployment %s: %w", name, err)
 		}

@@ -142,6 +142,47 @@ func BenchmarkDecodeFrame(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rs)), "ns/reading")
 }
 
+// BenchmarkAppendFrame measures the frame encoder in its two uses. journal
+// is one 256-reading run across 4 deployments, encoded with AppendFrame
+// into a reused record buffer as the collector's journal writes it; each
+// timestamp's 10 readings are one deployment's, as an event-time merge of
+// GDI traces delivers them. shipper is one decodeBatch batch staged with
+// Add and rendered with Frame as ingest.Shipper sends it. Both report
+// ns/reading.
+func BenchmarkAppendFrame(b *testing.B) {
+	run := decodeBatch()[:256]
+	for i := range run {
+		run[i].Deployment = fmt.Sprintf("gdi-field-%d", i/10%4)
+	}
+	b.Run("journal", func(b *testing.B) {
+		var enc FrameEncoder
+		var rec []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if rec, err = enc.AppendFrame(rec[:0], run); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(run)), "ns/reading")
+	})
+	b.Run("shipper", func(b *testing.B) {
+		batch := decodeBatch()
+		var enc FrameEncoder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc.Reset()
+			for _, r := range batch {
+				enc.Add(r)
+			}
+			if _, err := enc.Frame(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/reading")
+	})
+}
+
 // TestBinaryDecodeCheaperThanNDJSON pins the binary codec's reason to
 // exist: a shipper batch decodes for less per reading as one frame than as
 // NDJSON lines. Each codec is scored by its fastest of many short batches,

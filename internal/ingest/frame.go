@@ -88,221 +88,146 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// FrameEncoder stages readings and renders them as one binary frame. The
-// zero value is ready to use; Reset makes it reusable across batches without
-// reallocating. Not safe for concurrent use.
+// FrameEncoder builds one binary frame a reading at a time: Add encodes
+// each reading straight into the frame's varint columns and appends its
+// values, which rendering lays out as the float columns. A batch that only
+// grows is encoded once however often it is rendered. The zero value is
+// ready to use; Reset makes it reusable across frames without reallocating.
+// Not safe for concurrent use.
 type FrameEncoder struct {
-	readings []Reading
-	buf      []byte
-
-	// Scratch reused across frames: the deployment intern table and each
-	// staged reading's index into it.
-	deps   []string
-	depIdx map[string]int
-	rowDep []int
+	n       int
+	dim     int            // values per reading while uniform, 0 once ragged
+	deps    []string       // the deployment intern table, in first-seen order
+	depIdx  map[string]int // index in deps of every deployment but the first
+	depCol  []byte         // the deployment index column; empty while deps holds one
+	dims    []byte         // ragged only: the dims column
+	sensors []byte
+	seqs    []byte
+	times   []byte
+	values  vecmat.Vector // every reading's values, row-major
+	prevSeq uint64
+	prevNS  int64
 }
 
-// Add stages one reading. Readings keep their order on the wire.
-func (e *FrameEncoder) Add(r Reading) { e.readings = append(e.readings, r) }
+// Add encodes r into the frame. Readings keep their order on the wire, and
+// r's values are copied. It refuses, and leaves the frame as it was, a
+// reading with no values or with a deployment key over maxDeploymentLen
+// bytes; it does not check what DecodeFrame merely skips (non-finite
+// values, negative time), for which see CheckFrameReading.
+func (e *FrameEncoder) Add(r Reading) error { return e.add(&r) }
 
-// Len reports the number of staged readings.
-func (e *FrameEncoder) Len() int { return len(e.readings) }
-
-// Reset discards the staged readings, keeping the scratch buffer.
-func (e *FrameEncoder) Reset() { e.readings = e.readings[:0] }
-
-// Frame encodes the staged readings as one complete frame (header, columnar
-// payload, CRC trailer). The returned slice is owned by the encoder and is
-// valid until the next Frame or Reset.
-func (e *FrameEncoder) Frame() ([]byte, error) {
-	p, err := e.AppendFrame(e.buf[:0], e.readings)
-	if err != nil {
-		return nil, err
+func (e *FrameEncoder) add(r *Reading) error {
+	if len(r.Values) == 0 {
+		return errors.New("ingest: reading needs at least one value")
 	}
-	e.buf = p
-	return p, nil
-}
-
-// AppendFrame appends one complete frame holding rs to dst and returns the
-// extended slice: Frame without staging the readings, for callers that
-// already hold them in a slice and own the destination buffer. On error dst
-// is returned unextended.
-func (e *FrameEncoder) AppendFrame(dst []byte, rs []Reading) ([]byte, error) {
-	if len(rs) == 0 {
-		return dst, errors.New("ingest: empty frame")
-	}
-	// Intern deployments and decide uniform vs ragged dims in one pass.
-	if e.depIdx == nil {
-		e.depIdx = make(map[string]int, 4)
-	}
-	clear(e.depIdx)
-	deps := e.deps[:0]
-	rowDep := e.rowDep[:0]
-	dim := len(rs[0].Values)
-	for i := range rs {
-		r := &rs[i]
-		if len(r.Values) == 0 {
-			return dst, errors.New("ingest: reading needs at least one value")
-		}
-		if len(r.Values) != dim {
-			dim = 0 // ragged
-		}
-		idx, ok := e.depIdx[r.Deployment]
-		if !ok {
+	// The first deployment stays out of depIdx, so a frame of one
+	// deployment's readings needs no map and looks none up.
+	idx := 0
+	if len(e.deps) == 0 || r.Deployment != e.deps[0] {
+		var ok bool
+		if idx, ok = e.depIdx[r.Deployment]; !ok {
 			if len(r.Deployment) > maxDeploymentLen {
-				return dst, fmt.Errorf("ingest: deployment key %d bytes long (max %d)", len(r.Deployment), maxDeploymentLen)
+				return fmt.Errorf("ingest: deployment key %d bytes long (max %d)", len(r.Deployment), maxDeploymentLen)
 			}
-			idx = len(deps)
-			e.depIdx[r.Deployment] = idx
-			deps = append(deps, r.Deployment)
-		}
-		rowDep = append(rowDep, idx)
-	}
-	e.deps, e.rowDep = deps, rowDep
-
-	start := len(dst)
-	p := append(dst, make([]byte, frameHeaderLen)...) // header placeholder
-	p = binary.AppendUvarint(p, uint64(len(deps)))
-	for _, d := range deps {
-		p = binary.AppendUvarint(p, uint64(len(d)))
-		p = append(p, d...)
-	}
-	p = binary.AppendUvarint(p, uint64(len(rs)))
-	p = binary.AppendUvarint(p, uint64(dim))
-	if dim == 0 {
-		for i := range rs {
-			p = binary.AppendUvarint(p, uint64(len(rs[i].Values)))
-		}
-	}
-	for _, d := range rowDep {
-		p = binary.AppendUvarint(p, uint64(d))
-	}
-	for i := range rs {
-		p = binary.AppendUvarint(p, zigzag(int64(rs[i].Sensor)))
-	}
-	var prevSeq uint64
-	for i := range rs {
-		p = binary.AppendUvarint(p, zigzag(int64(rs[i].Seq-prevSeq))) // modular delta: exact for all uint64
-		prevSeq = rs[i].Seq
-	}
-	var prevNS int64
-	for i := range rs {
-		ns := int64(rs[i].Time)
-		p = binary.AppendUvarint(p, zigzag(ns-prevNS))
-		prevNS = ns
-	}
-	if dim > 0 {
-		// Column-major: attribute a of every reading, then attribute a+1.
-		for a := 0; a < dim; a++ {
-			for i := range rs {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(rs[i].Values[a]))
+			if idx = len(e.deps); idx > 0 {
+				if e.depIdx == nil {
+					e.depIdx = make(map[string]int, 4)
+				}
+				e.depIdx[r.Deployment] = idx
 			}
-		}
-	} else {
-		for i := range rs {
-			for _, v := range rs[i].Values {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
+			e.deps = append(e.deps, r.Deployment)
 		}
 	}
-
-	payload := p[start+frameHeaderLen:]
-	if len(payload) > MaxFramePayload {
-		return dst, fmt.Errorf("ingest: frame payload %d bytes (max %d)", len(payload), MaxFramePayload)
-	}
-	p[start] = FrameMagic
-	p[start+1] = FrameVersion
-	binary.LittleEndian.PutUint32(p[start+2:start+6], uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(payload)), nil
-}
-
-// FrameAppender builds one frame of a single deployment's readings one
-// reading at a time, so a buffer that only grows is encoded once rather
-// than at every render. Frame renders the readings appended so far byte for
-// byte as AppendFrame renders them. The zero value is ready to use; not
-// safe for concurrent use.
-type FrameAppender struct {
-	deployment string
-	n          int
-	dim        int      // values per reading while uniform, 0 once ragged
-	dims       []byte   // ragged only: the dims column
-	cols       [][]byte // uniform: one column per attribute; ragged: cols[0], row-major
-	sensors    []byte
-	seqs       []byte
-	times      []byte
-	prevSeq    uint64
-	prevNS     int64
-}
-
-// Len reports the number of appended readings.
-func (a *FrameAppender) Len() int { return a.n }
-
-// Append encodes r into the frame's columns. It refuses, and leaves the
-// frame as it was, a reading CheckFrameReading refuses or one of another
-// deployment than the first reading's.
-func (a *FrameAppender) Append(r *Reading) error {
-	if err := CheckFrameReading(r); err != nil {
-		return err
+	if len(e.deps) > 1 {
+		if len(e.depCol) == 0 { // the first deployment's readings so far, index 0
+			e.depCol = append(e.depCol, make([]byte, e.n)...)
+		}
+		e.depCol = binary.AppendUvarint(e.depCol, uint64(idx))
 	}
 	switch {
-	case a.n == 0:
-		a.deployment, a.dim = r.Deployment, len(r.Values)
-		a.cols = make([][]byte, a.dim)
-	case r.Deployment != a.deployment:
-		return fmt.Errorf("ingest: frame holds deployment %q, reading is of %q", a.deployment, r.Deployment)
-	case a.dim > 0 && len(r.Values) != a.dim:
-		a.ragged()
-	}
-	a.sensors = binary.AppendUvarint(a.sensors, zigzag(int64(r.Sensor)))
-	a.seqs = binary.AppendUvarint(a.seqs, zigzag(int64(r.Seq-a.prevSeq)))
-	a.times = binary.AppendUvarint(a.times, zigzag(int64(r.Time)-a.prevNS))
-	a.prevSeq, a.prevNS = r.Seq, int64(r.Time)
-	if a.dim > 0 {
-		for j, v := range r.Values {
-			a.cols[j] = binary.LittleEndian.AppendUint64(a.cols[j], math.Float64bits(v))
+	case e.n == 0:
+		e.dim = len(r.Values)
+	case e.dim > 0 && len(r.Values) != e.dim: // ragged from here on
+		for range e.n {
+			e.dims = binary.AppendUvarint(e.dims, uint64(e.dim))
 		}
-	} else {
-		a.dims = binary.AppendUvarint(a.dims, uint64(len(r.Values)))
-		for _, v := range r.Values {
-			a.cols[0] = binary.LittleEndian.AppendUint64(a.cols[0], math.Float64bits(v))
-		}
+		e.dim = 0
 	}
-	a.n++
+	if e.dim == 0 {
+		e.dims = binary.AppendUvarint(e.dims, uint64(len(r.Values)))
+	}
+	e.sensors = binary.AppendUvarint(e.sensors, zigzag(int64(r.Sensor)))
+	e.seqs = binary.AppendUvarint(e.seqs, zigzag(int64(r.Seq-e.prevSeq))) // modular delta: exact for all uint64
+	e.times = binary.AppendUvarint(e.times, zigzag(int64(r.Time)-e.prevNS))
+	e.prevSeq, e.prevNS = r.Seq, int64(r.Time)
+	e.values = append(e.values, r.Values...)
+	e.n++
 	return nil
 }
 
-// ragged turns the uniform columns into the ragged layout: a dims column
-// and the values row-major.
-func (a *FrameAppender) ragged() {
-	rows := make([]byte, 0, a.n*a.dim*8)
-	for i := 0; i < a.n; i++ {
-		for _, col := range a.cols {
-			rows = append(rows, col[8*i:8*i+8]...)
-		}
-		a.dims = binary.AppendUvarint(a.dims, uint64(a.dim))
-	}
-	a.cols, a.dim = append(a.cols[:0], rows), 0
+// Len reports the number of readings added since the last Reset.
+func (e *FrameEncoder) Len() int { return e.n }
+
+// Reset empties the frame, keeping its buffers.
+func (e *FrameEncoder) Reset() {
+	clear(e.depIdx)
+	e.n, e.prevSeq, e.prevNS = 0, 0, 0
+	e.deps, e.depCol, e.dims = e.deps[:0], e.depCol[:0], e.dims[:0]
+	e.sensors, e.seqs, e.times, e.values = e.sensors[:0], e.seqs[:0], e.times[:0], e.values[:0]
 }
 
-// Frame appends the frame of the readings appended so far to dst.
-func (a *FrameAppender) Frame(dst []byte) ([]byte, error) {
-	if a.n == 0 {
+// Frame renders the readings added so far as one complete frame (header,
+// columnar payload, CRC trailer) in a newly allocated slice.
+func (e *FrameEncoder) Frame() ([]byte, error) { return e.render(nil) }
+
+// AppendFrame resets the encoder, adds rs and appends their frame to dst,
+// returning the extended slice: for callers that already hold the readings
+// in a slice and own the destination buffer. On error dst is returned
+// unextended.
+func (e *FrameEncoder) AppendFrame(dst []byte, rs []Reading) ([]byte, error) {
+	e.Reset()
+	for i := range rs {
+		if err := e.add(&rs[i]); err != nil {
+			return dst, err
+		}
+	}
+	return e.render(dst)
+}
+
+// render appends the frame of the readings added so far to dst.
+func (e *FrameEncoder) render(dst []byte) ([]byte, error) {
+	if e.n == 0 {
 		return dst, errors.New("ingest: empty frame")
 	}
+	size := frameHeaderLen + 3*binary.MaxVarintLen64 + len(e.dims) + max(e.n, len(e.depCol)) +
+		len(e.sensors) + len(e.seqs) + len(e.times) + 8*len(e.values) + frameTrailerLen
+	for _, d := range e.deps {
+		size += binary.MaxVarintLen64 + len(d)
+	}
 	start := len(dst)
-	p := append(dst, make([]byte, frameHeaderLen)...) // header placeholder
-	p = binary.AppendUvarint(p, 1)
-	p = binary.AppendUvarint(p, uint64(len(a.deployment)))
-	p = append(p, a.deployment...)
-	p = binary.AppendUvarint(p, uint64(a.n))
-	p = binary.AppendUvarint(p, uint64(a.dim))
-	p = append(p, a.dims...)
-	p = append(p, make([]byte, a.n)...) // every deployment index is 0, one byte
-	p = append(p, a.sensors...)
-	p = append(p, a.seqs...)
-	p = append(p, a.times...)
-	for _, col := range a.cols {
-		p = append(p, col...)
+	p := append(slices.Grow(dst, size), make([]byte, frameHeaderLen)...) // header placeholder
+	p = binary.AppendUvarint(p, uint64(len(e.deps)))
+	for _, d := range e.deps {
+		p = binary.AppendUvarint(p, uint64(len(d)))
+		p = append(p, d...)
+	}
+	p = binary.AppendUvarint(p, uint64(e.n))
+	p = binary.AppendUvarint(p, uint64(e.dim))
+	p = append(p, e.dims...)
+	if len(e.deps) == 1 {
+		p = append(p, make([]byte, e.n)...) // every deployment index is 0, one byte
+	} else {
+		p = append(p, e.depCol...)
+	}
+	p = append(p, e.sensors...)
+	p = append(p, e.seqs...)
+	p = append(p, e.times...)
+	// Uniform dims go column-major (attribute a of every reading, then
+	// attribute a+1), ragged ones row-major as the values were added.
+	for a := range max(e.dim, 1) {
+		for i := a; i < len(e.values); i += max(e.dim, 1) {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(e.values[i]))
+		}
 	}
 	payload := p[start+frameHeaderLen:]
 	if len(payload) > MaxFramePayload {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"strings"
@@ -125,16 +126,30 @@ func TestFrameEncoderReuse(t *testing.T) {
 }
 
 // TestAppendFrame pins AppendFrame to Frame's bytes, with the destination's
-// existing contents kept, across encoder reuse with different intern tables.
+// existing contents kept, across encoder reuse with different intern tables;
+// and a reading Add refuses leaves the frame as it was.
 func TestAppendFrame(t *testing.T) {
 	var staged, appender FrameEncoder
 	for round, rs := range [][]Reading{frameReadings(), frameReadings()[2:], frameReadings()[:1]} {
 		for _, r := range rs {
-			staged.Add(r)
+			if err := staged.Add(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 		want, err := staged.Frame()
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, bad := range []Reading{
+			{Deployment: "other"},
+			{Deployment: strings.Repeat("k", maxDeploymentLen+1), Reading: sensor.Reading{Values: vecmat.Vector{1}}},
+		} {
+			if err := staged.Add(bad); err == nil {
+				t.Fatalf("round %d: added %.20q with %d values", round, bad.Deployment, len(bad.Values))
+			}
+		}
+		if again, err := staged.Frame(); err != nil || staged.Len() != len(rs) || !bytes.Equal(again, want) {
+			t.Fatalf("round %d: a refused reading changed the frame", round)
 		}
 		staged.Reset()
 		prefix := []byte("head")
@@ -149,48 +164,8 @@ func TestAppendFrame(t *testing.T) {
 	if got, err := appender.AppendFrame([]byte("x"), nil); err == nil || string(got) != "x" {
 		t.Fatalf("empty run: %q, %v; want the destination back and an error", got, err)
 	}
-}
-
-// TestFrameAppender: after every Append, Frame equals AppendFrame over the
-// readings so far, through uniform readings, a switch to ragged dims, and
-// negative sensor, seq and time deltas; and a refused reading leaves the
-// frame as it was.
-func TestFrameAppender(t *testing.T) {
-	rs := []Reading{
-		{Deployment: "d", Seq: 9, Reading: sensor.Reading{Sensor: 3, Time: 5 * time.Second, Values: vecmat.Vector{20.5, 61}}},
-		{Deployment: "d", Seq: 4, Reading: sensor.Reading{Sensor: -2, Time: time.Second, Values: vecmat.Vector{-0.0, 1e300}}},
-		{Deployment: "d", Seq: 1 << 63, Reading: sensor.Reading{Sensor: 7, Time: 7 * time.Hour, Values: vecmat.Vector{math.SmallestNonzeroFloat64, 2}}},
-		{Deployment: "d", Reading: sensor.Reading{Sensor: 0, Time: 7 * time.Hour, Values: vecmat.Vector{1, 2, 3}}},
-		{Deployment: "d", Seq: 2, Reading: sensor.Reading{Sensor: 1, Time: 8 * time.Hour, Values: vecmat.Vector{4}}},
-	}
-	var a FrameAppender
-	var enc FrameEncoder
-	for i := range rs {
-		if err := a.Append(&rs[i]); err != nil {
-			t.Fatal(err)
-		}
-		for _, bad := range []Reading{
-			{Deployment: "other", Reading: sensor.Reading{Values: vecmat.Vector{1}}},
-			{Deployment: "d", Reading: sensor.Reading{Values: vecmat.Vector{math.NaN()}}},
-		} {
-			if err := a.Append(&bad); err == nil {
-				t.Fatalf("after %d readings: appended %+v", i+1, bad)
-			}
-		}
-		want, err := enc.AppendFrame(nil, rs[:i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.Frame([]byte("head"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Len() != i+1 || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
-			t.Fatalf("after %d readings: Frame differs from AppendFrame", i+1)
-		}
-	}
-	if _, err := new(FrameAppender).Frame(nil); err == nil {
-		t.Fatal("empty appender rendered a frame")
+	if _, err := new(FrameEncoder).Frame(); err == nil {
+		t.Fatal("empty encoder rendered a frame")
 	}
 }
 
@@ -371,4 +346,205 @@ func TestFrameSmallerThanNDJSON(t *testing.T) {
 	if len(frame)*2 > nd.Len() {
 		t.Fatalf("frame %d bytes vs NDJSON %d: expected at least 2x smaller", len(frame), nd.Len())
 	}
+}
+
+// referenceAppendFrame is the slice-based frame encoder FrameEncoder
+// replaced: it interns deployments and picks the uniform or ragged layout
+// in one pass over rs, then writes each column in turn. It is the
+// byte-for-byte reference for FuzzFrameEncoderMatchesReference.
+func referenceAppendFrame(dst []byte, rs []Reading) ([]byte, error) {
+	if len(rs) == 0 {
+		return dst, errors.New("ingest: empty frame")
+	}
+	depIdx := map[string]int{}
+	var deps []string
+	var rowDep []int
+	dim := len(rs[0].Values)
+	for i := range rs {
+		r := &rs[i]
+		if len(r.Values) == 0 {
+			return dst, errors.New("ingest: reading needs at least one value")
+		}
+		if len(r.Values) != dim {
+			dim = 0 // ragged
+		}
+		idx, ok := depIdx[r.Deployment]
+		if !ok {
+			if len(r.Deployment) > maxDeploymentLen {
+				return dst, fmt.Errorf("ingest: deployment key %d bytes long (max %d)", len(r.Deployment), maxDeploymentLen)
+			}
+			idx = len(deps)
+			depIdx[r.Deployment] = idx
+			deps = append(deps, r.Deployment)
+		}
+		rowDep = append(rowDep, idx)
+	}
+
+	start := len(dst)
+	p := append(dst, make([]byte, frameHeaderLen)...)
+	p = binary.AppendUvarint(p, uint64(len(deps)))
+	for _, d := range deps {
+		p = binary.AppendUvarint(p, uint64(len(d)))
+		p = append(p, d...)
+	}
+	p = binary.AppendUvarint(p, uint64(len(rs)))
+	p = binary.AppendUvarint(p, uint64(dim))
+	if dim == 0 {
+		for i := range rs {
+			p = binary.AppendUvarint(p, uint64(len(rs[i].Values)))
+		}
+	}
+	for _, d := range rowDep {
+		p = binary.AppendUvarint(p, uint64(d))
+	}
+	for i := range rs {
+		p = binary.AppendUvarint(p, zigzag(int64(rs[i].Sensor)))
+	}
+	var prevSeq uint64
+	for i := range rs {
+		p = binary.AppendUvarint(p, zigzag(int64(rs[i].Seq-prevSeq)))
+		prevSeq = rs[i].Seq
+	}
+	var prevNS int64
+	for i := range rs {
+		ns := int64(rs[i].Time)
+		p = binary.AppendUvarint(p, zigzag(ns-prevNS))
+		prevNS = ns
+	}
+	if dim > 0 {
+		for a := 0; a < dim; a++ {
+			for i := range rs {
+				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(rs[i].Values[a]))
+			}
+		}
+	} else {
+		for i := range rs {
+			for _, v := range rs[i].Values {
+				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+			}
+		}
+	}
+
+	payload := p[start+frameHeaderLen:]
+	if len(payload) > MaxFramePayload {
+		return dst, fmt.Errorf("ingest: frame payload %d bytes (max %d)", len(payload), MaxFramePayload)
+	}
+	p[start] = FrameMagic
+	p[start+1] = FrameVersion
+	binary.LittleEndian.PutUint32(p[start+2:start+6], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(payload)), nil
+}
+
+// fuzzFrameReading is one reading of a FuzzFrameEncoderMatchesReference
+// program: dep picks the deployment key (0 ⇒ "", 255 ⇒ one over
+// maxDeploymentLen, else "d<dep>"); shape's low three bits count the
+// values (0 ⇒ a reading Add refuses) and its top bit starts a new frame
+// on the reused encoders; sensor, seq and time are signed steps from the
+// previous reading (seq's top two bits shift its step by 0, 20, 40 or 60
+// bits); each value byte repeats into a float64's eight bytes.
+func fuzzFrameReading(dep, shape, sensor, seq, tm byte, vals ...byte) []byte {
+	return append([]byte{dep, shape, sensor, seq, tm}, vals...)
+}
+
+// FuzzFrameEncoderMatchesReference holds FrameEncoder to
+// referenceAppendFrame byte for byte: Frame after every Add, accepted or
+// refused, and AppendFrame over each frame's readings, on encoders reused
+// across Reset with another dim and deployment set. Add must refuse
+// exactly the readings the reference refuses, with its message.
+func FuzzFrameEncoderMatchesReference(f *testing.F) {
+	seed := func(rs ...[]byte) []byte { return bytes.Join(rs, nil) }
+	// Interleaved and empty deployment keys, negative steps.
+	f.Add(seed(
+		fuzzFrameReading(1, 2, 3, 1, 10, 7, 8),
+		fuzzFrameReading(0, 2, 0xFE, 0xF0, 0xF6, 9, 10),
+		fuzzFrameReading(2, 2, 5, 3, 1, 11, 12),
+		fuzzFrameReading(1, 2, 0x80, 0x80, 0x80, 0xFF, 0),
+		fuzzFrameReading(0, 2, 1, 1, 1, 1, 2),
+	))
+	// A switch to ragged mid-frame, then a wider uniform frame and a
+	// second two-deployment frame on the reused encoders: stale ragged or
+	// deployment columns would show.
+	f.Add(seed(
+		fuzzFrameReading(1, 2, 1, 1, 1, 1, 2),
+		fuzzFrameReading(1, 2, 2, 1, 1, 3, 4),
+		fuzzFrameReading(1, 3, 3, 1, 1, 5, 6, 7),
+		fuzzFrameReading(2, 1, 4, 1, 1, 8),
+		fuzzFrameReading(3, 0x84, 1, 1, 1, 9, 10, 11, 12),
+		fuzzFrameReading(3, 4, 2, 1, 1, 13, 14, 15, 16),
+		fuzzFrameReading(0, 0x81, 1, 1, 1, 17),
+		fuzzFrameReading(1, 1, 1, 1, 1, 18),
+	))
+	// Refused readings: no values, an oversize key, mid-frame and first.
+	f.Add(seed(
+		fuzzFrameReading(1, 0, 1, 1, 1),
+		fuzzFrameReading(255, 1, 1, 1, 1, 2),
+		fuzzFrameReading(1, 1, 1, 1, 1, 3),
+		fuzzFrameReading(255, 1, 1, 1, 1, 4),
+		fuzzFrameReading(2, 0, 1, 1, 1),
+		fuzzFrameReading(2, 1, 1, 1, 1, 5),
+	))
+	// Over 127 deployments: two-byte deployment indices.
+	var many [][]byte
+	for d := 1; d <= 130; d++ {
+		many = append(many, fuzzFrameReading(byte(d), 1, byte(d), 1, 1, byte(d)))
+	}
+	f.Add(seed(many...))
+	f.Add([]byte{})
+
+	oversize := strings.Repeat("k", maxDeploymentLen+1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var inc, whole FrameEncoder
+		var frame, accepted []Reading
+		var r Reading
+		check := func() {
+			want, werr := referenceAppendFrame([]byte("head"), frame)
+			got, err := whole.AppendFrame([]byte("head"), frame)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(got, want) {
+				t.Fatalf("AppendFrame of %d readings: %v, want %v; bytes equal %v", len(frame), err, werr, bytes.Equal(got, want))
+			}
+		}
+		for len(data) >= 5 {
+			dep, shape, sensorStep, seqStep, timeStep := data[0], data[1], int8(data[2]), data[3], int8(data[4])
+			data = data[5:]
+			if shape&0x80 != 0 {
+				check()
+				inc.Reset()
+				frame, accepted = frame[:0], accepted[:0]
+			}
+			switch dep {
+			case 0:
+				r.Deployment = ""
+			case 255:
+				r.Deployment = oversize
+			default:
+				r.Deployment = fmt.Sprintf("d%d", dep)
+			}
+			r.Sensor += int(sensorStep) * 1000
+			r.Seq += uint64(int8(seqStep)) << (seqStep >> 6 * 20) // steps up to ±2^67, wrapping
+			r.Time += time.Duration(timeStep) * time.Second
+			n := min(int(shape&7), len(data))
+			r.Values = make(vecmat.Vector, n)
+			for j := range r.Values {
+				r.Values[j] = math.Float64frombits(uint64(data[j]) * 0x0101010101010101)
+			}
+			data = data[n:]
+
+			frame = append(frame, r)
+			_, werr := referenceAppendFrame(nil, append(accepted, r))
+			err := inc.Add(r)
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("Add of %.20q with %d values: %v, reference %v", r.Deployment, n, err, werr)
+			}
+			if err == nil {
+				accepted = append(accepted, r)
+			}
+			want, werr := referenceAppendFrame(nil, accepted)
+			got, err := inc.Frame()
+			if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(got, want) || inc.Len() != len(accepted) {
+				t.Fatalf("Frame after %d readings (%d accepted, Len %d): %v, want %v; bytes equal: %v",
+					len(frame), len(accepted), inc.Len(), err, werr, bytes.Equal(got, want))
+			}
+		}
+		check()
+	})
 }

@@ -38,7 +38,7 @@ type Shipper struct {
 	client  *http.Client
 	rng     *rand.Rand
 	batch   bytes.Buffer // staged NDJSON lines (WireNDJSON)
-	enc     FrameEncoder // staged readings (WireBinary)
+	enc     FrameEncoder // staged frame (WireBinary)
 	binary  bool
 	pending int
 	shipped int
@@ -103,7 +103,10 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 }
 
 // Add stages one reading, flushing the current batch first when it is full.
-// ctx cancellation aborts a flush mid-retry.
+// The reading is encoded, its values copied, at Add: the caller may reuse
+// r.Values as soon as Add returns. A reading the batch codec refuses is an
+// error and leaves the batch as it was. ctx cancellation aborts a flush
+// mid-retry.
 func (s *Shipper) Add(ctx context.Context, r Reading) error {
 	if s.pending >= s.cfg.BatchSize {
 		if err := s.Flush(ctx); err != nil {
@@ -111,7 +114,9 @@ func (s *Shipper) Add(ctx context.Context, r Reading) error {
 		}
 	}
 	if s.binary {
-		s.enc.Add(r)
+		if err := s.enc.Add(r); err != nil {
+			return err
+		}
 	} else {
 		line, err := EncodeLine(r)
 		if err != nil {

@@ -76,6 +76,62 @@ func TestShipperBatchesAndDelivers(t *testing.T) {
 	}
 }
 
+// TestShipperBinaryRefusesAtAdd: a binary shipper refuses a reading the
+// frame encoder refuses at Add and keeps its batch, so one bad reading
+// neither wedges later batches nor loses the good readings staged beside
+// it; and a reading's values are copied at Add.
+func TestShipperBinaryRefusesAtAdd(t *testing.T) {
+	var mu sync.Mutex
+	var sink collector
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		st, err := ReadWireStream(r.Body, &sink, StreamOptions{})
+		if err != nil || st.Rejected != 0 {
+			t.Errorf("read shipped frame: %+v, %v", st, err)
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer srv.Close()
+
+	ship, err := NewShipper(ShipperConfig{URL: srv.URL, BatchSize: 10, Wire: WireBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var want []Reading
+	for i := 0; i < 40; i++ {
+		r := testReading(i)
+		if i == 0 || i == 15 {
+			r.Values = nil
+			if err := ship.Add(ctx, r); err == nil {
+				t.Fatalf("Add(%d) accepted a reading with no values", i)
+			}
+			continue
+		}
+		want = append(want, testReading(i))
+		if err := ship.Add(ctx, r); err != nil {
+			t.Fatalf("Add(%d): %v", i, err)
+		}
+		r.Values[0] = -1 // the shipper copied the values at Add
+	}
+	if err := ship.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	got := sink.got
+	if ship.Shipped() != len(want) || len(got) != len(want) {
+		t.Fatalf("shipped %d, delivered %d readings, want %d", ship.Shipped(), len(got), len(want))
+	}
+	for i := range want {
+		want[i].Trace = got[i].Trace
+		if !readingEqual(got[i], want[i]) {
+			t.Fatalf("reading %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestShipperRetriesTransientFailures(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
